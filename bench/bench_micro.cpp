@@ -11,6 +11,7 @@
 #include "sketch/distinct_estimator.h"
 #include "sketch/hyperloglog.h"
 #include "sql/parser.h"
+#include "workloads/imdb.h"
 
 namespace monsoon {
 namespace {
@@ -183,6 +184,54 @@ void BM_MctsIterations(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MctsIterations)->Arg(100)->Arg(400);
+
+// imdb-q13 (five relations), the planner-bound case of the repository
+// benchmark, from its initial state.
+struct ImdbQ13Fixture {
+  ImdbQ13Fixture() : prior(MakePrior(PriorKind::kSpikeAndSlab)) {
+    ImdbOptions options;
+    options.scale = 0.05;
+    workload = MakeImdbWorkload(options).value();
+    for (const BenchQuery& q : workload.queries) {
+      if (q.name == "imdb-q13") query = &q.spec;
+    }
+    mdp = std::make_unique<QueryMdp>(*query, prior.get(), QueryMdp::Options());
+    std::map<ExprSig, double> counts;
+    for (int i = 0; i < query->num_relations(); ++i) {
+      counts[ExprSig::Of(RelSet::Single(i), 0)] = static_cast<double>(
+          workload.catalog->RowCount(query->relation(i).table_name).value());
+    }
+    root = mdp->InitialState(StatsStore(), counts);
+  }
+  Workload workload;
+  const QuerySpec* query = nullptr;
+  std::unique_ptr<Prior> prior;
+  std::unique_ptr<QueryMdp> mdp;
+  MdpState root;
+};
+
+void BM_LegalActions(benchmark::State& state) {
+  ImdbQ13Fixture fixture;
+  std::pmr::vector<MdpAction> actions;
+  for (auto _ : state) {
+    fixture.mdp->LegalActions(fixture.root, &actions);
+    benchmark::DoNotOptimize(actions.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LegalActions);
+
+void BM_MctsIterationsImdbQ13(benchmark::State& state) {
+  ImdbQ13Fixture fixture;
+  for (auto _ : state) {
+    MctsSearch::Options options;
+    options.iterations = static_cast<int>(state.range(0));
+    MctsSearch search(fixture.mdp.get(), options);
+    benchmark::DoNotOptimize(search.SearchBestAction(fixture.root).ok());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MctsIterationsImdbQ13)->Arg(300);
 
 void BM_SqlParse(benchmark::State& state) {
   JoinFixture fixture(10, 10);

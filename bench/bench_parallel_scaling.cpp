@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/env.h"
 #include "parallel/runtime.h"
 #include "workloads/udfbench.h"
 
@@ -29,8 +30,7 @@ namespace {
 
 std::vector<int> ThreadCounts() {
   std::vector<int> counts;
-  const char* env = std::getenv("MONSOON_SCALING_THREADS");
-  std::stringstream stream(env != nullptr ? env : "1,2,4,8");
+  std::stringstream stream(EnvString("MONSOON_SCALING_THREADS").value_or("1,2,4,8"));
   std::string token;
   while (std::getline(stream, token, ',')) {
     int threads = std::atoi(token.c_str());

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/env.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "server/net.h"
@@ -45,8 +46,7 @@ namespace {
 
 std::vector<int> ClientCounts() {
   std::vector<int> counts;
-  const char* env = std::getenv("MONSOON_SERVER_CLIENTS");
-  std::stringstream stream(env != nullptr ? env : "1,4,16,64");
+  std::stringstream stream(EnvString("MONSOON_SERVER_CLIENTS").value_or("1,4,16,64"));
   std::string token;
   while (std::getline(stream, token, ',')) {
     int clients = std::atoi(token.c_str());
@@ -129,8 +129,7 @@ void RunClient(uint16_t port, const std::string& sql, int requests,
 /// qualifies for.
 StatusOr<SweepPoint> RunAbArm(Catalog* catalog, const std::string& sql,
                               int clients, int per_client, bool telemetry) {
-  const char* tmp = std::getenv("TMPDIR");
-  const std::string tmp_dir = tmp != nullptr ? tmp : "/tmp";
+  const std::string tmp_dir = EnvString("TMPDIR").value_or("/tmp");
   if (telemetry) {
     obs::TailSamplingOptions tail;
     tail.dir = tmp_dir;
@@ -192,9 +191,7 @@ StatusOr<SweepPoint> RunAbArm(Catalog* catalog, const std::string& sql,
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_server.json";
-  const char* requests_env = std::getenv("MONSOON_SERVER_REQUESTS");
-  const int total_requests =
-      requests_env != nullptr ? std::max(1, std::atoi(requests_env)) : 96;
+  const int total_requests = std::max(1, EnvInt("MONSOON_SERVER_REQUESTS", 96));
   const std::string sql = "SELECT * FROM fact f, dim d WHERE f.x = d.k";
 
   std::cout << "\n==========================================================\n"
@@ -277,9 +274,8 @@ int main(int argc, char** argv) {
   // instrumented arm must keep >= 50% of baseline qps — catching a
   // catastrophic regression like a lock on the hot path, not a percent);
   // tighten with MONSOON_OBS_AB_MAX_DROP_PCT on quiet hardware.
-  const char* drop_env = std::getenv("MONSOON_OBS_AB_MAX_DROP_PCT");
   const double max_drop_pct =
-      drop_env != nullptr ? std::atof(drop_env) : 50.0;
+      std::atof(EnvString("MONSOON_OBS_AB_MAX_DROP_PCT").value_or("50").c_str());
   const int ab_clients = 16;
   const int ab_per_client = std::max(1, total_requests / ab_clients);
   std::cout << "[a/b]   " << ab_clients << " client(s) x " << ab_per_client

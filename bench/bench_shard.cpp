@@ -22,7 +22,6 @@
 // 8 repetitions per plan set; timing stability).
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -30,6 +29,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/env.h"
 #include "exec/executor.h"
 #include "exec/udf_cache.h"
 #include "fault/injector.h"
@@ -43,11 +43,6 @@
 using namespace monsoon;
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  return env != nullptr ? std::atoi(env) : fallback;
-}
 
 struct BenchConfig {
   std::string name;

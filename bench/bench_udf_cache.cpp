@@ -23,13 +23,13 @@
 // taken in suite order).
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/env.h"
 #include "exec/executor.h"
 #include "exec/udf_cache.h"
 #include "optimizer/optimizer.h"
@@ -39,11 +39,6 @@
 using namespace monsoon;
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  return env != nullptr ? std::atoi(env) : fallback;
-}
 
 struct RoundsResult {
   double seconds = 0;

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI pipeline, eleven stages:
+# CI pipeline, twelve stages:
 #
 #   release  Release build (warnings as errors) + full ctest suite
 #   tsan     ThreadSanitizer build + `ctest -L tsan` (concurrency suites)
@@ -36,13 +36,17 @@
 #            monsoon-analyze self-check that a per-shard morsel loop
 #            without a cancellation poll is caught, and the bench_shard
 #            shard-invariance / kill-and-recover gate (BENCH_shard.json)
+#   bench    the repository benchmark's self-test (perfbench/selftest.py):
+#            every BENCHMARK.json workload at smoke size, traced and
+#            untraced, must finish correct with every metric present,
+#            finite and in its unit
 #
 # Run from anywhere in the repository:
 #
 #   ./scripts/ci.sh            # all stages
 #   ./scripts/ci.sh release    # one stage by name
 #                              # (release|tsan|asan|ubsan|lint|analyze|obs|
-#                              #  fault|server|telemetry|shard)
+#                              #  fault|server|telemetry|shard|bench)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,29 +59,30 @@ fi
 STAGE="${1:-all}"
 
 release_stage() {
-  echo "=== [1/11] Release build (-Werror) + full test suite ==="
+  echo "=== [1/12] Release build (-Werror) + full test suite ==="
   cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DMONSOON_WERROR=ON
   cmake --build build-ci-release -j "${JOBS}"
   ctest --test-dir build-ci-release --output-on-failure -j "${JOBS}"
 }
 
 tsan_stage() {
-  echo "=== [2/11] ThreadSanitizer build + concurrency tests ==="
+  echo "=== [2/12] ThreadSanitizer build + concurrency tests ==="
   cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMONSOON_SANITIZE=thread
   cmake --build build-ci-tsan -j "${JOBS}" \
     --target parallel_test exec_test exec_batch_test determinism_test \
-    obs_test fault_test server_test
+    obs_test fault_test server_test planner_golden_test
   # Everything that crosses the src/parallel/ runtime: the pool/TaskGroup/
   # ParallelFor unit tests, the serial-vs-parallel equivalence suite
   # (morsel scans, partitioned hash join, parallel Σ), the same-seed
-  # cross-run determinism suite, the cancellation stress tests, and the
-  # concurrent-session query-server suite.
+  # cross-run determinism suite, the cancellation stress tests, the
+  # concurrent-session query-server suite, and the planner goldens run
+  # through root-parallel MCTS workers.
   ctest --test-dir build-ci-tsan --output-on-failure -L tsan
 }
 
 asan_stage() {
-  echo "=== [3/11] AddressSanitizer build + UDF cache tests ==="
+  echo "=== [3/12] AddressSanitizer build + UDF cache tests ==="
   cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMONSOON_SANITIZE=address
   cmake --build build-ci-asan -j "${JOBS}" \
@@ -100,7 +105,7 @@ asan_stage() {
 }
 
 ubsan_stage() {
-  echo "=== [4/11] UndefinedBehaviorSanitizer build + full test suite ==="
+  echo "=== [4/12] UndefinedBehaviorSanitizer build + full test suite ==="
   # -fno-sanitize-recover=all (set by the CMake option) turns any UB hit
   # into a test failure rather than a log line.
   cmake -B build-ci-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -110,7 +115,7 @@ ubsan_stage() {
 }
 
 lint_stage() {
-  echo "=== [5/11] monsoon-lint + clang-tidy ==="
+  echo "=== [5/12] monsoon-lint + clang-tidy ==="
   cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DMONSOON_WERROR=ON
   cmake --build build-ci-release -j "${JOBS}" --target monsoon-lint
   # Syntactic repo invariants (RNG discipline, accounting isolation,
@@ -126,7 +131,7 @@ lint_stage() {
 }
 
 analyze_stage() {
-  echo "=== [6/11] monsoon-analyze (flow-sensitive CFG passes) ==="
+  echo "=== [6/12] monsoon-analyze (flow-sensitive CFG passes) ==="
   cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DMONSOON_WERROR=ON
   cmake --build build-ci-release -j "${JOBS}" --target monsoon-analyze
   # Execution invariants the token linter cannot see (cancellation polls on
@@ -186,7 +191,7 @@ EOS
 }
 
 obs_stage() {
-  echo "=== [7/11] Observability smoke: trace + run report + overhead gate ==="
+  echo "=== [7/12] Observability smoke: trace + run report + overhead gate ==="
   cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DMONSOON_WERROR=ON
   cmake --build build-ci-release -j "${JOBS}" \
     --target quickstart monsoon-trace-check bench_obs_overhead
@@ -204,7 +209,7 @@ obs_stage() {
 }
 
 fault_stage() {
-  echo "=== [8/11] Fault-injection soak (ASan) + overhead gate ==="
+  echo "=== [8/12] Fault-injection soak (ASan) + overhead gate ==="
   cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMONSOON_SANITIZE=address
   cmake --build build-ci-asan -j "${JOBS}" \
@@ -242,7 +247,7 @@ fault_stage() {
 }
 
 server_stage() {
-  echo "=== [9/11] Query-server smoke: admission, cancellation, drain ==="
+  echo "=== [9/12] Query-server smoke: admission, cancellation, drain ==="
   cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DMONSOON_WERROR=ON
   cmake --build build-ci-release -j "${JOBS}" \
     --target monsoon-serve monsoon-client monsoon-trace-check
@@ -302,7 +307,7 @@ server_stage() {
 }
 
 telemetry_stage() {
-  echo "=== [10/11] Telemetry: exposition, tail sampling, slow log, top ==="
+  echo "=== [10/12] Telemetry: exposition, tail sampling, slow log, top ==="
   cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DMONSOON_WERROR=ON
   cmake --build build-ci-release -j "${JOBS}" \
     --target monsoon-serve monsoon-client monsoon-top monsoon-trace-check
@@ -374,7 +379,7 @@ telemetry_stage() {
 }
 
 shard_stage() {
-  echo "=== [11/11] Shard failover soak (ASan) + analyze self-check + bench ==="
+  echo "=== [11/12] Shard failover soak (ASan) + analyze self-check + bench ==="
   cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMONSOON_SANITIZE=address
   cmake --build build-ci-asan -j "${JOBS}" --target quickstart
@@ -473,6 +478,13 @@ EOS
   (cd "${bench_dir}" && ../../build-ci-release/bench/bench_shard)
 }
 
+bench_stage() {
+  echo "=== [12/12] Repository benchmark self-test ==="
+  # Builds perfbench from this checkout (into .bench_build/) and runs each
+  # workload for one smoke-size pass in both modes.
+  python3 perfbench/selftest.py
+}
+
 case "${STAGE}" in
   release) release_stage ;;
   tsan) tsan_stage ;;
@@ -485,6 +497,7 @@ case "${STAGE}" in
   server) server_stage ;;
   telemetry) telemetry_stage ;;
   shard) shard_stage ;;
+  bench) bench_stage ;;
   all)
     release_stage
     tsan_stage
@@ -497,9 +510,10 @@ case "${STAGE}" in
     server_stage
     telemetry_stage
     shard_stage
+    bench_stage
     ;;
   *)
-    echo "usage: $0 [release|tsan|asan|ubsan|lint|analyze|obs|fault|server|telemetry|shard|all]" >&2
+    echo "usage: $0 [release|tsan|asan|ubsan|lint|analyze|obs|fault|server|telemetry|shard|bench|all]" >&2
     exit 2
     ;;
 esac

@@ -39,7 +39,7 @@ StatusOr<double> CardinalityModel::ResolveDistinct(const UdfTerm& term,
 }
 
 StatusOr<double> CardinalityModel::LeafCardinality(
-    const ExprSig& source, const std::vector<int>& selection_preds) {
+    const ExprSig& source, std::span<const int> selection_preds) {
   auto c_source = stats_->LookupCount(source);
   if (!c_source.has_value()) {
     return Status::NotFound("no count for source expression " + source.ToString());
@@ -63,7 +63,7 @@ StatusOr<double> CardinalityModel::JoinCardinality(const ExprSig& left_sig,
                                                    double c_left,
                                                    const ExprSig& right_sig,
                                                    double c_right,
-                                                   const std::vector<int>& pred_ids) {
+                                                   std::span<const int> pred_ids) {
   RelSet left_rels(left_sig.rels);
   RelSet right_rels(right_sig.rels);
   ExprSig combined{left_sig.rels | right_sig.rels, left_sig.preds | right_sig.preds};
@@ -108,41 +108,48 @@ StatusOr<double> CardinalityModel::JoinCardinality(const ExprSig& left_sig,
   return card;
 }
 
+StatusOr<CardinalityModel::PlanEstimate> CardinalityModel::EstimateLeaf(
+    const ExprSig& source, const ExprSig& output, std::span<const int> preds) {
+  auto c_source = stats_->LookupCount(source);
+  if (!c_source.has_value()) {
+    return Status::NotFound("no count for leaf source " + source.ToString());
+  }
+  // "If the count c(r) is already in S, return" (Sec. 4.3, step 1).
+  double card;
+  if (auto known = stats_->LookupCount(output)) {
+    card = *known;
+  } else {
+    MONSOON_ASSIGN_OR_RETURN(card, LeafCardinality(source, preds));
+    if (options_.record_counts) stats_->SetCount(output, card);
+  }
+  // Scanning the materialized input processes c(source) objects.
+  return PlanEstimate{*c_source, card};
+}
+
+StatusOr<CardinalityModel::PlanEstimate> CardinalityModel::EstimateJoin(
+    const ExprSig& output, const ExprSig& left_sig, const PlanEstimate& left,
+    const ExprSig& right_sig, const PlanEstimate& right, std::span<const int> preds) {
+  double card;
+  if (auto known = stats_->LookupCount(output)) {
+    card = *known;
+  } else {
+    MONSOON_ASSIGN_OR_RETURN(card, JoinCardinality(left_sig, left.cardinality, right_sig,
+                                                   right.cardinality, preds));
+    if (options_.record_counts) stats_->SetCount(output, card);
+  }
+  return PlanEstimate{card + left.cost + right.cost, card};
+}
+
 StatusOr<CardinalityModel::NodeEstimate> CardinalityModel::EstimateNode(
     const PlanNode::Ptr& node) {
   switch (node->kind()) {
-    case PlanNode::Kind::kLeaf: {
-      auto c_source = stats_->LookupCount(node->source());
-      if (!c_source.has_value()) {
-        return Status::NotFound("no count for leaf source " +
-                                node->source().ToString());
-      }
-      // "If the count c(r) is already in S, return" (Sec. 4.3, step 1).
-      double card;
-      if (auto known = stats_->LookupCount(node->output_sig())) {
-        card = *known;
-      } else {
-        MONSOON_ASSIGN_OR_RETURN(card,
-                                 LeafCardinality(node->source(), node->pred_ids()));
-        if (options_.record_counts) stats_->SetCount(node->output_sig(), card);
-      }
-      // Scanning the materialized input processes c(source) objects.
-      return NodeEstimate{*c_source, card};
-    }
+    case PlanNode::Kind::kLeaf:
+      return EstimateLeaf(node->source(), node->output_sig(), node->pred_ids());
     case PlanNode::Kind::kJoin: {
       MONSOON_ASSIGN_OR_RETURN(NodeEstimate left, EstimateNode(node->left()));
       MONSOON_ASSIGN_OR_RETURN(NodeEstimate right, EstimateNode(node->right()));
-      double card;
-      if (auto known = stats_->LookupCount(node->output_sig())) {
-        card = *known;
-      } else {
-        MONSOON_ASSIGN_OR_RETURN(
-            card, JoinCardinality(node->left()->output_sig(), left.cardinality,
-                                  node->right()->output_sig(), right.cardinality,
-                                  node->pred_ids()));
-        if (options_.record_counts) stats_->SetCount(node->output_sig(), card);
-      }
-      return NodeEstimate{card + left.cost + right.cost, card};
+      return EstimateJoin(node->output_sig(), node->left()->output_sig(), left,
+                          node->right()->output_sig(), right, node->pred_ids());
     }
     case PlanNode::Kind::kStatsCollect: {
       MONSOON_ASSIGN_OR_RETURN(NodeEstimate child, EstimateNode(node->child()));

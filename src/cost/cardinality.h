@@ -1,6 +1,9 @@
 #ifndef MONSOON_COST_CARDINALITY_H_
 #define MONSOON_COST_CARDINALITY_H_
 
+#include <span>
+#include <vector>
+
 #include "catalog/stats_store.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -56,7 +59,11 @@ class CardinalityModel {
   /// Cardinality of a leaf: c(source) (must be in the store) times the
   /// selectivity 1/d of each selection predicate.
   StatusOr<double> LeafCardinality(const ExprSig& source,
-                                   const std::vector<int>& selection_preds);
+                                   std::span<const int> selection_preds);
+  StatusOr<double> LeafCardinality(const ExprSig& source,
+                                   const std::vector<int>& selection_preds) {
+    return LeafCardinality(source, std::span<const int>(selection_preds));
+  }
 
   /// Cardinality of a join of expressions with signatures/counts
   /// (left_sig, c_left) and (right_sig, c_right), applying `pred_ids`:
@@ -66,7 +73,13 @@ class CardinalityModel {
   /// span both inputs are evaluated over the combined expression.
   StatusOr<double> JoinCardinality(const ExprSig& left_sig, double c_left,
                                    const ExprSig& right_sig, double c_right,
-                                   const std::vector<int>& pred_ids);
+                                   std::span<const int> pred_ids);
+  StatusOr<double> JoinCardinality(const ExprSig& left_sig, double c_left,
+                                   const ExprSig& right_sig, double c_right,
+                                   const std::vector<int>& pred_ids) {
+    return JoinCardinality(left_sig, c_left, right_sig, c_right,
+                           std::span<const int>(pred_ids));
+  }
 
   /// Estimated output cardinality of a whole plan tree, resolving leaf
   /// counts through the store and recording computed counts for interior
@@ -88,6 +101,18 @@ class CardinalityModel {
   StatusOr<PlanEstimate> EstimatePlan(const PlanNode::Ptr& node) {
     return EstimateNode(node);
   }
+
+  /// The per-node steps of EstimatePlan, for callers that walk their own
+  /// plan representation (the MDP's flat plan forests). A leaf reads
+  /// `source` and applies `preds`; a join combines its children's
+  /// estimates. Both reuse a count already in the store for `output`.
+  StatusOr<PlanEstimate> EstimateLeaf(const ExprSig& source, const ExprSig& output,
+                                      std::span<const int> preds);
+  StatusOr<PlanEstimate> EstimateJoin(const ExprSig& output, const ExprSig& left_sig,
+                                      const PlanEstimate& left,
+                                      const ExprSig& right_sig,
+                                      const PlanEstimate& right,
+                                      std::span<const int> preds);
 
   const StatsStore& stats() const { return *stats_; }
 

@@ -26,6 +26,10 @@ class BoundTerm {
 
   ValueType result_type() const { return fn_->result_type; }
 
+  /// The term's identity for caching: the UDF plus its argument columns.
+  const UdfFunction* function() const { return fn_; }
+  const std::vector<size_t>& arg_cols() const { return arg_cols_; }
+
  private:
   const UdfFunction* fn_ = nullptr;
   std::vector<size_t> arg_cols_;

@@ -785,17 +785,10 @@ StatusOr<MaterializedExpr> Executor::ExecuteLeaf(const PlanNode::Ptr& node,
   const bool sharded = ctx->num_shards() > 1;
   std::vector<BoundResidual> filters;
   filters.reserve(node->pred_ids().size());
-  // (left, right-or--1) term ids per filter: the sharded path looks up
-  // shard-scoped cached columns inside each shard body.
-  std::vector<std::pair<int, int>> filter_terms;
-  filter_terms.reserve(node->pred_ids().size());
   for (int pred_id : node->pred_ids()) {
     const Predicate& pred = query_.predicate(pred_id);
     MONSOON_ASSIGN_OR_RETURN(BoundResidual residual,
                              BindResidual(pred, source->schema, *registry_));
-    filter_terms.emplace_back(
-        pred.left.term_id,
-        pred.kind == Predicate::Kind::kSelection ? -1 : pred.right->term_id);
     // Leaf residuals evaluate over the source expression itself, so the
     // store's evaluate-once columns apply positionally. Join-kind filters
     // need both sides cached to skip per-row evaluation. Sharded scans
@@ -806,16 +799,14 @@ StatusOr<MaterializedExpr> Executor::ExecuteLeaf(const PlanNode::Ptr& node,
       MONSOON_ASSIGN_OR_RETURN(
           residual.left_col,
           TolerateCacheFault(
-              ctx, cache->GetOrBuild(source->sig, pred.left.term_id,
-                                     residual.left, source->table, ctx->pool(),
+              ctx, cache->GetOrBuild(source->sig, residual.left, source->table, ctx->pool(),
                                      ctx->morsel_size(), ctx->cancel_token())));
       if (residual.kind != BoundResidual::Kind::kSelectionEq &&
           residual.left_col != nullptr) {
         MONSOON_ASSIGN_OR_RETURN(
             residual.right_col,
             TolerateCacheFault(
-                ctx, cache->GetOrBuild(source->sig, pred.right->term_id,
-                                       residual.right, source->table,
+                ctx, cache->GetOrBuild(source->sig, residual.right, source->table,
                                        ctx->pool(), ctx->morsel_size(),
                                        ctx->cancel_token())));
         if (residual.right_col == nullptr) residual.left_col = nullptr;
@@ -853,16 +844,14 @@ StatusOr<MaterializedExpr> Executor::ExecuteLeaf(const PlanNode::Ptr& node,
                   lf.left_col,
                   TolerateCacheFault(
                       ctx, cache->GetOrBuildShard(
-                               source->sig, filter_terms[f].first, lf.left,
+                               source->sig, lf.left,
                                source->table, begin, end, ctx->cancel_token())));
               if (lf.kind != BoundResidual::Kind::kSelectionEq &&
                   lf.left_col != nullptr) {
                 MONSOON_ASSIGN_OR_RETURN(
                     lf.right_col,
                     TolerateCacheFault(
-                        ctx, cache->GetOrBuildShard(source->sig,
-                                                    filter_terms[f].second,
-                                                    lf.right, source->table,
+                        ctx, cache->GetOrBuildShard(source->sig, lf.right, source->table,
                                                     begin, end,
                                                     ctx->cancel_token())));
                 if (lf.right_col == nullptr) lf.left_col = nullptr;
@@ -943,10 +932,8 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
 
   // Split node predicates into hash-joinable pairs and residual filters.
   struct EquiPair {
-    BoundTerm left_key;     // bound against the LEFT child schema
-    BoundTerm right_key;    // bound against the RIGHT child schema
-    int left_term_id = -1;  // cache keys for the two sides
-    int right_term_id = -1;
+    BoundTerm left_key;   // bound against the LEFT child schema
+    BoundTerm right_key;  // bound against the RIGHT child schema
   };
   std::vector<EquiPair> equi;
   std::vector<BoundResidual> residual;
@@ -971,8 +958,6 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
                                  BoundTerm::Bind(*lterm, left.schema, *registry_));
         MONSOON_ASSIGN_OR_RETURN(pair.right_key,
                                  BoundTerm::Bind(*rterm, right.schema, *registry_));
-        pair.left_term_id = lterm->term_id;
-        pair.right_term_id = rterm->term_id;
         equi.push_back(std::move(pair));
         separable = true;
       }
@@ -999,14 +984,12 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
       MONSOON_ASSIGN_OR_RETURN(
           left_cols[k],
           TolerateCacheFault(
-              ctx, cache->GetOrBuild(left.sig, equi[k].left_term_id,
-                                     equi[k].left_key, left.table, ctx->pool(),
+              ctx, cache->GetOrBuild(left.sig, equi[k].left_key, left.table, ctx->pool(),
                                      ctx->morsel_size(), ctx->cancel_token())));
       MONSOON_ASSIGN_OR_RETURN(
           right_cols[k],
           TolerateCacheFault(
-              ctx, cache->GetOrBuild(right.sig, equi[k].right_term_id,
-                                     equi[k].right_key, right.table,
+              ctx, cache->GetOrBuild(right.sig, equi[k].right_key, right.table,
                                      ctx->pool(), ctx->morsel_size(),
                                      ctx->cancel_token())));
       if (left_cols[k] == nullptr || right_cols[k] == nullptr) {
@@ -1633,7 +1616,7 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
           term_cols[t],
           TolerateCacheFault(
               ctx, store->udf_cache()->GetOrBuild(
-                       expr.sig, terms[t].first, terms[t].second, expr.table,
+                       expr.sig, terms[t].second, expr.table,
                        ctx->pool(), ctx->morsel_size(), ctx->cancel_token())));
     }
   }
@@ -1673,8 +1656,7 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
                   local_cols[t],
                   TolerateCacheFault(
                       ctx, store->udf_cache()->GetOrBuildShard(
-                               expr.sig, terms[t].first, terms[t].second,
-                               expr.table, begin, end, ctx->cancel_token())));
+                               expr.sig, terms[t].second, expr.table, begin, end, ctx->cancel_token())));
             }
           }
           std::vector<HyperLogLog> local(terms.size(),

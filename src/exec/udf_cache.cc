@@ -47,11 +47,20 @@ void UdfColumnCache::EvictToFit(size_t incoming_bytes) {
   }
 }
 
+UdfColumnCache::Key UdfColumnCache::MakeKey(const ExprSig& sig, const BoundTerm& bound,
+                                            size_t begin, size_t end) {
+  return Key{sig.rels,
+             sig.preds,
+             reinterpret_cast<uintptr_t>(bound.function()),
+             bound.arg_cols(),
+             begin,
+             end};
+}
+
 StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuild(
-    const ExprSig& sig, int term_id, const BoundTerm& bound,
-    const TablePtr& table, parallel::ThreadPool* pool, size_t morsel_size,
-    fault::CancellationToken* token) {
-  Key key{sig.rels, sig.preds, term_id, 0, table->num_rows()};
+    const ExprSig& sig, const BoundTerm& bound, const TablePtr& table,
+    parallel::ThreadPool* pool, size_t morsel_size, fault::CancellationToken* token) {
+  Key key = MakeKey(sig, bound, 0, table->num_rows());
   {
     MutexLock lock(mu_);
     if (byte_budget_ == 0) return CachedUdfColumnPtr();
@@ -171,12 +180,11 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuild(
 }
 
 StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuildShard(
-    const ExprSig& sig, int term_id, const BoundTerm& bound,
-    const TablePtr& table, size_t begin, size_t end,
-    fault::CancellationToken* token) {
+    const ExprSig& sig, const BoundTerm& bound, const TablePtr& table, size_t begin,
+    size_t end, fault::CancellationToken* token) {
   MONSOON_DCHECK(begin <= end && end <= table->num_rows())
       << "shard range out of bounds";
-  Key key{sig.rels, sig.preds, term_id, begin, end};
+  Key key = MakeKey(sig, bound, begin, end);
   {
     MutexLock lock(mu_);
     if (byte_budget_ == 0) return CachedUdfColumnPtr();

@@ -2,8 +2,9 @@
 #define MONSOON_MCTS_MCTS_H_
 
 #include <cstdint>
-#include <memory>
+#include <memory_resource>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -86,11 +87,16 @@ class MctsSearch {
   struct Edge;
 
   Status RunIteration(Node* root);
-  /// Plays random-but-biased actions to a terminal state; returns the
-  /// total cost accumulated.
+  /// Plays random-but-biased actions from `from` to a terminal state, in
+  /// scratch_; returns the total cost accumulated.
   StatusOr<double> Rollout(const MdpState& from);
   double NormalizeReturn(double ret) const;
   size_t SelectEdge(const Node& node);
+  /// A tree node in tree_arena_ holding a copy of `state`; call Expand
+  /// once the state is final.
+  Node* NewNode(const MdpState& state, uint64_t key);
+  /// Marks `node` terminal or fills its untried actions.
+  void Expand(Node* node);
 
   const QueryMdp* mdp_;
   Options options_;
@@ -101,7 +107,17 @@ class MctsSearch {
   double max_return_ = 0;
   bool bounds_init_ = false;
   int iteration_ = 0;
-  std::unique_ptr<Node> root_;
+  // Per-search memory (DESIGN.md §16). Tree nodes, their edges and states
+  // live in tree_arena_ and are dropped together when the next search
+  // starts. scratch_ is the one state that selection and rollouts
+  // transition in place; its pool recycles memory across iterations.
+  std::pmr::monotonic_buffer_resource tree_arena_;
+  std::pmr::unsynchronized_pool_resource scratch_pool_;
+  MdpState scratch_;
+  std::pmr::vector<MdpAction> actions_;  // legal actions, reused per step
+  std::vector<std::pair<Node*, size_t>> path_;
+  Node* root_ = nullptr;
+  size_t tree_nodes_ = 0;
 };
 
 }  // namespace monsoon

@@ -197,7 +197,11 @@ Status MonsoonOptimizer::RunImpl(const QuerySpec& query, RunResult* result) cons
     step_span.End();
 
     if (action.IsExecute()) {
-      MONSOON_RETURN_IF_ERROR(run_execute(state.planned));
+      // R_p is flat inside the MDP; only the trees this EXECUTE runs are
+      // turned into PlanNode trees for the executor.
+      std::vector<PlanNode::Ptr> trees;
+      for (size_t i = 0; i < state.planned.size(); ++i) trees.push_back(state.planned[i]);
+      MONSOON_RETURN_IF_ERROR(run_execute(trees));
       state.planned.clear();
     } else {
       MONSOON_ASSIGN_OR_RETURN(state, mdp.ApplyPlanAction(state, action));

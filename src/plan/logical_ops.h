@@ -21,6 +21,10 @@ PlanNode::Ptr MakeLeaf(const QuerySpec& query, int rel);
 std::vector<int> ApplicableJoinPreds(const QuerySpec& query, const ExprSig& left,
                                      const ExprSig& right);
 
+/// The same predicates as a mask (bit i = predicate i); allocation-free.
+uint64_t ApplicableJoinPredMask(const QuerySpec& query, const ExprSig& left,
+                                const ExprSig& right);
+
 /// True if at least one applicable predicate connects the two inputs
 /// (joining them is not a bare cross product).
 bool AreConnected(const QuerySpec& query, const ExprSig& left, const ExprSig& right);

@@ -25,6 +25,7 @@
 #include "server/net.h"
 #include "server/server.h"
 #include "sql/parser.h"
+#include "workloads/udfbench.h"
 
 namespace monsoon {
 namespace {
@@ -270,6 +271,51 @@ TEST_F(ServerTest, SharedStateWarmStartsRepeatQueries) {
   EXPECT_GT(Num(*cache, "hits"), 0u)
       << "second identical query must hit the shared UDF cache";
 
+  client.Close();
+  query_server.Shutdown();
+  EXPECT_EQ(query_server.pool_pending(), 0u);
+}
+
+// The shared UDF column cache at server defaults: running the UDF suite
+// twice on one server returns every query's one-shot row count in both
+// passes. Term ids are query-local, so two queries that bind different
+// UDF terms under one term id over the same base table must not share a
+// cached column (udf-q20 and udf-q25 returned wrong rows when they did).
+TEST(ServerUdfSuiteTest, SharedUdfCacheKeepsResultsAcrossQueries) {
+  UdfBenchOptions udf;
+  udf.scale = 0.1;
+  StatusOr<Workload> workload = MakeUdfBenchWorkload(udf);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  ServerOptions options;
+  options.optimizer.mcts.iterations = 64;
+  options.optimizer.seed = 42;
+  ASSERT_TRUE(options.share_state);
+
+  std::vector<uint64_t> expected;
+  for (const BenchQuery& query : workload->queries) {
+    RunResult result = MonsoonOptimizer(workload->catalog.get(), options.optimizer)
+                           .Run(query.spec);
+    ASSERT_TRUE(result.ok()) << query.name << ": " << result.status.ToString();
+    expected.push_back(result.result_rows);
+  }
+
+  QueryServer query_server(workload->catalog.get(), options);
+  ASSERT_TRUE(query_server.Start().ok());
+  TestClient client(query_server.port());
+  ASSERT_TRUE(client.connected());
+  uint64_t hits = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t q = 0; q < workload->queries.size(); ++q) {
+      SCOPED_TRACE(workload->queries[q].name + " pass " + std::to_string(pass));
+      obs::JsonValue doc = client.RoundTrip(workload->queries[q].sql);
+      EXPECT_EQ(Str(doc, "status"), "ok");
+      EXPECT_EQ(Num(doc, "rows"), expected[q]);
+      const obs::JsonValue* cache = doc.Find("udf_cache");
+      ASSERT_NE(cache, nullptr);
+      hits += Num(*cache, "hits");
+    }
+  }
+  EXPECT_GT(hits, 0u) << "the suite must exercise the shared cache";
   client.Close();
   query_server.Shutdown();
   EXPECT_EQ(query_server.pool_pending(), 0u);

@@ -53,7 +53,7 @@ TEST_F(UdfCacheTest, MissBuildsThenHitsServeResidentColumn) {
   BoundTerm bound = BindTerm("identity", "c.id");
   ExprSig sig = ExprSig::Of(RelSet::Single(0), 0);
 
-  auto first = cache.GetOrBuild(sig, 0, bound, table_, nullptr, 16);
+  auto first = cache.GetOrBuild(sig, bound, table_, nullptr, 16);
   ASSERT_TRUE(first.ok());
   ASSERT_NE(*first, nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -62,15 +62,15 @@ TEST_F(UdfCacheTest, MissBuildsThenHitsServeResidentColumn) {
   EXPECT_EQ((*first)->size(), 100u);
   EXPECT_EQ((*first)->type(), ValueType::kInt64);
 
-  auto second = cache.GetOrBuild(sig, 0, bound, table_, nullptr, 16);
+  auto second = cache.GetOrBuild(sig, bound, table_, nullptr, 16);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->get(), first->get()) << "hit must return the same column";
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
 
-  // Different term_id over the same expression is a distinct entry.
+  // A different bound term over the same expression is a distinct entry.
   BoundTerm str = BindTerm("identity_str", "c.city");
-  auto third = cache.GetOrBuild(sig, 1, str, table_, nullptr, 16);
+  auto third = cache.GetOrBuild(sig, str, table_, nullptr, 16);
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.num_entries(), 2u);
@@ -82,13 +82,12 @@ TEST_F(UdfCacheTest, CachedValuesAndHashesMatchPerRowEval) {
   ExprSig sig = ExprSig::Of(RelSet::Single(0), 0);
   parallel::ThreadPool pool(4);
 
-  int term_id = 0;
   for (const auto& [udf, column] :
        std::vector<std::pair<std::string, std::string>>{
            {"identity", "c.id"}, {"identity_str", "c.city"}}) {
     BoundTerm bound = BindTerm(udf, column);
     // Parallel fill with a small morsel so several workers write ranges.
-    auto col = cache.GetOrBuild(sig, term_id++, bound, table_, &pool, 7);
+    auto col = cache.GetOrBuild(sig, bound, table_, &pool, 7);
     ASSERT_TRUE(col.ok());
     for (size_t row = 0; row < table_->num_rows(); ++row) {
       Value expect = bound.Eval(*table_, row);
@@ -105,7 +104,7 @@ TEST_F(UdfCacheTest, DisabledCacheReturnsNullWithoutEvaluating) {
   EXPECT_FALSE(cache.enabled());
   BoundTerm bound = BindTerm("identity", "c.id");
   auto col =
-      cache.GetOrBuild(ExprSig::Of(RelSet::Single(0), 0), 0, bound, table_,
+      cache.GetOrBuild(ExprSig::Of(RelSet::Single(0), 0), bound, table_,
                        nullptr, 16);
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(*col, nullptr);
@@ -117,7 +116,7 @@ TEST_F(UdfCacheTest, LruEvictsLeastRecentlyUsedUnderTinyBudget) {
   BoundTerm bound = BindTerm("identity", "c.id");
   // Measure one column's size with an ample budget first.
   UdfColumnCache probe(size_t{1} << 20);
-  auto col = probe.GetOrBuild(ExprSig::Of(RelSet::Single(0), 0), 0, bound,
+  auto col = probe.GetOrBuild(ExprSig::Of(RelSet::Single(0), 0), bound,
                               table_, nullptr, 16);
   ASSERT_TRUE(col.ok());
   size_t one = (*col)->ApproxBytes();
@@ -128,29 +127,29 @@ TEST_F(UdfCacheTest, LruEvictsLeastRecentlyUsedUnderTinyBudget) {
   ExprSig a = ExprSig::Of(RelSet::Single(0), 0);
   ExprSig b = ExprSig::Of(RelSet::Single(0), 1);
   ExprSig c = ExprSig::Of(RelSet::Single(0), 2);
-  ASSERT_TRUE(cache.GetOrBuild(a, 0, bound, table_, nullptr, 16).ok());
-  ASSERT_TRUE(cache.GetOrBuild(b, 0, bound, table_, nullptr, 16).ok());
+  ASSERT_TRUE(cache.GetOrBuild(a, bound, table_, nullptr, 16).ok());
+  ASSERT_TRUE(cache.GetOrBuild(b, bound, table_, nullptr, 16).ok());
   EXPECT_EQ(cache.num_entries(), 2u);
   // Touch `a` so `b` becomes the LRU victim.
-  ASSERT_TRUE(cache.GetOrBuild(a, 0, bound, table_, nullptr, 16).ok());
-  ASSERT_TRUE(cache.GetOrBuild(c, 0, bound, table_, nullptr, 16).ok());
+  ASSERT_TRUE(cache.GetOrBuild(a, bound, table_, nullptr, 16).ok());
+  ASSERT_TRUE(cache.GetOrBuild(c, bound, table_, nullptr, 16).ok());
   EXPECT_EQ(cache.num_entries(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.stats().bytes_in_use, 2 * one);
 
   // `a` survived (hit); `b` was evicted (miss rebuilds it).
   uint64_t hits_before = cache.stats().hits;
-  ASSERT_TRUE(cache.GetOrBuild(a, 0, bound, table_, nullptr, 16).ok());
+  ASSERT_TRUE(cache.GetOrBuild(a, bound, table_, nullptr, 16).ok());
   EXPECT_EQ(cache.stats().hits, hits_before + 1);
   uint64_t misses_before = cache.stats().misses;
-  ASSERT_TRUE(cache.GetOrBuild(b, 0, bound, table_, nullptr, 16).ok());
+  ASSERT_TRUE(cache.GetOrBuild(b, bound, table_, nullptr, 16).ok());
   EXPECT_EQ(cache.stats().misses, misses_before + 1);
 }
 
 TEST_F(UdfCacheTest, OversizedColumnReturnedButNotRetained) {
   BoundTerm bound = BindTerm("identity", "c.id");
   UdfColumnCache cache(1);  // enabled, but nothing fits
-  auto col = cache.GetOrBuild(ExprSig::Of(RelSet::Single(0), 0), 0, bound,
+  auto col = cache.GetOrBuild(ExprSig::Of(RelSet::Single(0), 0), bound,
                               table_, nullptr, 16);
   ASSERT_TRUE(col.ok());
   ASSERT_NE(*col, nullptr) << "caller still gets the column (pinned)";
@@ -163,7 +162,7 @@ TEST_F(UdfCacheTest, StaleTableInvalidatesPositionalColumn) {
   BoundTerm bound = BindTerm("identity", "c.id");
   UdfColumnCache cache(size_t{1} << 20);
   ExprSig sig = ExprSig::Of(RelSet::Single(0), 0);
-  ASSERT_TRUE(cache.GetOrBuild(sig, 0, bound, table_, nullptr, 16).ok());
+  ASSERT_TRUE(cache.GetOrBuild(sig, bound, table_, nullptr, 16).ok());
 
   // Same signature, different physical table (rows permuted): the entry
   // must be evicted and rebuilt, never served positionally stale.
@@ -174,7 +173,7 @@ TEST_F(UdfCacheTest, StaleTableInvalidatesPositionalColumn) {
                                  table_->row(i).GetValue(1)})
                     .ok());
   }
-  auto col = cache.GetOrBuild(sig, 0, bound, permuted, nullptr, 16);
+  auto col = cache.GetOrBuild(sig, bound, permuted, nullptr, 16);
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().misses, 2u);
@@ -187,11 +186,11 @@ TEST_F(UdfCacheTest, ShrinkingBudgetEvictsToFit) {
   BoundTerm bound = BindTerm("identity", "c.id");
   UdfColumnCache cache(size_t{1} << 20);
   ASSERT_TRUE(
-      cache.GetOrBuild(ExprSig::Of(RelSet::Single(0), 0), 0, bound, table_,
+      cache.GetOrBuild(ExprSig::Of(RelSet::Single(0), 0), bound, table_,
                        nullptr, 16)
           .ok());
   ASSERT_TRUE(
-      cache.GetOrBuild(ExprSig::Of(RelSet::Single(0), 1), 0, bound, table_,
+      cache.GetOrBuild(ExprSig::Of(RelSet::Single(0), 1), bound, table_,
                        nullptr, 16)
           .ok());
   EXPECT_EQ(cache.num_entries(), 2u);
