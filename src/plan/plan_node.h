@@ -46,8 +46,9 @@ struct ExprSigHash {
   size_t operator()(const ExprSig& sig) const { return sig.Hash(); }
 };
 
-/// A node of a (logical) query plan. Trees are immutable and shared:
-/// MDP states copy shared_ptrs, never nodes.
+/// A node of a (logical) query plan. Trees are immutable and shared. (The
+/// MDP plans on flat PlanForests and builds these trees only for the
+/// EXECUTE the executor runs.)
 ///
 /// - kLeaf references an already-materialized expression (`source`) and
 ///   optionally applies selection predicates on top of it.
