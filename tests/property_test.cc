@@ -3,13 +3,24 @@
 //   1. a brute-force reference evaluator (full cross product + filter),
 //   2. the engine with Defaults / Greedy plans (hash joins, pushdown),
 //   3. the full Monsoon optimizer (MCTS, Σ passes, re-optimization) —
-// must all report exactly the same result cardinality.
+// must all report exactly the same result cardinality. A fixed left-deep
+// plan additionally runs through the executor under every batch / thread /
+// shard / UDF-cache configuration, which must agree on the full rows and
+// on every accounting counter, not just on the cardinality.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "baselines/baselines.h"
 #include "exec/executor.h"
+#include "exec/materialized_store.h"
 #include "monsoon/monsoon_optimizer.h"
+#include "parallel/thread_pool.h"
+#include "shard/shard.h"
 
 namespace monsoon {
 namespace {
@@ -170,6 +181,119 @@ StatusOr<uint64_t> BruteForceCount(const Catalog& catalog, const QuerySpec& quer
   return count;
 }
 
+// The left-deep plan t0 ⋈ t1 ⋈ ... with every predicate applied at the
+// lowest node covering its relations, a Σ over the bare first leaf (a
+// store-resident input, so cached columns apply) and one over the root.
+PlanNode::Ptr FixedLeftDeepPlan(const QuerySpec& query) {
+  auto preds_within = [&](RelSet rels, std::vector<bool>* applied) {
+    std::vector<int> ids;
+    for (const Predicate& pred : query.predicates()) {
+      if ((*applied)[pred.pred_id] || !rels.ContainsAll(pred.rels())) continue;
+      (*applied)[pred.pred_id] = true;
+      ids.push_back(pred.pred_id);
+    }
+    return ids;
+  };
+  std::vector<bool> applied(query.predicates().size(), false);
+  auto leaf = [&](int rel) {
+    RelSet single = RelSet::Single(rel);
+    return PlanNode::Leaf(ExprSig::Of(single, 0), preds_within(single, &applied));
+  };
+  RelSet joined = RelSet::Single(0);
+  PlanNode::Ptr plan = leaf(0);
+  if (plan->pred_ids().empty()) plan = PlanNode::StatsCollect(plan);
+  for (int i = 1; i < query.num_relations(); ++i) {
+    PlanNode::Ptr right = leaf(i);
+    joined.Add(i);
+    plan = PlanNode::Join(plan, right, preds_within(joined, &applied));
+  }
+  return PlanNode::StatsCollect(plan);
+}
+
+// Everything an executor configuration may not change: the sorted rows,
+// both accounting counters and the Σ distinct counts.
+struct ConfigRun {
+  std::vector<std::string> rows;
+  uint64_t objects = 0;
+  uint64_t work_units = 0;
+  std::vector<std::tuple<int, uint64_t, uint64_t, double>> distincts;
+};
+
+StatusOr<ConfigRun> RunFixedPlan(const Catalog& catalog, const QuerySpec& query,
+                                 const PlanNode::Ptr& plan, size_t batch_size,
+                                 parallel::ThreadPool* pool, int shards,
+                                 bool cache_on) {
+  // ForQuery partitions base tables through the process default shard
+  // count; restore the unsharded default whatever happens.
+  shard::SetDefaultShardCount(shards);
+  StatusOr<MaterializedStore> store = MaterializedStore::ForQuery(catalog, query);
+  shard::SetDefaultShardCount(1);
+  MONSOON_RETURN_IF_ERROR(store.status());
+  store->udf_cache()->set_byte_budget(cache_on ? size_t{64} << 20 : 0);
+  Executor executor(query, &UdfRegistry::Global());
+  ExecContext ctx;
+  // Tables hold 3..20 rows: a 2-row morsel makes every pass morsel-driven.
+  ctx.SetParallel(pool, /*morsel_size=*/2);
+  ctx.SetBatchSize(batch_size);
+  ctx.SetShards(static_cast<size_t>(shards));
+  MONSOON_ASSIGN_OR_RETURN(ExecResult exec, executor.Execute(plan, &*store, &ctx));
+  ConfigRun run;
+  const Table& out = *exec.output.table;
+  for (size_t i = 0; i < out.num_rows(); ++i) {
+    std::string fp;
+    for (size_t c = 0; c < out.num_columns(); ++c) {
+      fp += out.ValueAt(c, i).ToString();
+      fp += '\x1f';
+    }
+    run.rows.push_back(std::move(fp));
+  }
+  std::sort(run.rows.begin(), run.rows.end());
+  run.objects = ctx.objects_processed();
+  run.work_units = ctx.work_units();
+  for (const DistinctObservation& d : exec.observed_distincts) {
+    run.distincts.emplace_back(d.term_id, d.expr.rels, d.expr.preds,
+                               d.distinct_count);
+  }
+  std::sort(run.distincts.begin(), run.distincts.end());
+  return run;
+}
+
+// Runs the fixed plan under {batch 1/1024} x {threads 1/4} x {shards 1/4}
+// x {UDF cache on/off}; every configuration must match the first.
+void ExpectExecutorConfigsAgree(const Catalog& catalog, const QuerySpec& query,
+                                uint64_t expected_rows) {
+  PlanNode::Ptr plan = FixedLeftDeepPlan(query);
+  parallel::ThreadPool pool(4);
+  bool have_reference = false;
+  ConfigRun reference;
+  for (size_t batch_size : {size_t{1}, size_t{1024}}) {
+    for (parallel::ThreadPool* threads : {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
+      for (int shards : {1, 4}) {
+        for (bool cache_on : {false, true}) {
+          SCOPED_TRACE("batch=" + std::to_string(batch_size) +
+                       " threads=" + (threads == nullptr ? "1" : "4") +
+                       " shards=" + std::to_string(shards) +
+                       " cache=" + (cache_on ? "on" : "off"));
+          auto run = RunFixedPlan(catalog, query, plan, batch_size, threads,
+                                  shards, cache_on);
+          ASSERT_TRUE(run.ok()) << run.status().ToString() << "\n"
+                                << plan->ToString(query);
+          if (!have_reference) {
+            EXPECT_EQ(run->rows.size(), expected_rows) << plan->ToString(query);
+            reference = std::move(*run);
+            have_reference = true;
+            continue;
+          }
+          EXPECT_EQ(run->rows, reference.rows);
+          EXPECT_EQ(run->objects, reference.objects);
+          EXPECT_EQ(run->work_units, reference.work_units);
+          EXPECT_EQ(run->distincts, reference.distincts);
+        }
+      }
+    }
+  }
+}
+
 class DifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DifferentialTest, AllExecutionPathsAgree) {
@@ -201,6 +325,8 @@ TEST_P(DifferentialTest, AllExecutionPathsAgree) {
         << strategy->name() << " disagrees with brute force on\n"
         << query->ToString();
   }
+
+  ExpectExecutorConfigsAgree(catalog, *query, *expected);
 
   MonsoonOptimizer::Options options;
   options.mcts.iterations = 60;
