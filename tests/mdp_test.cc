@@ -103,8 +103,8 @@ TEST_F(MdpTest, JoinActionAddsPlanAndUnlocksExecute) {
 
 TEST_F(MdpTest, NoDuplicatePlans) {
   MdpState state = Initial();
-  const MdpAction* join =
-      FindType(mdp_->LegalActions(state), MdpAction::Type::kJoinExecExec);
+  std::vector<MdpAction> actions = mdp_->LegalActions(state);
+  const MdpAction* join = FindType(actions, MdpAction::Type::kJoinExecExec);
   ASSERT_NE(join, nullptr);
   auto next = mdp_->ApplyPlanAction(state, *join);
   ASSERT_TRUE(next.ok());
@@ -119,8 +119,8 @@ TEST_F(MdpTest, NoDuplicatePlans) {
 TEST_F(MdpTest, SimulateExecuteMaterializesAndCosts) {
   Pcg32 rng(31);
   MdpState state = Initial();
-  const MdpAction* join =
-      FindType(mdp_->LegalActions(state), MdpAction::Type::kJoinExecExec);
+  std::vector<MdpAction> actions = mdp_->LegalActions(state);
+  const MdpAction* join = FindType(actions, MdpAction::Type::kJoinExecExec);
   auto planned = mdp_->ApplyPlanAction(state, *join);
   ASSERT_TRUE(planned.ok());
   PlanNode::Ptr tree = planned->planned[0];
@@ -139,8 +139,8 @@ TEST_F(MdpTest, SimulatedStatisticsStayConsistent) {
   // the sample hardened by the first is reused by the second.
   Pcg32 rng(32);
   MdpState state = Initial();
-  const MdpAction* join =
-      FindType(mdp_->LegalActions(state), MdpAction::Type::kJoinExecExec);
+  std::vector<MdpAction> actions = mdp_->LegalActions(state);
+  const MdpAction* join = FindType(actions, MdpAction::Type::kJoinExecExec);
   auto planned = mdp_->ApplyPlanAction(state, *join);
   auto exec1 = mdp_->SimulateExecute(*planned, rng);
   ASSERT_TRUE(exec1.ok());
@@ -163,8 +163,9 @@ TEST_F(MdpTest, SimulatedStatisticsStayConsistent) {
 TEST_F(MdpTest, StatsPlanCollectsPerPartnerSamples) {
   Pcg32 rng(33);
   MdpState state = Initial();
+  std::vector<MdpAction> actions = mdp_->LegalActions(state);
   const MdpAction* sigma_s = nullptr;
-  for (const MdpAction& action : mdp_->LegalActions(state)) {
+  for (const MdpAction& action : actions) {
     if (action.type == MdpAction::Type::kAddStatsPlan &&
         action.exec_a == ExprSig::Of(RelSet::Single(1), 0)) {
       sigma_s = &action;
@@ -207,8 +208,9 @@ TEST_F(MdpTest, FullEpisodeReachesTerminal) {
   Pcg32 rng(34);
   MdpState state = Initial();
   // Join R-S, join T into the plan, EXECUTE.
+  std::vector<MdpAction> actions = mdp_->LegalActions(state);
   const MdpAction* join_rs = nullptr;
-  for (const MdpAction& action : mdp_->LegalActions(state)) {
+  for (const MdpAction& action : actions) {
     if (action.type == MdpAction::Type::kJoinExecExec &&
         action.exec_a == ExprSig::Of(RelSet::Single(0), 0) &&
         action.exec_b == ExprSig::Of(RelSet::Single(1), 0)) {
@@ -219,8 +221,8 @@ TEST_F(MdpTest, FullEpisodeReachesTerminal) {
   auto s1 = mdp_->ApplyPlanAction(state, *join_rs);
   ASSERT_TRUE(s1.ok());
 
-  const MdpAction* join_t =
-      FindType(mdp_->LegalActions(*s1), MdpAction::Type::kJoinExecPlan);
+  std::vector<MdpAction> next_actions = mdp_->LegalActions(*s1);
+  const MdpAction* join_t = FindType(next_actions, MdpAction::Type::kJoinExecPlan);
   ASSERT_NE(join_t, nullptr);
   auto s2 = mdp_->ApplyPlanAction(*s1, *join_t);
   ASSERT_TRUE(s2.ok());
@@ -243,8 +245,8 @@ TEST_F(MdpTest, ExecuteOnEmptyPlanFails) {
 TEST_F(MdpTest, StepRoutesActions) {
   Pcg32 rng(36);
   MdpState state = Initial();
-  const MdpAction* join =
-      FindType(mdp_->LegalActions(state), MdpAction::Type::kJoinExecExec);
+  std::vector<MdpAction> actions = mdp_->LegalActions(state);
+  const MdpAction* join = FindType(actions, MdpAction::Type::kJoinExecExec);
   auto planning = mdp_->Step(state, *join, rng);
   ASSERT_TRUE(planning.ok());
   EXPECT_DOUBLE_EQ(planning->cost, 0) << "planning actions are free";
@@ -273,8 +275,9 @@ TEST_F(MdpTest, OverlappingPlainPlansArePruned) {
   // After planning (R ⋈ S), proposing (R ⋈ T) as a second Σ-less plan is
   // dominated (the trees can never merge) and must not be offered.
   MdpState state = Initial();
+  std::vector<MdpAction> actions = mdp_->LegalActions(state);
   const MdpAction* join_rs = nullptr;
-  for (const MdpAction& action : mdp_->LegalActions(state)) {
+  for (const MdpAction& action : actions) {
     if (action.type == MdpAction::Type::kJoinExecExec) {
       join_rs = &action;
       break;
