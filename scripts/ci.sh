@@ -71,13 +71,18 @@ tsan_stage() {
     -DMONSOON_SANITIZE=thread
   cmake --build build-ci-tsan -j "${JOBS}" \
     --target parallel_test exec_test exec_batch_test determinism_test \
-    obs_test fault_test server_test planner_golden_test
+    obs_test timeseries_test fault_test shard_test server_test \
+    planner_golden_test
   # Everything that crosses the src/parallel/ runtime: the pool/TaskGroup/
   # ParallelFor unit tests, the serial-vs-parallel equivalence suite
-  # (morsel scans, partitioned hash join, parallel Σ), the same-seed
-  # cross-run determinism suite, the cancellation stress tests, the
-  # concurrent-session query-server suite, and the planner goldens run
-  # through root-parallel MCTS workers.
+  # (the executor's range driver over morsels and shards, the flat hash
+  # index, parallel Σ), the shard supervisor and its kill-and-recover
+  # matrix, the telemetry sampler, the same-seed cross-run determinism
+  # suite, the cancellation stress tests, the concurrent-session
+  # query-server suite, and the planner goldens run through root-parallel
+  # MCTS workers. Every tsan-labelled suite must be a build target here:
+  # an unbuilt one registers as an unlabelled *_NOT_BUILT test, which
+  # `ctest -L tsan` skips without a word.
   ctest --test-dir build-ci-tsan --output-on-failure -L tsan
 }
 
@@ -86,12 +91,13 @@ asan_stage() {
   cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMONSOON_SANITIZE=address
   cmake --build build-ci-asan -j "${JOBS}" \
-    --target udf_cache_test exec_test exec_batch_test fault_test
+    --target udf_cache_test exec_test exec_batch_test fault_test shard_test
   # The cache-on/off/serial/parallel equivalence suite plus the executor,
-  # batch-execution, and fault suites: every cached column read (join
-  # build/probe, residual filters, Σ passes), every selection-vector and
-  # Bloom-probe path, every LRU eviction, and every injected-fault error
-  # path runs under ASan.
+  # batch-execution, fault and shard suites: every cached column read
+  # (join build/probe, residual filters, Σ passes, shard-scoped columns),
+  # every selection-vector and Bloom-probe path, every LRU eviction, every
+  # killed-and-retried shard attempt, and every injected-fault error path
+  # runs under ASan. As above, every asan-labelled suite must be built.
   ctest --test-dir build-ci-asan --output-on-failure -L asan
   # Vectorized-execution smoke: the batch/row sweep must keep rows and
   # accounting bit-identical and hold its speed gates (>= 2x on filtered
