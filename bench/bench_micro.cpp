@@ -97,26 +97,6 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin)->Arg(1000)->Arg(10000);
 
-void BM_SortMergeJoin(benchmark::State& state) {
-  JoinFixture fixture(static_cast<size_t>(state.range(0)),
-                      static_cast<size_t>(state.range(0)));
-  PlanNode::Ptr plan = PlanNode::Join(MakeLeaf(fixture.query, 0),
-                                      MakeLeaf(fixture.query, 1), {0});
-  Executor::Options options;
-  options.join_algorithm = Executor::JoinAlgorithm::kSortMerge;
-  Executor executor(fixture.query, &UdfRegistry::Global(), options);
-  uint64_t rows = 0;
-  for (auto _ : state) {
-    auto store = MaterializedStore::ForQuery(fixture.catalog, fixture.query);
-    ExecContext ctx;
-    auto result = executor.Execute(plan, &*store, &ctx);
-    rows = result->output.table->num_rows();
-    benchmark::DoNotOptimize(rows);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
-}
-BENCHMARK(BM_SortMergeJoin)->Arg(1000)->Arg(10000);
-
 void BM_SigmaPass(benchmark::State& state) {
   JoinFixture fixture(static_cast<size_t>(state.range(0)), 10);
   PlanNode::Ptr plan = PlanNode::StatsCollect(MakeLeaf(fixture.query, 0));

@@ -19,7 +19,7 @@ namespace monsoon {
 /// strings alongside a precomputed Value::Hash()-identical hash column),
 /// but owned by one operator instead of the cache. The batch executor uses
 /// it to unbox uncached term results once per fill instead of boxing a
-/// Value per row per use (join probe keys, sort-merge keys).
+/// Value per row per use (hash-join build and probe keys).
 class FlatColumn {
  public:
   /// Resets to `n` uninitialized slots of `type`. Slots are written by

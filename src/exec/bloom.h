@@ -10,21 +10,20 @@ namespace monsoon {
 /// Register-blocked Bloom filter over 64-bit join-key hashes: one word per
 /// expected build row (rounded up to a power of two), two probe bits per
 /// key inside that word. A probe is a single cache-line touch, so the hash
-/// join can reject a miss before the multimap's bucket walk.
+/// join can reject a miss before the index's chain walk.
 ///
 /// The filter is purely a fast path and is invisible to the cost model: it
 /// stores exactly the hashes inserted into the build index, so a reject
-/// implies `equal_range(h)` would have been empty — zero candidates are
+/// implies the index holds no candidate for `h` — zero candidates are
 /// charged either way, and a false positive falls through to the index
-/// and behaves exactly like today's probe. Deterministic by construction
+/// and behaves exactly like any other probe. Deterministic by construction
 /// (no RNG, no addresses), so results and accounting are bit-identical
 /// across runs and thread counts.
 ///
 /// Bit usage: the word index reads bits [21, 21+log2(words)) and the two
-/// probe bits read bits [0,6) and [6,12). The parallel join's partition
-/// selector owns the top bits ([58,64)) and the per-partition multimap
-/// buckets by modulo; overlap with those would only cost independence,
-/// not correctness.
+/// probe bits read bits [0,6) and [6,12). The join index's buckets read
+/// the top bits; overlap with those would only cost independence, not
+/// correctness.
 class JoinBloomFilter {
  public:
   explicit JoinBloomFilter(size_t expected_keys) {

@@ -13,7 +13,7 @@ class FlatColumn;       // exec/batch.h
 
 /// Uniform read-only view over a typed flat column (a cache-pinned
 /// CachedUdfColumn or an operator-owned FlatColumn), so the per-type
-/// hash / equality / ordering switches are written exactly once. Both
+/// hash / equality switches are written exactly once. Both
 /// producers store the same representation — int64/double flat, strings
 /// alongside a precomputed Value::Hash()-identical hash column — and every
 /// helper here must keep bit-identical Value semantics: the cache-on /
@@ -47,8 +47,8 @@ struct FlatView {
     return 0;
   }
 
-  /// Boxes entry i (sort-merge key extraction only — hot loops stay on the
-  /// typed arrays).
+  /// Boxes entry i (CachedUdfColumn::ValueAt — hot loops stay on the typed
+  /// arrays).
   Value ValueAt(size_t i) const {
     switch (type) {
       case ValueType::kInt64:
@@ -88,32 +88,6 @@ struct FlatView {
         return a.str_hash[ai] == b.str_hash[bi] && a.str[ai] == b.str[bi];
     }
     return false;
-  }
-
-  /// Three-way compare matching Value::operator< exactly: values of
-  /// different types order by type index (the std::variant rule), doubles
-  /// compare by value (so -0.0 ties 0.0 and NaN is unordered: Compare
-  /// returns 0 for NaN-vs-anything ties exactly where the variant's
-  /// operator< reports neither side smaller).
-  static int Compare(const FlatView& a, size_t ai, const FlatView& b, size_t bi) {
-    if (a.type != b.type) {
-      return static_cast<int>(a.type) < static_cast<int>(b.type) ? -1 : 1;
-    }
-    switch (a.type) {
-      case ValueType::kInt64:
-        if (a.i64[ai] < b.i64[bi]) return -1;
-        if (b.i64[bi] < a.i64[ai]) return 1;
-        return 0;
-      case ValueType::kDouble:
-        if (a.dbl[ai] < b.dbl[bi]) return -1;
-        if (b.dbl[bi] < a.dbl[ai]) return 1;
-        return 0;
-      case ValueType::kString:
-        if (a.str[ai] < b.str[bi]) return -1;
-        if (b.str[bi] < a.str[ai]) return 1;
-        return 0;
-    }
-    return 0;
   }
 };
 

@@ -60,7 +60,26 @@ UdfColumnCache::Key UdfColumnCache::MakeKey(const ExprSig& sig, const BoundTerm&
 StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuild(
     const ExprSig& sig, const BoundTerm& bound, const TablePtr& table,
     parallel::ThreadPool* pool, size_t morsel_size, fault::CancellationToken* token) {
-  Key key = MakeKey(sig, bound, 0, table->num_rows());
+  return GetOrBuildRange(sig, bound, table, 0, table->num_rows(), pool,
+                         morsel_size, token);
+}
+
+StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuildShard(
+    const ExprSig& sig, const BoundTerm& bound, const TablePtr& table, size_t begin,
+    size_t end, fault::CancellationToken* token) {
+  // The caller IS a pool task (one shard body); fanning out again would
+  // only fight siblings for workers, so the fill runs inline as one morsel.
+  return GetOrBuildRange(sig, bound, table, begin, end, /*pool=*/nullptr,
+                         end - begin, token);
+}
+
+StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuildRange(
+    const ExprSig& sig, const BoundTerm& bound, const TablePtr& table, size_t begin,
+    size_t end, parallel::ThreadPool* pool, size_t morsel_size,
+    fault::CancellationToken* token) {
+  MONSOON_DCHECK(begin <= end && end <= table->num_rows())
+      << "column range out of bounds";
+  Key key = MakeKey(sig, bound, begin, end);
   {
     MutexLock lock(mu_);
     if (byte_budget_ == 0) return CachedUdfColumnPtr();
@@ -70,8 +89,8 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuild(
         // A resident column must index the exact rows of the table it was
         // built from; serving a differently-sized column would read join
         // keys positionally against the wrong rows.
-        MONSOON_DCHECK(it->second.column->size() == table->num_rows())
-            << "cached column rows diverged from its source table";
+        MONSOON_DCHECK(it->second.column->size() == end - begin)
+            << "cached column rows diverged from its key range";
         ++stats_.hits;
         lru_.splice(lru_.begin(), lru_, it->second.lru_it);
         return it->second.column;
@@ -87,10 +106,14 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuild(
   // concurrent readers and violate the lock-rank rule (a stolen task
   // could itself need this cache).
 
-  // Miss: evaluate the term once per row into a flat typed column.
+  // Miss: evaluate the term once per row into a flat typed column holding
+  // the range at local slots [0, end - begin). A retried shard attempt
+  // re-enters here and rebuilds from scratch — the previous attempt's
+  // partial column was a local that died with the failed fill, never
+  // published.
   auto column = std::make_shared<CachedUdfColumn>();
   const Table& t = *table;
-  size_t n = t.num_rows();
+  const size_t n = end - begin;
   column->type_ = bound.result_type();
   column->size_ = n;
   switch (column->type_) {
@@ -110,11 +133,12 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuild(
   // counters (the cache is invisible to the paper's cost model).
   MONSOON_RETURN_IF_ERROR(parallel::ParallelFor(
       pool, n, morsel_size == 0 ? 1 : morsel_size, token,
-      [&](size_t, size_t begin, size_t end) -> Status {
+      [&](size_t, size_t slot_begin, size_t slot_end) -> Status {
         // Disjoint-range fill: writing past the presized column would race
         // with the neighbouring morsel.
-        MONSOON_DCHECK(begin <= end && end <= n) << "morsel out of bounds";
-        for (size_t row = begin; row < end; ++row) {
+        MONSOON_DCHECK(slot_begin <= slot_end && slot_end <= n)
+            << "morsel out of bounds";
+        for (size_t slot = slot_begin; slot < slot_end; ++slot) {
           // UDF evaluation dominates each iteration, so a per-row poll is
           // noise here — and a slow UDF is exactly when cancellation
           // latency matters. (Spelled without MONSOON_RETURN_IF_ERROR:
@@ -124,6 +148,10 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuild(
             Status polled = token->Check();
             if (!polled.ok()) return polled;
           }
+          // Absolute row coordinate: the injected failure site must not
+          // move when the same rows are filled shard-by-shard instead of
+          // whole.
+          const size_t row = begin + slot;
           MONSOON_FAULT_POINT("exec.udf_cache.fill", row);
           Value v = bound.Eval(t, row);
           if (v.type() != column->type_) {
@@ -131,14 +159,14 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuild(
           }
           switch (column->type_) {
             case ValueType::kInt64:
-              column->int64s_[row] = v.AsInt64();
+              column->int64s_[slot] = v.AsInt64();
               break;
             case ValueType::kDouble:
-              column->doubles_[row] = v.AsDouble();
+              column->doubles_[slot] = v.AsDouble();
               break;
             case ValueType::kString:
-              column->strings_[row] = v.AsString();
-              column->hashes_[row] = HashString(column->strings_[row]);
+              column->strings_[slot] = v.AsString();
+              column->hashes_[slot] = HashString(column->strings_[slot]);
               break;
           }
         }
@@ -168,104 +196,6 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuild(
   // caller's shared_ptr pins it for the current operator) but the next
   // lookup will rebuild it. A concurrent builder may have published the
   // same key while we were filling — its entry is replaced, not leaked.
-  if (bytes <= byte_budget_) {
-    auto existing = entries_.find(key);
-    if (existing != entries_.end()) Evict(existing);
-    EvictToFit(bytes);
-    lru_.push_front(key);
-    entries_[key] = Entry{table, column, lru_.begin()};
-    stats_.bytes_in_use += bytes;
-  }
-  return CachedUdfColumnPtr(column);
-}
-
-StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuildShard(
-    const ExprSig& sig, const BoundTerm& bound, const TablePtr& table, size_t begin,
-    size_t end, fault::CancellationToken* token) {
-  MONSOON_DCHECK(begin <= end && end <= table->num_rows())
-      << "shard range out of bounds";
-  Key key = MakeKey(sig, bound, begin, end);
-  {
-    MutexLock lock(mu_);
-    if (byte_budget_ == 0) return CachedUdfColumnPtr();
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      if (it->second.table.lock().get() == table.get()) {
-        MONSOON_DCHECK(it->second.column->size() == end - begin)
-            << "cached shard column rows diverged from its key range";
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        return it->second.column;
-      }
-      Evict(it);
-    }
-  }
-  // Miss: serial per-row fill into local slots [0, end - begin). The
-  // caller IS a pool task (one shard body); fanning out again would only
-  // fight siblings for workers. A retried shard attempt re-enters here and
-  // rebuilds from scratch — the previous attempt's partial column was a
-  // local that died with the failed fill, never published.
-  auto column = std::make_shared<CachedUdfColumn>();
-  const Table& t = *table;
-  const size_t n = end - begin;
-  column->type_ = bound.result_type();
-  column->size_ = n;
-  switch (column->type_) {
-    case ValueType::kInt64:
-      column->int64s_.resize(n);
-      break;
-    case ValueType::kDouble:
-      column->doubles_.resize(n);
-      break;
-    case ValueType::kString:
-      column->strings_.resize(n);
-      column->hashes_.resize(n);
-      break;
-  }
-  for (size_t row = begin; row < end; ++row) {
-    if (token != nullptr) {
-      MONSOON_RETURN_IF_ERROR(token->Check());
-    }
-    // Absolute row coordinate: the injected failure site must not move
-    // when the same rows are filled shard-by-shard instead of whole.
-    MONSOON_FAULT_POINT("exec.udf_cache.fill", row);
-    Value v = bound.Eval(t, row);
-    if (v.type() != column->type_) {
-      return Status::Internal("UDF produced a value of unexpected type");
-    }
-    const size_t slot = row - begin;
-    switch (column->type_) {
-      case ValueType::kInt64:
-        column->int64s_[slot] = v.AsInt64();
-        break;
-      case ValueType::kDouble:
-        column->doubles_[slot] = v.AsDouble();
-        break;
-      case ValueType::kString:
-        column->strings_[slot] = v.AsString();
-        column->hashes_[slot] = HashString(column->strings_[slot]);
-        break;
-    }
-  }
-
-  size_t bytes = sizeof(CachedUdfColumn);
-  switch (column->type_) {
-    case ValueType::kInt64:
-      bytes += n * sizeof(int64_t);
-      break;
-    case ValueType::kDouble:
-      bytes += n * sizeof(double);
-      break;
-    case ValueType::kString:
-      bytes += n * (sizeof(std::string) + sizeof(uint64_t));
-      for (const std::string& s : column->strings_) bytes += s.capacity();
-      break;
-  }
-  column->bytes_ = bytes;
-
-  MutexLock lock(mu_);
-  ++stats_.misses;
-  stats_.bytes_built += bytes;
   if (bytes <= byte_budget_) {
     auto existing = entries_.find(key);
     if (existing != entries_.end()) Evict(existing);

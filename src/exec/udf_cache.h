@@ -63,7 +63,8 @@ class CachedUdfColumn {
   /// read the precomputed hash column; numerics mix inline.
   uint64_t HashAt(size_t row) const { return View().HashAt(row); }
 
-  /// Boxes the row's result (sort-merge key extraction only).
+  /// Boxes the row's result (tests and diagnostics; operators read the
+  /// typed arrays).
   Value ValueAt(size_t row) const { return View().ValueAt(row); }
 
   /// result(row) == v, matching Value::operator== (false across types).
@@ -202,6 +203,16 @@ class UdfColumnCache {
                          size_t>;
   static Key MakeKey(const ExprSig& sig, const BoundTerm& bound, size_t begin,
                      size_t end);
+
+  /// The one lookup / fill / publish path behind GetOrBuild (the range
+  /// [0, num_rows), filled on `pool`) and GetOrBuildShard (the shard's
+  /// range, filled inline): the column of rows [begin, end) at local slots.
+  StatusOr<CachedUdfColumnPtr> GetOrBuildRange(const ExprSig& sig,
+                                               const BoundTerm& bound,
+                                               const TablePtr& table, size_t begin,
+                                               size_t end, parallel::ThreadPool* pool,
+                                               size_t morsel_size,
+                                               fault::CancellationToken* token);
 
   struct Entry {
     std::weak_ptr<const Table> table;  // the exact table the column indexes

@@ -239,11 +239,75 @@ TEST_F(ExecutorTest, BindFailsOnUnknownColumn) {
             StatusCode::kNotFound);
 }
 
-// Sort-merge join must agree with hash join on every query shape.
-class SortMergeJoinTest : public ExecutorTest,
-                          public ::testing::WithParamInterface<const char*> {};
+// One sortable fingerprint per row; multiset equality == row-set equality.
+std::vector<std::string> RowFingerprints(const Table& table) {
+  std::vector<std::string> rows;
+  rows.reserve(table.num_rows());
+  for (size_t i = 0; i < table.num_rows(); ++i) {
+    std::string fp;
+    for (size_t c = 0; c < table.schema().num_columns(); ++c) {
+      fp += table.row(i).GetValue(c).ToString();
+      fp += '\x1f';
+    }
+    rows.push_back(std::move(fp));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
 
-TEST_P(SortMergeJoinTest, MatchesHashJoin) {
+// Test-local reference join: every (left, right) pair of the first two
+// relations' base tables, kept when every predicate holds on the
+// concatenated row.
+StatusOr<Table> NestedLoopJoin(const Catalog& catalog, const QuerySpec& query) {
+  std::vector<TablePtr> tables;
+  Schema schema;
+  for (int i = 0; i < 2; ++i) {
+    const RelationRef& rel = query.relation(i);
+    MONSOON_ASSIGN_OR_RETURN(TablePtr table, catalog.GetTable(rel.table_name));
+    tables.push_back(table);
+    schema = Schema::Concat(schema, table->schema().Qualify(rel.alias));
+  }
+  struct BoundPred {
+    bool equality;
+    BoundTerm left;
+    BoundTerm right;
+  };
+  std::vector<BoundPred> preds;
+  for (const Predicate& pred : query.predicates()) {
+    if (pred.kind != Predicate::Kind::kJoin) {
+      return Status::InvalidArgument("the oracle evaluates join predicates only");
+    }
+    BoundPred bound;
+    bound.equality = pred.equality;
+    MONSOON_ASSIGN_OR_RETURN(bound.left,
+                             BoundTerm::Bind(pred.left, schema, UdfRegistry::Global()));
+    MONSOON_ASSIGN_OR_RETURN(
+        bound.right, BoundTerm::Bind(*pred.right, schema, UdfRegistry::Global()));
+    preds.push_back(std::move(bound));
+  }
+  Table out(schema);
+  for (size_t li = 0; li < tables[0]->num_rows(); ++li) {
+    for (size_t ri = 0; ri < tables[1]->num_rows(); ++ri) {
+      out.AppendConcatRow(*tables[0], li, *tables[1], ri);
+      const size_t row = out.num_rows() - 1;
+      for (const BoundPred& pred : preds) {
+        if ((pred.left.Eval(out, row) == pred.right.Eval(out, row)) != pred.equality) {
+          out.PopRow();
+          break;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// The hash join must agree with the nested-loop oracle on every query
+// shape: same rows (as a multiset) and the cost model's objects, which for
+// a join of two bare leaves are c(left) + c(right) + c(join).
+class NestedLoopOracleTest : public ExecutorTest,
+                             public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(NestedLoopOracleTest, HashJoinMatches) {
   auto query = Parse(GetParam());
   ASSERT_TRUE(query.ok()) << GetParam();
   std::vector<int> all_preds;
@@ -252,29 +316,29 @@ TEST_P(SortMergeJoinTest, MatchesHashJoin) {
   }
   PlanNode::Ptr plan =
       PlanNode::Join(MakeLeaf(*query, 0), MakeLeaf(*query, 1), all_preds);
+  Executor executor(*query, &UdfRegistry::Global());
+  auto store = MaterializedStore::ForQuery(catalog_, *query);
+  ASSERT_TRUE(store.ok());
+  ExecContext ctx;
+  auto result = executor.Execute(plan, &*store, &ctx);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  uint64_t rows[2];
-  uint64_t objects[2];
-  int i = 0;
-  for (Executor::JoinAlgorithm algorithm :
-       {Executor::JoinAlgorithm::kHash, Executor::JoinAlgorithm::kSortMerge}) {
-    Executor::Options options;
-    options.join_algorithm = algorithm;
-    Executor executor(*query, &UdfRegistry::Global(), options);
-    auto store = MaterializedStore::ForQuery(catalog_, *query);
-    ExecContext ctx;
-    auto result = executor.Execute(plan, &*store, &ctx);
-    ASSERT_TRUE(result.ok());
-    rows[i] = result->output.table->num_rows();
-    objects[i] = ctx.objects_processed();
-    ++i;
+  auto expected = NestedLoopJoin(catalog_, *query);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(RowFingerprints(*result->output.table), RowFingerprints(*expected))
+      << GetParam();
+  uint64_t inputs = 0;
+  for (int i = 0; i < 2; ++i) {
+    auto rows = catalog_.RowCount(query->relation(i).table_name);
+    ASSERT_TRUE(rows.ok());
+    inputs += *rows;
   }
-  EXPECT_EQ(rows[0], rows[1]) << GetParam();
-  EXPECT_EQ(objects[0], objects[1]) << "cost-model objects are plan properties";
+  EXPECT_EQ(ctx.objects_processed(), inputs + expected->num_rows())
+      << "cost-model objects are plan properties";
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Queries, SortMergeJoinTest,
+    Queries, NestedLoopOracleTest,
     ::testing::Values(
         "SELECT * FROM customers c, orders o WHERE c.id = o.cust",
         "SELECT * FROM customers a, customers b WHERE a.id = b.id "
@@ -294,22 +358,6 @@ INSTANTIATE_TEST_SUITE_P(
 // generator so all four data shapes (skew, string keys, UDF predicates,
 // hand-planned OTT) cross the parallel leaf / join / Σ code.
 // ---------------------------------------------------------------------------
-
-// One sortable fingerprint per row; multiset equality == row-set equality.
-std::vector<std::string> RowFingerprints(const Table& table) {
-  std::vector<std::string> rows;
-  rows.reserve(table.num_rows());
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    std::string fp;
-    for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-      fp += table.row(i).GetValue(c).ToString();
-      fp += '\x1f';
-    }
-    rows.push_back(std::move(fp));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
 
 struct EquivalenceRun {
   uint64_t rows = 0;
