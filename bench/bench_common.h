@@ -1,14 +1,16 @@
 #ifndef MONSOON_BENCH_BENCH_COMMON_H_
 #define MONSOON_BENCH_BENCH_COMMON_H_
 
-#include <cstdlib>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "baselines/baselines.h"
+#include "common/env.h"
 #include "common/string_util.h"
 #include "harness/runner.h"
 #include "monsoon/monsoon_optimizer.h"
+#include "obs/json.h"
 
 namespace monsoon::bench {
 
@@ -17,18 +19,36 @@ namespace monsoon::bench {
 ///   MONSOON_BENCH_BUDGET — per-query work budget (default per bench)
 ///   MONSOON_BENCH_ITERS  — MCTS iterations per decision (default 300)
 inline double BenchScale(double fallback = 1.0) {
-  const char* env = std::getenv("MONSOON_BENCH_SCALE");
-  return env != nullptr ? std::atof(env) : fallback;
+  return EnvDouble("MONSOON_BENCH_SCALE", fallback);
 }
 
 inline uint64_t BenchBudget(uint64_t fallback) {
-  const char* env = std::getenv("MONSOON_BENCH_BUDGET");
-  return env != nullptr ? static_cast<uint64_t>(std::atoll(env)) : fallback;
+  return EnvUint64("MONSOON_BENCH_BUDGET", fallback);
 }
 
 inline int BenchIters(int fallback = 300) {
-  const char* env = std::getenv("MONSOON_BENCH_ITERS");
-  return env != nullptr ? std::atoi(env) : fallback;
+  return EnvInt("MONSOON_BENCH_ITERS", fallback);
+}
+
+/// Writes `key` with `value` at `digits` decimals, the precision the
+/// BENCH_*.json files record (JsonWriter::Double prints every digit).
+inline void KVFixed(obs::JsonWriter& writer, const std::string& key,
+                    double value, int digits) {
+  writer.Key(key);
+  writer.Raw(StrFormat("%.*f", digits, value));
+}
+
+/// One JSON object written through obs::JsonWriter; `fill` writes its
+/// members. Bench rows are built with it while their header fields are
+/// still being tallied, then spliced into the file's array with Raw().
+template <typename Fill>
+std::string JsonObject(Fill&& fill) {
+  std::ostringstream out;
+  obs::JsonWriter writer(out);
+  writer.BeginObject();
+  fill(writer);
+  writer.EndObject();
+  return out.str();
 }
 
 inline MonsoonOptimizer::Options MonsoonBenchOptions(uint64_t budget,

@@ -266,34 +266,34 @@ int main() {
                                                 checked))
                                 : "-",
                     identical ? "yes" : "NO"});
-      json_rows.push_back(StrFormat(
-          "    {\"config\": \"%s\", \"threads\": %d, "
-          "\"row_seconds\": %.6f, \"batch_seconds\": %.6f, "
-          "\"speedup\": %.3f, \"rows\": %llu, \"work_units\": %llu, "
-          "\"bloom_checks\": %llu, \"bloom_rejects\": %llu, "
-          "\"identical\": %s}",
-          config.name.c_str(), threads, row_run->seconds, batch_run->seconds,
-          speedup, static_cast<unsigned long long>(batch_run->rows),
-          static_cast<unsigned long long>(batch_run->work_units),
-          static_cast<unsigned long long>(checked),
-          static_cast<unsigned long long>(rejected),
-          identical ? "true" : "false"));
+      json_rows.push_back(bench::JsonObject([&](obs::JsonWriter& w) {
+        w.KV("config", config.name);
+        w.KV("threads", threads);
+        bench::KVFixed(w, "row_seconds", row_run->seconds, 6);
+        bench::KVFixed(w, "batch_seconds", batch_run->seconds, 6);
+        bench::KVFixed(w, "speedup", speedup, 3);
+        w.KV("rows", batch_run->rows);
+        w.KV("work_units", batch_run->work_units);
+        w.KV("bloom_checks", checked);
+        w.KV("bloom_rejects", rejected);
+        w.KV("identical", identical);
+      }));
     }
   }
   table.Print(std::cout);
 
-  std::ofstream json("BENCH_exec_batch.json");
-  json << "{\n  \"bench\": \"exec_batch\",\n"
-       << StrFormat("  \"scale\": %.3f,\n  \"rounds\": %d,\n", scale, rounds)
-       << StrFormat("  \"batch_rows\": %llu,\n  \"all_identical\": %s,\n",
-                    static_cast<unsigned long long>(batch_rows),
-                    all_identical ? "true" : "false")
-       << "  \"runs\": [\n";
-  for (size_t i = 0; i < json_rows.size(); ++i) {
-    json << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");
-  }
-  json << "  ]\n}\n";
-  json.close();
+  std::string summary = bench::JsonObject([&](obs::JsonWriter& w) {
+    w.KV("bench", "exec_batch");
+    bench::KVFixed(w, "scale", scale, 3);
+    w.KV("rounds", rounds);
+    w.KV("batch_rows", static_cast<uint64_t>(batch_rows));
+    w.KV("all_identical", all_identical);
+    w.Key("runs");
+    w.BeginArray();
+    for (const std::string& row : json_rows) w.Raw(row);
+    w.EndArray();
+  });
+  std::ofstream("BENCH_exec_batch.json") << summary << "\n";
   std::cout << "Wrote BENCH_exec_batch.json\n";
 
   if (!all_identical) {

@@ -28,6 +28,7 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 
 namespace monsoon {
@@ -122,10 +123,9 @@ int Main(int argc, char** argv) {
   double disabled_tail_ns = MeasureNs([&](int i) {
     uint64_t serial = obs::BeginQueryTrace();
     DoNotOptimize(serial);
-    obs::QueryTraceVerdict verdict;
-    verdict.elapsed_us = static_cast<uint64_t>(i);
-    obs::QueryTraceDecision decision = obs::EndQueryTrace(serial, verdict);
-    DoNotOptimize(decision);
+    std::string path = obs::EndQueryTrace(serial, obs::QueryReason::kClean,
+                                          static_cast<uint64_t>(i));
+    DoNotOptimize(path);
     sink += static_cast<uint64_t>(i);
     DoNotOptimize(sink);
   });
@@ -181,7 +181,7 @@ int Main(int argc, char** argv) {
   }
   // Same contract for the per-query tail-sampling scope: with sampling
   // off, BeginQueryTrace returns 0 after one relaxed load and
-  // EndQueryTrace(0, ...) returns a default decision — a pair of calls
+  // EndQueryTrace(0, ...) returns an empty path — a pair of calls
   // that allocates or locks has broken the disabled path.
   if (disabled_tail_overhead_ns > 50.0) {
     std::fprintf(stderr,

@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
   // catastrophic regression like a lock on the hot path, not a percent);
   // tighten with MONSOON_OBS_AB_MAX_DROP_PCT on quiet hardware.
   const double max_drop_pct =
-      std::atof(EnvString("MONSOON_OBS_AB_MAX_DROP_PCT").value_or("50").c_str());
+      EnvDouble("MONSOON_OBS_AB_MAX_DROP_PCT", 50);
   const int ab_clients = 16;
   const int ab_per_client = std::max(1, total_requests / ab_clients);
   std::cout << "[a/b]   " << ab_clients << " client(s) x " << ab_per_client

@@ -223,15 +223,18 @@ int main() {
       table.AddRow({config.name, std::to_string(shards), "clean",
                     StrFormat("%.3f", run->seconds), StrFormat("%.2fx", rel),
                     "0", "-", identical ? "yes" : "NO"});
-      json_rows.push_back(StrFormat(
-          "    {\"config\": \"%s\", \"shards\": %d, \"arm\": \"clean\", "
-          "\"seconds\": %.6f, \"speedup\": %.3f, \"rows\": %llu, "
-          "\"work_units\": %llu, \"retries\": 0, \"recoveries\": 0, "
-          "\"identical\": %s}",
-          config.name.c_str(), shards, run->seconds, rel,
-          static_cast<unsigned long long>(run->rows),
-          static_cast<unsigned long long>(run->work_units),
-          identical ? "true" : "false"));
+      json_rows.push_back(bench::JsonObject([&](obs::JsonWriter& w) {
+        w.KV("config", config.name);
+        w.KV("shards", shards);
+        w.KV("arm", "clean");
+        bench::KVFixed(w, "seconds", run->seconds, 6);
+        bench::KVFixed(w, "speedup", rel, 3);
+        w.KV("rows", run->rows);
+        w.KV("work_units", run->work_units);
+        w.KV("retries", 0);
+        w.KV("recoveries", 0);
+        w.KV("identical", identical);
+      }));
     }
 
     // Kill-and-recover arm: shards=4, one shard killed on its first
@@ -265,32 +268,33 @@ int main() {
                   StrFormat("%.2fx", rel),
                   std::to_string(recover->retries),
                   recovered ? "yes" : "NO", identical ? "yes" : "NO"});
-    json_rows.push_back(StrFormat(
-        "    {\"config\": \"%s\", \"shards\": 4, \"arm\": \"kill_recover\", "
-        "\"seconds\": %.6f, \"speedup\": %.3f, \"rows\": %llu, "
-        "\"work_units\": %llu, \"retries\": %llu, \"recoveries\": %llu, "
-        "\"identical\": %s}",
-        config.name.c_str(), recover->seconds, rel,
-        static_cast<unsigned long long>(recover->rows),
-        static_cast<unsigned long long>(recover->work_units),
-        static_cast<unsigned long long>(recover->retries),
-        static_cast<unsigned long long>(recover->recoveries),
-        identical ? "true" : "false"));
+    json_rows.push_back(bench::JsonObject([&](obs::JsonWriter& w) {
+      w.KV("config", config.name);
+      w.KV("shards", 4);
+      w.KV("arm", "kill_recover");
+      bench::KVFixed(w, "seconds", recover->seconds, 6);
+      bench::KVFixed(w, "speedup", rel, 3);
+      w.KV("rows", recover->rows);
+      w.KV("work_units", recover->work_units);
+      w.KV("retries", recover->retries);
+      w.KV("recoveries", recover->recoveries);
+      w.KV("identical", identical);
+    }));
   }
   table.Print(std::cout);
 
-  std::ofstream json("BENCH_shard.json");
-  json << "{\n  \"bench\": \"shard\",\n"
-       << StrFormat("  \"scale\": %.3f,\n  \"rounds\": %d,\n", scale, rounds)
-       << StrFormat("  \"kill_seed\": %llu,\n  \"all_identical\": %s,\n",
-                    static_cast<unsigned long long>(kill_seed),
-                    all_identical ? "true" : "false")
-       << "  \"runs\": [\n";
-  for (size_t i = 0; i < json_rows.size(); ++i) {
-    json << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");
-  }
-  json << "  ]\n}\n";
-  json.close();
+  std::string summary = bench::JsonObject([&](obs::JsonWriter& w) {
+    w.KV("bench", "shard");
+    bench::KVFixed(w, "scale", scale, 3);
+    w.KV("rounds", rounds);
+    w.KV("kill_seed", kill_seed);
+    w.KV("all_identical", all_identical);
+    w.Key("runs");
+    w.BeginArray();
+    for (const std::string& row : json_rows) w.Raw(row);
+    w.EndArray();
+  });
+  std::ofstream("BENCH_shard.json") << summary << "\n";
   std::cout << "Wrote BENCH_shard.json\n";
 
   if (!all_identical) {

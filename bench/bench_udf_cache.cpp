@@ -185,14 +185,16 @@ int main() {
                   StrFormat("%.3f", cached->seconds),
                   StrFormat("%.2fx", speedup), StrFormat("%.2f", hit_rate),
                   identical ? "yes" : "NO"});
-    json_rows.push_back(StrFormat(
-        "    {\"query\": \"%s\", \"uncached_seconds\": %.6f, "
-        "\"cached_seconds\": %.6f, \"speedup\": %.3f, \"hit_rate\": %.4f, "
-        "\"rows\": %llu, \"work_units\": %llu, \"identical\": %s}",
-        query.name.c_str(), uncached->seconds, cached->seconds, speedup,
-        hit_rate, static_cast<unsigned long long>(cached->final_rows),
-        static_cast<unsigned long long>(cached->work_units),
-        identical ? "true" : "false"));
+    json_rows.push_back(bench::JsonObject([&](obs::JsonWriter& w) {
+      w.KV("query", query.name);
+      bench::KVFixed(w, "uncached_seconds", uncached->seconds, 6);
+      bench::KVFixed(w, "cached_seconds", cached->seconds, 6);
+      bench::KVFixed(w, "speedup", speedup, 3);
+      bench::KVFixed(w, "hit_rate", hit_rate, 4);
+      w.KV("rows", cached->final_rows);
+      w.KV("work_units", cached->work_units);
+      w.KV("identical", identical);
+    }));
   }
   table.Print(std::cout);
 
@@ -204,20 +206,19 @@ int main() {
       "%.1f%% hit rate over %d rounds\n",
       total_uncached, total_cached, overall, 100 * overall_hit_rate, rounds);
 
-  std::ofstream json("BENCH_udf_cache.json");
-  json << "{\n  \"bench\": \"udf_cache\",\n"
-       << StrFormat("  \"scale\": %.3f,\n  \"rounds\": %d,\n", options.scale,
-                    rounds)
-       << StrFormat(
-              "  \"overall_speedup\": %.3f,\n  \"overall_hit_rate\": %.4f,\n"
-              "  \"all_identical\": %s,\n",
-              overall, overall_hit_rate, all_identical ? "true" : "false")
-       << "  \"queries\": [\n";
-  for (size_t i = 0; i < json_rows.size(); ++i) {
-    json << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");
-  }
-  json << "  ]\n}\n";
-  json.close();
+  std::string summary = bench::JsonObject([&](obs::JsonWriter& w) {
+    w.KV("bench", "udf_cache");
+    bench::KVFixed(w, "scale", options.scale, 3);
+    w.KV("rounds", rounds);
+    bench::KVFixed(w, "overall_speedup", overall, 3);
+    bench::KVFixed(w, "overall_hit_rate", overall_hit_rate, 4);
+    w.KV("all_identical", all_identical);
+    w.Key("queries");
+    w.BeginArray();
+    for (const std::string& row : json_rows) w.Raw(row);
+    w.EndArray();
+  });
+  std::ofstream("BENCH_udf_cache.json") << summary << "\n";
   std::cout << "Wrote BENCH_udf_cache.json\n";
 
   if (ran == 0) {

@@ -161,11 +161,7 @@ int main(int argc, char** argv) {
   }
   if (faults.empty()) faults = EnvString("MONSOON_FAULTS").value_or("");
   if (!faults.empty()) {
-    fault::FaultConfig base;
-    base.seed = EnvUint64("MONSOON_FAULT_SEED", base.seed);
-    base.udf_timeout_ms =
-        EnvUint64("MONSOON_UDF_TIMEOUT_MS", base.udf_timeout_ms);
-    Status status = fault::InstallSpec(faults, base);
+    Status status = fault::InstallSpec(faults, fault::BaseConfigFromEnv());
     if (!status.ok()) {
       std::cerr << "faults: " << status.ToString() << "\n";
       return 1;

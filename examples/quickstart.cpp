@@ -94,34 +94,6 @@ Status BuildDatabase(Catalog* catalog) {
   return Status::OK();
 }
 
-// Flattens a finished run into a run-report entry, attributing the global
-// registry delta observed across it to this strategy.
-obs::QueryReport MakeReport(const char* strategy, const RunResult& result,
-                            const obs::MetricsSnapshot& before) {
-  obs::QueryReport report;
-  report.query = "quickstart";
-  report.strategy = strategy;
-  report.status = result.ok() ? "ok" : (result.timed_out() ? "timeout" : "error");
-  report.result_rows = result.result_rows;
-  report.objects_processed = result.objects_processed;
-  report.work_units = result.work_units;
-  report.total_seconds = result.total_seconds;
-  report.plan_seconds = result.plan_seconds;
-  report.stats_seconds = result.stats_seconds;
-  report.exec_seconds = result.exec_seconds;
-  report.execute_rounds = result.execute_rounds;
-  report.stats_collections = result.stats_collections;
-  report.udf_cache_hits = result.udf_cache_hits;
-  report.udf_cache_misses = result.udf_cache_misses;
-  report.udf_cache_bytes = result.udf_cache_bytes;
-  report.fault_retries = result.fault_retries;
-  report.shard_retries = result.shard_retries;
-  report.shard_failures = result.shard_failures;
-  report.shard_recoveries = result.shard_recoveries;
-  report.metrics = obs::SnapshotDelta(before, obs::Registry::Global().Snapshot());
-  return report;
-}
-
 // Small-scale instance of one of the four benchmark workloads, for the
 // fault-injection soak (scripts/ci.sh stage "fault").
 StatusOr<Workload> MakeNamedWorkload(const std::string& name) {
@@ -229,7 +201,9 @@ Status RunDemo(const std::string& report_out, uint64_t deadline_ms) {
   RunResult result = monsoon.Run(query);
   if (!result.ok()) return result.status;
   std::vector<obs::QueryReport> reports;
-  reports.push_back(MakeReport("monsoon", result, before));
+  reports.push_back(MakeQueryReport(
+      result, "quickstart", "monsoon",
+      obs::SnapshotDelta(before, obs::Registry::Global().Snapshot())));
 
   std::cout << "Monsoon actions taken:\n";
   for (const std::string& action : result.action_log) {
@@ -252,7 +226,9 @@ Status RunDemo(const std::string& report_out, uint64_t deadline_ms) {
   before = obs::Registry::Global().Snapshot();
   RunResult defaults = MakeDefaultsStrategy()->Run(catalog, query, 0);
   if (!defaults.ok()) return defaults.status;
-  reports.push_back(MakeReport("defaults", defaults, before));
+  reports.push_back(MakeQueryReport(
+      defaults, "quickstart", "defaults",
+      obs::SnapshotDelta(before, obs::Registry::Global().Snapshot())));
   std::printf("Defaults: %llu result rows, %.2f Mobjects processed, %.3f s total\n",
               static_cast<unsigned long long>(defaults.result_rows),
               static_cast<double>(defaults.objects_processed) / 1e6,
@@ -327,13 +303,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!faults.empty()) {
-    fault::FaultConfig base;
-    if (const char* env = std::getenv("MONSOON_FAULT_SEED")) {
-      base.seed = std::strtoull(env, nullptr, 10);
-    }
-    if (const char* env = std::getenv("MONSOON_UDF_TIMEOUT_MS")) {
-      base.udf_timeout_ms = std::strtoull(env, nullptr, 10);
-    }
+    fault::FaultConfig base = fault::BaseConfigFromEnv();
     Status installed = fault::InstallSpec(faults, base);
     if (!installed.ok()) {
       std::cerr << "error: " << installed.ToString() << "\n";

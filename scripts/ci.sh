@@ -91,7 +91,8 @@ asan_stage() {
   cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMONSOON_SANITIZE=address
   cmake --build build-ci-asan -j "${JOBS}" \
-    --target udf_cache_test exec_test exec_batch_test fault_test shard_test
+    --target udf_cache_test exec_test exec_batch_test fault_test shard_test \
+    server_test timeseries_test harness_test
   # The cache-on/off/serial/parallel equivalence suite plus the executor,
   # batch-execution, fault and shard suites: every cached column read
   # (join build/probe, residual filters, Σ passes, shard-scoped columns),

@@ -30,4 +30,13 @@ int EnvInt(const char* name, int fallback) {
   return static_cast<int>(parsed);
 }
 
+double EnvDouble(const char* name, double fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return fallback;
+  char* end = nullptr;
+  double parsed = std::strtod(value, &end);
+  if (end == value) return fallback;
+  return parsed;
+}
+
 }  // namespace monsoon

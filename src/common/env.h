@@ -26,6 +26,10 @@ uint64_t EnvUint64(const char* name, uint64_t fallback);
 /// unparseable.
 int EnvInt(const char* name, int fallback);
 
+/// Parses `name` as a floating-point number; `fallback` when unset or
+/// unparseable.
+double EnvDouble(const char* name, double fallback);
+
 }  // namespace monsoon
 
 #endif  // MONSOON_COMMON_ENV_H_

@@ -27,13 +27,12 @@ namespace monsoon {
 /// The context also carries the query's parallel runtime (snapshotted from
 /// parallel::DefaultConfig() at construction): a pool handle and morsel
 /// size the executor's morsel-driven operators use. The counters above are
-/// NOT thread-safe — parallel operators accumulate work in morsel-local
-/// tallies and charge the context once at each merge barrier, which keeps
-/// the recorded totals identical to the serial path (budget trips are
-/// detected at barrier granularity instead of per row; see DESIGN.md).
-/// They are obs::LocalCounter (single-owner, plain integer adds) rather
-/// than registry metrics for exactly that reason: the per-row ChargeWork
-/// budget check must stay a plain add + compare.
+/// NOT thread-safe — every operator's ranges (run inline, over morsels or
+/// over shards) accumulate work in range-local tallies, and DriveRanges
+/// charges the context once at the barrier from one thread, so the totals
+/// are identical in every mode (DESIGN.md §6). They are obs::LocalCounter
+/// (single-owner, plain integer adds) rather than registry metrics for
+/// exactly that reason.
 class ExecContext {
  public:
   ExecContext() = default;

@@ -6,51 +6,19 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/metrics.h"
+#include "obs/report.h"
 #include "storage/table.h"
 
 namespace monsoon {
 
 /// Everything a strategy run reports; shared by Monsoon and the baselines
-/// so the harness can tabulate them uniformly.
-struct RunResult {
-  Status status;                   // OK, or ResourceExhausted on timeout
-  uint64_t result_rows = 0;
-  TablePtr result_table;           // the joined result (null on failure)
-  uint64_t objects_processed = 0;  // the paper's cost metric
-  uint64_t work_units = 0;         // physical work incl. NL candidates
-  double total_seconds = 0;
-  // Component breakdown (Table 8): planning / statistics collection /
-  // relational execution.
-  double plan_seconds = 0;   // MCTS for Monsoon, optimize() for baselines
-  double stats_seconds = 0;  // Σ passes, HLL scans, sampling pilot runs
-  double exec_seconds = 0;
-  int execute_rounds = 0;
-  int stats_collections = 0;
-  // UDF column cache counters (exec/udf_cache.h): column reuses, columns
-  // built, and resident bytes at the end of the run. Wall-clock telemetry
-  // only; objects/work_units above are identical with the cache off.
-  uint64_t udf_cache_hits = 0;
-  uint64_t udf_cache_misses = 0;
-  uint64_t udf_cache_bytes = 0;
-  // Recovery accounting: fault-injector retries attributed to this run
-  // (registry delta around the run) and shard-supervisor activity (from
-  // ExecContext). A run with any of these non-zero completed by RECOVERING
-  // from transient faults — distinguishable at the server surface from a
-  // clean run (.health counters, slow-log reason "retried").
-  uint64_t fault_retries = 0;
-  uint64_t shard_retries = 0;
-  uint64_t shard_failures = 0;
-  uint64_t shard_recoveries = 0;
+/// so the harness can tabulate them uniformly. The reported figures live
+/// in obs::RunFigures, which QueryReport shares.
+struct RunResult : obs::RunFigures {
+  Status status;          // OK, or ResourceExhausted on timeout
+  TablePtr result_table;  // the joined result (null on failure)
   std::vector<std::string> action_log;
-
-  // Graceful degradation: true when at least one Σ statistics pass failed
-  // (injected fault, transient error, per-UDF timeout) and the optimizer
-  // fell back to the spike-and-slab prior-only estimate instead of
-  // aborting. `degraded_reasons` records one human-readable entry per
-  // skipped observation. The run's status stays OK — degraded runs
-  // complete; they just planned with less information.
-  bool degraded = false;
-  std::vector<std::string> degraded_reasons;
 
   bool ok() const { return status.ok(); }
   bool timed_out() const {
@@ -58,6 +26,18 @@ struct RunResult {
            status.code() == StatusCode::kDeadlineExceeded;
   }
 };
+
+/// The run-status spelling every surface uses (run report, harness CSV,
+/// slow log, server reply): "ok", "timeout" or "error".
+const char* RunStatusLabel(const RunResult& result);
+
+/// Flattens a finished run into the one record the run report, the slow
+/// log, the tail sampler and the server reply all read. `query` and
+/// `strategy` name the run (see obs::QueryReport); `metrics` is the
+/// registry delta attributed to it, when the caller measured one.
+obs::QueryReport MakeQueryReport(const RunResult& result, std::string query,
+                                 std::string strategy,
+                                 obs::MetricsSnapshot metrics = {});
 
 }  // namespace monsoon
 

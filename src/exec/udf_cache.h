@@ -233,7 +233,8 @@ class UdfColumnCache {
 /// Process-wide default byte budget applied to every new
 /// MaterializedStore's cache. Initialized from the MONSOON_UDF_CACHE
 /// environment variable (bytes; 0 disables) on first use, defaulting to
-/// 256 MiB; HarnessOptions::udf_cache_bytes installs an explicit value.
+/// 256 MiB; SetDefaultUdfCacheBytes (quickstart's --udf-cache-bytes=B)
+/// installs an explicit value.
 size_t DefaultUdfCacheBytes();
 void SetDefaultUdfCacheBytes(size_t bytes);
 

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "common/random.h"
 #include "common/sync.h"
 #include "obs/metrics.h"
@@ -163,6 +164,13 @@ std::vector<std::unique_ptr<FaultConfig>>& RetiredConfigs() {
   static auto* retired =
       new std::vector<std::unique_ptr<FaultConfig>>();  // NOLINT(monsoon-raw-new)
   return *retired;
+}
+
+FaultConfig BaseConfigFromEnv() {
+  FaultConfig base;
+  base.seed = EnvUint64("MONSOON_FAULT_SEED", base.seed);
+  base.udf_timeout_ms = EnvUint64("MONSOON_UDF_TIMEOUT_MS", base.udf_timeout_ms);
+  return base;
 }
 
 Status InstallSpec(const std::string& spec, const FaultConfig& base) {

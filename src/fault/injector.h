@@ -47,6 +47,11 @@ struct FaultConfig {
 /// InvalidArgument.
 Status ParseFaultSpec(const std::string& spec, std::vector<PointSpec>* out);
 
+/// The base config every entry point installs a spec with: defaults, with
+/// the seed from MONSOON_FAULT_SEED and the per-UDF-call timeout from
+/// MONSOON_UDF_TIMEOUT_MS when they are set.
+FaultConfig BaseConfigFromEnv();
+
 /// Parses `spec` and installs it process-wide with the given seed;
 /// subsequent MONSOON_FAULT_POINT hits consult it. An empty spec disables
 /// injection (same as Clear()). Not thread-safe against concurrent Fire

@@ -7,42 +7,12 @@
 
 #include "common/env.h"
 #include "common/string_util.h"
-#include "exec/udf_cache.h"
 #include "fault/injector.h"
 #include "obs/slowlog.h"
 #include "obs/trace.h"
 #include "parallel/runtime.h"
-#include "shard/shard.h"
 
 namespace monsoon {
-
-obs::QueryReport MakeQueryReport(const QueryRecord& record) {
-  const RunResult& r = record.result;
-  obs::QueryReport report;
-  report.query = record.query;
-  report.strategy = record.strategy;
-  report.status = r.ok() ? "ok" : (r.timed_out() ? "timeout" : "error");
-  report.result_rows = r.result_rows;
-  report.objects_processed = r.objects_processed;
-  report.work_units = r.work_units;
-  report.total_seconds = r.total_seconds;
-  report.plan_seconds = r.plan_seconds;
-  report.stats_seconds = r.stats_seconds;
-  report.exec_seconds = r.exec_seconds;
-  report.execute_rounds = r.execute_rounds;
-  report.stats_collections = r.stats_collections;
-  report.udf_cache_hits = r.udf_cache_hits;
-  report.udf_cache_misses = r.udf_cache_misses;
-  report.udf_cache_bytes = r.udf_cache_bytes;
-  report.degraded = r.degraded;
-  report.degraded_reasons = r.degraded_reasons;
-  report.fault_retries = r.fault_retries;
-  report.shard_retries = r.shard_retries;
-  report.shard_failures = r.shard_failures;
-  report.shard_recoveries = r.shard_recoveries;
-  report.metrics = record.metrics_delta;
-  return report;
-}
 
 void BenchRunner::AddStrategy(std::string name, StrategyFn fn) {
   strategies_.emplace_back(std::move(name), std::move(fn));
@@ -74,34 +44,18 @@ Status BenchRunner::RunAll(const Workload& workload) {
   }
   int threads = options_.threads;
   if (threads <= 0) threads = EnvInt("MONSOON_THREADS", 0);
-  if (threads > 0 || options_.batch_size > 0) {
+  if (threads > 0) {
     parallel::Config config = parallel::DefaultConfig();
-    if (threads > 0) config.num_threads = threads;
-    if (options_.batch_size > 0) {
-      config.batch_size = static_cast<size_t>(options_.batch_size);
-    }
+    config.num_threads = threads;
     parallel::SetDefaultConfig(config);
   }
-  if (options_.udf_cache_bytes >= 0) {
-    SetDefaultUdfCacheBytes(static_cast<size_t>(options_.udf_cache_bytes));
-  }
-  // Shard count: flag > MONSOON_SHARDS env (already the default's source)
-  // > leave as-is.
-  if (options_.shards > 0) {
-    shard::SetDefaultShardCount(options_.shards);
-  }
-  // Fault injection: an explicit spec wins, MONSOON_FAULTS is the ambient
-  // knob, and with neither set the installed state is left alone (tests
-  // install their own specs directly).
-  std::string faults = options_.faults;
-  if (faults.empty()) faults = EnvString("MONSOON_FAULTS").value_or("");
+  // Fault injection: MONSOON_FAULTS is the ambient knob; unset leaves the
+  // installed state alone (tests install their own specs directly).
+  std::string faults = EnvString("MONSOON_FAULTS").value_or("");
   if (!faults.empty()) {
-    fault::FaultConfig base;
-    base.seed = EnvUint64("MONSOON_FAULT_SEED", base.seed);
-    base.udf_timeout_ms =
-        EnvUint64("MONSOON_UDF_TIMEOUT_MS", base.udf_timeout_ms);
     MONSOON_RETURN_IF_ERROR(
-        fault::InstallSpec(faults, base).WithContext("installing fault spec"));
+        fault::InstallSpec(faults, fault::BaseConfigFromEnv())
+            .WithContext("installing fault spec"));
   }
   for (const BenchQuery& query : workload.queries) {
     if (!query_filter_.empty() &&
@@ -110,9 +64,6 @@ Status BenchRunner::RunAll(const Workload& workload) {
       continue;
     }
     for (const auto& [name, fn] : strategies_) {
-      if (options_.verbose) {
-        std::cerr << "[run] " << query.name << " / " << name << "\n";
-      }
       QueryRecord record;
       record.query = query.name;
       record.strategy = name;
@@ -121,45 +72,10 @@ Status BenchRunner::RunAll(const Workload& workload) {
       record.result = fn(workload, query);
       record.metrics_delta =
           obs::SnapshotDelta(before, obs::Registry::Global().Snapshot());
-      const RunResult& r = record.result;
-      uint64_t elapsed_us = static_cast<uint64_t>(r.total_seconds * 1e6);
-      obs::QueryTraceVerdict verdict;
-      verdict.elapsed_us = elapsed_us;
-      verdict.degraded = r.degraded;
-      verdict.cancelled = r.status.code() == StatusCode::kCancelled;
-      verdict.faulted = !r.ok() && !verdict.cancelled;
-      obs::QueryTraceDecision decision =
-          obs::EndQueryTrace(tail_serial, verdict);
-      // Recovered-but-clean records log with reason "retried" (precedence
-      // cancelled > error > degraded > retried > slow), so a run that only
-      // finished by riding the retry budget is visible in the slow log.
-      bool retried = r.fault_retries > 0 || r.shard_retries > 0;
-      if (slow_log != nullptr &&
-          slow_log->Eligible(elapsed_us, r.ok(), r.degraded,
-                             verdict.cancelled, retried)) {
-        obs::SlowLogEntry entry;
-        entry.sql = query.name;
-        entry.fingerprint = name;
-        entry.reason = verdict.cancelled ? "cancelled"
-                       : !r.ok()         ? "error"
-                       : r.degraded      ? "degraded"
-                       : retried         ? "retried"
-                                         : "slow";
-        entry.status = r.ok() ? "ok" : (r.timed_out() ? "timeout" : "error");
-        entry.elapsed_us = elapsed_us;
-        entry.result_rows = r.result_rows;
-        entry.objects_processed = r.objects_processed;
-        entry.work_units = r.work_units;
-        entry.udf_cache_hits = r.udf_cache_hits;
-        entry.udf_cache_misses = r.udf_cache_misses;
-        entry.degraded = r.degraded;
-        entry.degraded_reasons = r.degraded_reasons;
-        entry.trace_path = decision.path;
-        slow_log->Log(entry);
-      }
-      if (options_.verbose && !record.result.ok()) {
-        std::cerr << "      -> " << record.result.status.ToString() << "\n";
-      }
+      obs::FinishQuery(tail_serial,
+                       MakeQueryReport(record.result, query.name, name),
+                       static_cast<uint64_t>(record.result.total_seconds * 1e6),
+                       slow_log.get());
       records_.push_back(std::move(record));
     }
   }
@@ -289,8 +205,8 @@ void BenchRunner::WriteCsv(std::ostream& out) const {
          "udf_cache_hits,udf_cache_misses,udf_cache_bytes\n";
   for (const QueryRecord& record : records_) {
     const RunResult& r = record.result;
-    const char* status = r.ok() ? "ok" : (r.timed_out() ? "timeout" : "error");
-    out << record.query << "," << record.strategy << "," << status << ","
+    out << record.query << "," << record.strategy << ","
+        << RunStatusLabel(r) << ","
         << StrFormat("%.6f", r.total_seconds) << "," << r.objects_processed << ","
         << r.work_units << "," << StrFormat("%.6f", r.plan_seconds) << ","
         << StrFormat("%.6f", r.stats_seconds) << ","
@@ -304,7 +220,8 @@ void BenchRunner::WriteRunReport(std::ostream& out) const {
   std::vector<obs::QueryReport> reports;
   reports.reserve(records_.size());
   for (const QueryRecord& record : records_) {
-    reports.push_back(MakeQueryReport(record));
+    reports.push_back(MakeQueryReport(record.result, record.query,
+                                      record.strategy, record.metrics_delta));
   }
   obs::WriteRunReport(out, reports, obs::Registry::Global().Snapshot());
 }

@@ -23,45 +23,26 @@ struct HarnessOptions {
   /// mirroring the paper's convention of reporting "1200" (the timeout)
   /// for such queries.
   double timeout_display_seconds = 1200;
-  bool verbose = false;
   /// Threads per query. > 0 installs that level as the process-wide
   /// parallel::DefaultConfig() before running, so Monsoon AND every
   /// baseline execute (and Monsoon plans) at the same concurrency; 0
   /// honors the MONSOON_THREADS environment knob, or leaves the current
-  /// config untouched when that is unset too.
+  /// config untouched when that is unset too. Batch size, shard count and
+  /// the UDF cache budget come from the process defaults, which honor
+  /// MONSOON_BATCH_SIZE, MONSOON_SHARDS and MONSOON_UDF_CACHE.
   int threads = 0;
-  /// Rows per vectorized executor batch. > 0 installs the value as the
-  /// process-wide parallel::DefaultConfig().batch_size before running
-  /// (1 = row-at-a-time ablation); 0 honors the MONSOON_BATCH_SIZE
-  /// environment knob already folded into the default config.
-  int batch_size = 0;
-  /// Hash-range shards per table (shard/shard.h). > 0 installs the value
-  /// as the process-wide shard::DefaultShardCount() before running
-  /// (1 = unsharded, the exact pre-shard code path); 0 honors the
-  /// MONSOON_SHARDS environment knob already folded into the default.
-  int shards = 0;
-  /// UDF column cache byte budget per MaterializedStore. >= 0 installs the
-  /// value as the process-wide default before running (0 disables the
-  /// cache entirely); < 0 leaves the current default, which itself honors
-  /// the MONSOON_UDF_CACHE environment knob (bytes) on first use.
-  int64_t udf_cache_bytes = -1;
   /// When non-empty, RunAll writes the per-query JSON run report
   /// (obs::WriteRunReport) here after the last record. Empty honors the
   /// MONSOON_REPORT environment knob instead.
   std::string report_out;
-  /// Fault-injection spec (fault::ParseFaultSpec grammar, e.g.
-  /// "exec.udf_eval*=0.01"). Non-empty installs it process-wide before the
-  /// first query, seeded from MONSOON_FAULT_SEED and honoring
-  /// MONSOON_UDF_TIMEOUT_MS; empty honors the MONSOON_FAULTS environment
-  /// knob, and leaves the current injector state untouched when that is
-  /// unset too (so tests can pre-install their own specs).
-  std::string faults;
   /// Structured slow-query log path (JSONL, obs/slowlog.h). Non-empty
   /// opens the log before the first query and appends an entry for every
-  /// eligible record; empty honors the MONSOON_SLOW_LOG environment knob.
+  /// record obs::ClassifyQuery keeps; empty honors the MONSOON_SLOW_LOG
+  /// environment knob.
   std::string slow_log;
   /// Clean records at/over this latency count as slow for the slow-query
-  /// log; 0 logs only degraded / failed records. Env: MONSOON_SLOW_MS.
+  /// log; 0 logs only retried / degraded / failed records. Env:
+  /// MONSOON_SLOW_MS.
   uint64_t slow_ms = 0;
 };
 
@@ -75,12 +56,6 @@ struct QueryRecord {
   RunResult result;
   obs::MetricsSnapshot metrics_delta;
 };
-
-/// Flattens a record into the run-report form. The scalar fields are copied
-/// from the same RunResult the CSV reads, with the identical status
-/// spelling ("ok" / "timeout" / "error"), so the report reproduces the CSV
-/// bit-identically.
-obs::QueryReport MakeQueryReport(const QueryRecord& record);
 
 /// Per-strategy aggregate in the style of the paper's Tables 3/5/6/7.
 struct StrategySummary {

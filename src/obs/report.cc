@@ -25,6 +25,24 @@ void WriteHistogram(JsonWriter& writer, const HistogramSnapshot& snap) {
 
 }  // namespace
 
+QueryReason ClassifyQuery(const QueryReport& report, uint64_t elapsed_us,
+                          uint64_t slow_us) {
+  if (report.code == StatusCode::kCancelled) return QueryReason::kCancelled;
+  if (report.code != StatusCode::kOk) return QueryReason::kError;
+  if (report.degraded) return QueryReason::kDegraded;
+  if (report.fault_retries > 0 || report.shard_retries > 0) {
+    return QueryReason::kRetried;
+  }
+  if (slow_us > 0 && elapsed_us >= slow_us) return QueryReason::kSlow;
+  return QueryReason::kClean;
+}
+
+const char* QueryReasonName(QueryReason reason) {
+  static constexpr const char* kNames[] = {"clean",    "slow",  "retried",
+                                           "degraded", "error", "cancelled"};
+  return kNames[static_cast<int>(reason)];
+}
+
 void WriteMetricsJson(JsonWriter& writer, const MetricsSnapshot& snap) {
   writer.BeginObject();
   writer.Key("counters");

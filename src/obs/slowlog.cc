@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/json.h"
+#include "obs/trace.h"
 
 namespace monsoon::obs {
 
@@ -20,32 +21,34 @@ Status SlowQueryLog::Open() {
   return Status::OK();
 }
 
-void SlowQueryLog::Log(const SlowLogEntry& entry) {
+void SlowQueryLog::Log(const QueryReport& report, uint64_t elapsed_us,
+                       QueryReason reason, const std::string& trace_path) {
   if (!opened_) return;
   std::ostringstream line;
   JsonWriter w(line);
   w.BeginObject();
-  w.KV("sql", entry.sql);
-  w.KV("fingerprint", entry.fingerprint);
-  w.KV("reason", entry.reason);
-  w.KV("status", entry.status);
-  w.KV("elapsed_us", entry.elapsed_us);
-  w.KV("result_rows", entry.result_rows);
-  w.KV("objects_processed", entry.objects_processed);
-  w.KV("work_units", entry.work_units);
+  w.KV("sql", report.query);
+  w.KV("fingerprint", report.strategy);
+  w.KV("reason", QueryReasonName(reason));
+  w.KV("status",
+       reason == QueryReason::kCancelled ? "cancelled" : report.status);
+  w.KV("elapsed_us", elapsed_us);
+  w.KV("result_rows", report.result_rows);
+  w.KV("objects_processed", report.objects_processed);
+  w.KV("work_units", report.work_units);
   w.Key("udf_cache");
   w.BeginObject();
-  w.KV("hits", entry.udf_cache_hits);
-  w.KV("misses", entry.udf_cache_misses);
+  w.KV("hits", report.udf_cache_hits);
+  w.KV("misses", report.udf_cache_misses);
   w.EndObject();
-  w.KV("degraded", entry.degraded);
-  if (!entry.degraded_reasons.empty()) {
+  w.KV("degraded", report.degraded);
+  if (!report.degraded_reasons.empty()) {
     w.Key("degraded_reasons");
     w.BeginArray();
-    for (const std::string& reason : entry.degraded_reasons) w.String(reason);
+    for (const std::string& why : report.degraded_reasons) w.String(why);
     w.EndArray();
   }
-  if (!entry.trace_path.empty()) w.KV("trace", entry.trace_path);
+  if (!trace_path.empty()) w.KV("trace", trace_path);
   w.EndObject();
   MutexLock lock(log_mu_);
   out_ << line.str() << "\n";
@@ -56,6 +59,21 @@ void SlowQueryLog::Log(const SlowLogEntry& entry) {
 uint64_t SlowQueryLog::entries_written() const {
   MutexLock lock(log_mu_);
   return entries_;
+}
+
+std::string FinishQuery(uint64_t tail_serial, const QueryReport& report,
+                        uint64_t elapsed_us, SlowQueryLog* slow_log) {
+  std::string trace_path = EndQueryTrace(
+      tail_serial, ClassifyQuery(report, elapsed_us, TailSamplingSlowUs()),
+      elapsed_us);
+  if (slow_log != nullptr) {
+    QueryReason reason =
+        ClassifyQuery(report, elapsed_us, slow_log->slow_us());
+    if (reason != QueryReason::kClean) {
+      slow_log->Log(report, elapsed_us, reason, trace_path);
+    }
+  }
+  return trace_path;
 }
 
 }  // namespace monsoon::obs

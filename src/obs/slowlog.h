@@ -4,48 +4,25 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "common/sync.h"
 #include "common/thread_annotations.h"
+#include "obs/report.h"
 
 namespace monsoon::obs {
 
 /// Structured slow-query log: one JSON object per line (JSONL), appended
 /// as queries finish. Shared by the server (--slow-log=) and the harness
-/// (MONSOON_SLOW_LOG); entries are filled by the caller so this layer
-/// stays free of executor types. A query is eligible when it ran at or
-/// over the slow threshold, degraded, was cancelled, or failed — the same
-/// predicate the tail trace sampler uses, so a logged query's `trace`
-/// field (when tail sampling is on) points at its kept trace file.
-struct SlowLogEntry {
-  std::string sql;          // the request text (query name in the harness)
-  std::string fingerprint;  // spec fingerprint / strategy label
-  // "cancelled" | "error" | "degraded" | "retried" | "slow", in that
-  // precedence order (a cancelled query that also retried logs "cancelled").
-  std::string reason;
-  std::string status;       // "ok" | "timeout" | "error" | "cancelled"
-
-  uint64_t elapsed_us = 0;
-  uint64_t result_rows = 0;
-  uint64_t objects_processed = 0;
-  uint64_t work_units = 0;
-  uint64_t udf_cache_hits = 0;
-  uint64_t udf_cache_misses = 0;
-
-  bool degraded = false;
-  std::vector<std::string> degraded_reasons;
-
-  /// Tail-sampled trace file for this query; empty when tracing was off
-  /// or the trace was dropped.
-  std::string trace_path;
-};
-
+/// (MONSOON_SLOW_LOG) through FinishQuery. A query is logged when
+/// ClassifyQuery against the log's threshold is not kClean — the same
+/// classification the tail trace sampler uses, so a logged query's
+/// `trace` field (when tail sampling is on) points at its kept trace file.
 class SlowQueryLog {
  public:
-  /// `slow_us` = 0 logs only degraded / cancelled / failed queries; any
-  /// other value additionally logs clean queries at or over the threshold.
+  /// `slow_us` = 0 logs only retried / degraded / cancelled / failed
+  /// queries; any other value additionally logs clean queries at or over
+  /// the threshold.
   SlowQueryLog(std::string path, uint64_t slow_us);
 
   SlowQueryLog(const SlowQueryLog&) = delete;
@@ -58,20 +35,12 @@ class SlowQueryLog {
   uint64_t slow_us() const { return slow_us_; }
   const std::string& path() const { return path_; }
 
-  /// The logging predicate, exposed so callers can skip building an entry.
-  /// `retried` marks a query that completed only by recovering from
-  /// injected/transient faults (fault-point or shard retries) — always
-  /// log-worthy: a fleet quietly riding its retry budget is the exact
-  /// signal this log exists to surface.
-  bool Eligible(uint64_t elapsed_us, bool ok, bool degraded, bool cancelled,
-                bool retried = false) const {
-    if (degraded || cancelled || !ok || retried) return true;
-    return slow_us_ > 0 && elapsed_us >= slow_us_;
-  }
-
-  /// Serializes one JSONL line and flushes. Thread-safe; drops silently
-  /// when the log is not open (the open failure was already reported).
-  void Log(const SlowLogEntry& entry);
+  /// Appends one JSONL line for `report` and flushes; `status` is
+  /// "cancelled" for a cancelled query, else the report's. Thread-safe;
+  /// drops silently when the log is not open (the open failure was already
+  /// reported).
+  void Log(const QueryReport& report, uint64_t elapsed_us, QueryReason reason,
+           const std::string& trace_path);
 
   uint64_t entries_written() const;
 
@@ -84,6 +53,14 @@ class SlowQueryLog {
   std::ofstream out_ GUARDED_BY(log_mu_);
   uint64_t entries_ GUARDED_BY(log_mu_) = 0;
 };
+
+/// The one query-end routine of the harness and the server. Ends the
+/// tail-trace scope `tail_serial` (0 = tail sampling off) with the query's
+/// classification at the sampler's threshold, then logs it to `slow_log`
+/// (may be null) when its classification at the log's threshold keeps it.
+/// Returns the kept trace path, "" when there is none.
+std::string FinishQuery(uint64_t tail_serial, const QueryReport& report,
+                        uint64_t elapsed_us, SlowQueryLog* slow_log);
 
 }  // namespace monsoon::obs
 

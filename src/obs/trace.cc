@@ -13,6 +13,7 @@
 #include "common/sync.h"
 #include "common/thread_annotations.h"
 #include "obs/json.h"
+#include "obs/report.h"
 
 namespace monsoon::obs {
 
@@ -83,9 +84,10 @@ class Tracer {
   std::vector<TraceEvent> orphans GUARDED_BY(tracer_mu);
 
   /// Tail-sampling state (StartTailSampling). The atomics are read on the
-  /// span fast path without the mutex; dir/slow_us only change under it.
+  /// span fast path and at query end without the mutex; dir only changes
+  /// under it.
   std::string tail_dir GUARDED_BY(tracer_mu);
-  uint64_t tail_slow_us GUARDED_BY(tracer_mu) = 0;
+  std::atomic<uint64_t> tail_slow_us{0};
   std::atomic<size_t> tail_byte_budget{0};
   std::atomic<size_t> tail_bytes{0};
   std::atomic<uint64_t> tail_dropped{0};
@@ -121,6 +123,34 @@ class Tracer {
   void SetLaneName(int lane, const std::string& name) {
     MutexLock lock(tracer_mu);
     lane_names[lane] = name;
+  }
+
+  /// The arm step both modes share: fails while either mode is armed (they
+  /// are mutually exclusive), else starts a fresh epoch, resets every
+  /// lane's id stream to seed + lane and empties the buffers. The caller
+  /// publishes the state with the release store on g_trace_enabled.
+  Status Arm(uint64_t trace_seed) REQUIRES(tracer_mu) {
+    if (active) {
+      return Status::AlreadyExists("full-file tracing is already active (" +
+                                   path + ")");
+    }
+    if (TailSamplingActive()) {
+      return Status::AlreadyExists("tail sampling is already active");
+    }
+    seed = trace_seed;
+    t0 = std::chrono::steady_clock::now();
+    for (int lane = 0; lane < kNumLanes; ++lane) {
+      lanes[lane].rng = Pcg32(trace_seed + static_cast<uint64_t>(lane));
+      lanes[lane].seq = 0;
+    }
+    if (lane_names[kMainLane].empty()) lane_names[kMainLane] = "main";
+    for (const auto& buffer : buffers) {
+      MutexLock buffer_lock(buffer->bmu);
+      buffer->events.clear();
+    }
+    orphans.clear();
+    if (tls_lane < 0) tls_lane = kMainLane;
+    return Status::OK();
   }
 
  private:
@@ -274,29 +304,8 @@ TraceLaneScope::~TraceLaneScope() { tls_lane = saved_lane_; }
 Status StartTracing(const std::string& path, uint64_t seed) {
   Tracer& tracer = Tracer::Global();
   MutexLock lock(tracer.tracer_mu);
-  if (tracer.active) {
-    return Status::AlreadyExists("tracing is already active (" + tracer.path +
-                                 ")");
-  }
-  if (TailSamplingActive()) {
-    return Status::AlreadyExists("tail sampling owns the tracer");
-  }
+  MONSOON_RETURN_IF_ERROR(tracer.Arm(seed));
   tracer.path = path;
-  tracer.seed = seed;
-  tracer.t0 = std::chrono::steady_clock::now();
-  for (int lane = 0; lane < kNumLanes; ++lane) {
-    tracer.lanes[lane].rng = Pcg32(seed + static_cast<uint64_t>(lane));
-    tracer.lanes[lane].seq = 0;
-  }
-  if (tracer.lane_names[kMainLane].empty()) {
-    tracer.lane_names[kMainLane] = "main";
-  }
-  for (const auto& buffer : tracer.buffers) {
-    MutexLock buffer_lock(buffer->bmu);
-    buffer->events.clear();
-  }
-  tracer.orphans.clear();
-  if (tls_lane < 0) tls_lane = kMainLane;
 
   static bool atexit_registered = false;
   if (!atexit_registered) {
@@ -340,46 +349,22 @@ Status StopTracing() {
 
 bool MaybeStartTracingFromEnv() {
   if (TracingEnabled()) return false;
-  const char* path = std::getenv("MONSOON_TRACE");
-  if (path == nullptr || path[0] == '\0') return false;
-  uint64_t seed = kDefaultTraceSeed;
-  if (const char* seed_env = std::getenv("MONSOON_TRACE_SEED")) {
-    seed = std::strtoull(seed_env, nullptr, 10);
-  }
-  return StartTracing(path, seed).ok();
+  std::string path = EnvString("MONSOON_TRACE").value_or("");
+  if (path.empty()) return false;
+  return StartTracing(path, EnvUint64("MONSOON_TRACE_SEED", kDefaultTraceSeed))
+      .ok();
 }
 
 Status StartTailSampling(const TailSamplingOptions& options) {
   Tracer& tracer = Tracer::Global();
   MutexLock lock(tracer.tracer_mu);
-  if (tracer.active) {
-    return Status::AlreadyExists("full-file tracing is already active (" +
-                                 tracer.path + ")");
-  }
-  if (TailSamplingActive()) {
-    return Status::AlreadyExists("tail sampling is already active");
-  }
+  MONSOON_RETURN_IF_ERROR(tracer.Arm(options.seed));
   tracer.tail_dir = options.dir.empty() ? "." : options.dir;
-  tracer.tail_slow_us = options.slow_us;
+  tracer.tail_slow_us.store(options.slow_us, std::memory_order_relaxed);
   tracer.tail_byte_budget.store(options.byte_budget,
                                 std::memory_order_relaxed);
   tracer.tail_bytes.store(0, std::memory_order_relaxed);
   tracer.tail_dropped.store(0, std::memory_order_relaxed);
-  tracer.seed = options.seed;
-  tracer.t0 = std::chrono::steady_clock::now();
-  for (int lane = 0; lane < kNumLanes; ++lane) {
-    tracer.lanes[lane].rng = Pcg32(options.seed + static_cast<uint64_t>(lane));
-    tracer.lanes[lane].seq = 0;
-  }
-  if (tracer.lane_names[kMainLane].empty()) {
-    tracer.lane_names[kMainLane] = "main";
-  }
-  for (const auto& buffer : tracer.buffers) {
-    MutexLock buffer_lock(buffer->bmu);
-    buffer->events.clear();
-  }
-  tracer.orphans.clear();
-  if (tls_lane < 0) tls_lane = kMainLane;
 
   internal::g_tail_mode.store(true, std::memory_order_release);
   internal::g_trace_enabled.store(true, std::memory_order_release);
@@ -422,10 +407,9 @@ uint64_t BeginQueryTrace() {
   return serial;
 }
 
-QueryTraceDecision EndQueryTrace(uint64_t serial,
-                                 const QueryTraceVerdict& verdict) {
-  QueryTraceDecision decision;
-  if (serial == 0) return decision;
+std::string EndQueryTrace(uint64_t serial, QueryReason reason,
+                          uint64_t elapsed_us) {
+  if (serial == 0) return std::string();
   if (tls_query_serial == serial) tls_query_serial = 0;
 
   Tracer& tracer = Tracer::Global();
@@ -452,22 +436,13 @@ QueryTraceDecision EndQueryTrace(uint64_t serial,
   for (const TraceEvent& ev : events) freed += ApproxEventBytes(ev);
   tracer.tail_bytes.fetch_sub(freed, std::memory_order_relaxed);
 
-  if (!TailSamplingActive()) return decision;  // stopped while in flight
-
-  if (verdict.cancelled) {
-    decision.reason = "cancelled";
-  } else if (verdict.faulted) {
-    decision.reason = "faulted";
-  } else if (verdict.degraded) {
-    decision.reason = "degraded";
-  } else if (tracer.tail_slow_us > 0 &&
-             verdict.elapsed_us >= tracer.tail_slow_us) {
-    decision.reason = "slow";
-  } else {
-    decision.reason = "fast";
-    return decision;  // dropped: events discarded with this scope
+  // Dropped: the events are discarded with this scope. Also when sampling
+  // stopped while the query was in flight.
+  if (!TailSamplingActive() || reason == QueryReason::kClean) {
+    return std::string();
   }
-  decision.sampled = true;
+  const std::string reason_name =
+      reason == QueryReason::kError ? "faulted" : QueryReasonName(reason);
 
   std::stable_sort(events.begin(), events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
@@ -486,10 +461,10 @@ QueryTraceDecision EndQueryTrace(uint64_t serial,
   marker.ts_us = events.empty() ? 0 : events.front().ts_us;
   marker.dur_us = 0;
   marker.args.emplace_back("decision", "\"sampled\"");
-  marker.args.emplace_back("reason", "\"" + decision.reason + "\"");
+  marker.args.emplace_back("reason", "\"" + reason_name + "\"");
   marker.args.emplace_back(
       "elapsed_us",
-      StrFormat("%llu", static_cast<unsigned long long>(verdict.elapsed_us)));
+      StrFormat("%llu", static_cast<unsigned long long>(elapsed_us)));
   marker.args.emplace_back(
       "serial", StrFormat("%llu", static_cast<unsigned long long>(serial)));
   marker.args.emplace_back(
@@ -498,17 +473,18 @@ QueryTraceDecision EndQueryTrace(uint64_t serial,
                             tracer.tail_dropped.load(std::memory_order_relaxed))));
   events.insert(events.begin(), std::move(marker));
 
-  decision.path =
+  std::string path =
       tracer.tail_dir +
       StrFormat("/tail-%06llu-", static_cast<unsigned long long>(serial)) +
-      decision.reason + ".json";
-  Status written =
-      WriteTraceJson(decision.path, events, tracer.lane_names, tracer.seed);
-  if (!written.ok()) {
-    decision.sampled = false;
-    decision.path.clear();
+      reason_name + ".json";
+  if (!WriteTraceJson(path, events, tracer.lane_names, tracer.seed).ok()) {
+    return std::string();
   }
-  return decision;
+  return path;
+}
+
+uint64_t TailSamplingSlowUs() {
+  return Tracer::Global().tail_slow_us.load(std::memory_order_relaxed);
 }
 
 uint64_t TailSamplingDroppedEvents() {

@@ -26,6 +26,8 @@ namespace monsoon::obs {
 /// no allocation, no lock (pinned by bench_obs_overhead and the
 /// zero-allocation test).
 
+enum class QueryReason;  // obs/report.h
+
 namespace internal {
 extern std::atomic<bool> g_trace_enabled;
 extern std::atomic<bool> g_tail_mode;
@@ -90,10 +92,10 @@ bool MaybeStartTracingFromEnv();
 ///
 /// Production mode: tracing stays armed for every query, but the buffered
 /// events are kept only for queries that *end* interesting — slower than a
-/// threshold, degraded, cancelled, or faulted — and are dropped at query
-/// end otherwise, under a global byte budget. Each kept query becomes its
-/// own Chrome trace file in `dir`, prefixed with a "sampling_decision"
-/// marker event recording why it was kept.
+/// threshold, retried, degraded, cancelled, or faulted (ClassifyQuery) —
+/// and are dropped at query end otherwise, under a global byte budget.
+/// Each kept query becomes its own Chrome trace file in `dir`, prefixed
+/// with a "sampling_decision" marker event recording why it was kept.
 ///
 /// Scoping: BeginQueryTrace() tags the calling thread with a fresh query
 /// serial; spans recorded by that thread until the matching EndQueryTrace()
@@ -106,8 +108,8 @@ bool MaybeStartTracingFromEnv();
 struct TailSamplingOptions {
   /// Directory for kept trace files ("<dir>/tail-<serial>-<reason>.json").
   std::string dir;
-  /// Keep queries with elapsed_us >= slow_us; 0 keeps only degraded /
-  /// cancelled / faulted queries.
+  /// Keep queries with elapsed_us >= slow_us; 0 keeps only retried /
+  /// degraded / cancelled / faulted queries.
   uint64_t slow_us = 0;
   /// Span-id stream seed, as StartTracing.
   uint64_t seed = kDefaultTraceSeed;
@@ -132,28 +134,16 @@ bool MaybeStartTailSamplingFromEnv();
 /// load when inactive (gated by bench_obs_overhead).
 uint64_t BeginQueryTrace();
 
-/// How the query ended; EndQueryTrace combines this with the configured
-/// threshold to reach the keep/drop decision.
-struct QueryTraceVerdict {
-  uint64_t elapsed_us = 0;
-  bool degraded = false;
-  bool cancelled = false;
-  bool faulted = false;  // finished with a non-OK, non-cancel status
-};
+/// Closes the scope opened by BeginQueryTrace. `reason` is ClassifyQuery at
+/// TailSamplingSlowUs(): kClean drops the events, anything else writes
+/// "<dir>/tail-<serial>-<reason>.json" (kError is spelled "faulted").
+/// Returns the written path; "" when dropped, on a failed write, or for
+/// serial == 0 (tail sampling inactive at Begin time, a no-op).
+std::string EndQueryTrace(uint64_t serial, QueryReason reason,
+                          uint64_t elapsed_us);
 
-struct QueryTraceDecision {
-  bool sampled = false;
-  /// "slow" | "degraded" | "cancelled" | "faulted" | "fast" (dropped).
-  std::string reason;
-  /// Path of the written trace file; empty when dropped.
-  std::string path;
-};
-
-/// Closes the scope opened by BeginQueryTrace: writes the query's trace
-/// file when the verdict keeps it, discards the events otherwise. Passing
-/// serial == 0 is a no-op (tail sampling inactive at Begin time).
-QueryTraceDecision EndQueryTrace(uint64_t serial,
-                                 const QueryTraceVerdict& verdict);
+/// The armed tail sampler's slow threshold (TailSamplingOptions::slow_us).
+uint64_t TailSamplingSlowUs();
 
 /// Events dropped by the byte budget since StartTailSampling.
 uint64_t TailSamplingDroppedEvents();

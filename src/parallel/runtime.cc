@@ -44,7 +44,7 @@ void SetDefaultConfig(const Config& config) {
   rt.config.batch_size = std::max<size_t>(1, config.batch_size);
   // Rebuild eagerly so the old pool's workers wind down now rather than
   // under a later query.
-  if (rt.config.num_threads <= 1 || rt.config.deterministic) {
+  if (rt.config.num_threads <= 1) {
     rt.pool.reset();
   } else if (rt.pool == nullptr ||
              rt.pool->num_threads() != rt.config.num_threads) {
@@ -59,11 +59,6 @@ ThreadPool* SharedPool() {
   return rt.pool.get();
 }
 
-int EffectiveMctsWorkers() {
-  Config config = DefaultConfig();
-  if (config.deterministic) return 1;
-  int workers = config.mcts_workers > 0 ? config.mcts_workers : config.num_threads;
-  return std::max(1, workers);
-}
+int EffectiveMctsWorkers() { return DefaultConfig().num_threads; }
 
 }  // namespace monsoon::parallel

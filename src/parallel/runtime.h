@@ -28,13 +28,6 @@ struct Config {
   /// Initialized from MONSOON_BATCH_SIZE (default 1024); an explicit
   /// --batch-size=N flag wins over the environment (common/env.h rule).
   size_t batch_size = 1024;
-  /// Debug escape hatch: run every parallel construct inline on the
-  /// calling thread, regardless of num_threads. Results are identical
-  /// either way (merges are ordered and HLL/visit merges are exact); the
-  /// flag only removes the scheduler from the picture.
-  bool deterministic = false;
-  /// Root-parallel MCTS searchers per decision; 0 = num_threads.
-  int mcts_workers = 0;
 };
 
 /// The current process-wide default (thread-safe snapshot).
@@ -46,11 +39,12 @@ Config DefaultConfig();
 void SetDefaultConfig(const Config& config);
 
 /// The process-wide pool sized per DefaultConfig(). Returns nullptr when
-/// the config implies serial execution (num_threads <= 1 or
-/// deterministic), which every consumer treats as "run inline".
+/// the config implies serial execution (num_threads <= 1), which every
+/// consumer treats as "run inline".
 ThreadPool* SharedPool();
 
-/// Effective root-parallel MCTS worker count from the default config.
+/// Root-parallel MCTS searchers per decision: the default config's
+/// num_threads.
 int EffectiveMctsWorkers();
 
 }  // namespace monsoon::parallel

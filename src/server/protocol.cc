@@ -9,12 +9,6 @@ namespace monsoon::server {
 
 namespace {
 
-std::string StatusLabel(const RunResult& r) {
-  if (r.ok()) return "ok";
-  if (r.timed_out()) return "timeout";
-  return "error";
-}
-
 void OpenResponse(obs::JsonWriter* w, uint64_t id, const std::string& status,
                   StatusCode code) {
   w->BeginObject();
@@ -49,30 +43,30 @@ Request ParseRequestLine(const std::string& line) {
   return request;
 }
 
-std::string RenderRunResponse(uint64_t id, const RunResult& result,
+std::string RenderRunResponse(uint64_t id, const obs::QueryReport& report,
                               const std::string& trace_path) {
   std::ostringstream out;
   obs::JsonWriter w(out);
-  OpenResponse(&w, id, StatusLabel(result), result.status.code());
-  if (!result.ok()) w.KV("error", result.status.message());
+  OpenResponse(&w, id, report.status, report.code);
+  if (report.code != StatusCode::kOk) w.KV("error", report.error);
   if (!trace_path.empty()) w.KV("trace", trace_path);
-  w.KV("rows", result.result_rows);
-  w.KV("objects", result.objects_processed);
-  w.KV("work_units", result.work_units);
-  w.KV("execute_rounds", result.execute_rounds);
-  w.KV("stats_collections", result.stats_collections);
+  w.KV("rows", report.result_rows);
+  w.KV("objects", report.objects_processed);
+  w.KV("work_units", report.work_units);
+  w.KV("execute_rounds", report.execute_rounds);
+  w.KV("stats_collections", report.stats_collections);
   w.Key("udf_cache");
   w.BeginObject();
-  w.KV("hits", result.udf_cache_hits);
-  w.KV("misses", result.udf_cache_misses);
+  w.KV("hits", report.udf_cache_hits);
+  w.KV("misses", report.udf_cache_misses);
   w.EndObject();
-  w.KV("degraded", result.degraded);
+  w.KV("degraded", report.degraded);
   w.Key("seconds");
   w.BeginObject();
-  w.KV("total", result.total_seconds);
-  w.KV("plan", result.plan_seconds);
-  w.KV("stats", result.stats_seconds);
-  w.KV("exec", result.exec_seconds);
+  w.KV("total", report.total_seconds);
+  w.KV("plan", report.plan_seconds);
+  w.KV("stats", report.stats_seconds);
+  w.KV("exec", report.exec_seconds);
   w.EndObject();
   w.EndObject();
   return out.str();

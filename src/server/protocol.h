@@ -5,8 +5,8 @@
 #include <string>
 
 #include "common/status.h"
-#include "exec/run_result.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "server/admission.h"
 
 namespace monsoon::server {
@@ -41,9 +41,10 @@ struct Request {
 /// parser's error message names the offending token).
 Request ParseRequestLine(const std::string& line);
 
-/// Response for a completed (successfully or not) optimizer run.
-/// `trace_path` is the query's tail-sampled trace file ("" = none).
-std::string RenderRunResponse(uint64_t id, const RunResult& result,
+/// Response for a completed (successfully or not) optimizer run, rendered
+/// from its QueryReport (MakeQueryReport). `trace_path` is the query's
+/// tail-sampled trace file ("" = none).
+std::string RenderRunResponse(uint64_t id, const obs::QueryReport& report,
                               const std::string& trace_path = std::string());
 
 /// Response for a request that never reached the optimizer (parse error,

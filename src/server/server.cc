@@ -380,59 +380,21 @@ std::string QueryServer::RunSession(const std::string& sql,
   std::chrono::steady_clock::time_point begin =
       std::chrono::steady_clock::now();
 
-  auto finish_query = [&](const RunResult& result, const std::string& spec_fp,
+  auto finish_query = [&](const obs::QueryReport& report,
                           uint64_t elapsed_us) {
-    bool cancelled = result.status.code() == StatusCode::kCancelled;
-    bool clean = result.ok() && !result.degraded;
-    bool slow = clean && options_.slow_query_ms > 0 &&
-                elapsed_us >= options_.slow_query_ms * 1000;
-    if (result.degraded) Metrics().degraded->Add(1);
-    if (slow) Metrics().slow->Add(1);
-
-    span.End();  // buffer the session span before the tail verdict sweeps
-    obs::QueryTraceVerdict verdict;
-    verdict.elapsed_us = elapsed_us;
-    verdict.degraded = result.degraded;
-    verdict.cancelled = cancelled;
-    verdict.faulted = !result.ok() && !cancelled;
-    obs::QueryTraceDecision decision = obs::EndQueryTrace(tail_serial, verdict);
+    if (report.degraded) Metrics().degraded->Add(1);
+    if (obs::ClassifyQuery(report, elapsed_us, options_.slow_query_ms * 1000) ==
+        obs::QueryReason::kSlow) {
+      Metrics().slow->Add(1);
+    }
+    span.End();  // buffer the session span before the tail scope ends
+    std::string trace_path =
+        obs::FinishQuery(tail_serial, report, elapsed_us, slow_log_.get());
     if (tail_serial != 0) {
-      (decision.sampled ? Metrics().tail_sampled : Metrics().tail_dropped)
+      (trace_path.empty() ? Metrics().tail_dropped : Metrics().tail_sampled)
           ->Add(1);
     }
-
-    // A query that completed only by recovering (fault-point or shard
-    // retries) is log-worthy even when fast and clean; precedence keeps
-    // the most actionable label: cancelled > error > degraded > retried >
-    // slow.
-    bool retried = result.fault_retries > 0 || result.shard_retries > 0;
-    if (slow_log_ != nullptr &&
-        slow_log_->Eligible(elapsed_us, result.ok(), result.degraded,
-                            cancelled, retried)) {
-      obs::SlowLogEntry entry;
-      entry.sql = sql;
-      entry.fingerprint = spec_fp;
-      entry.reason = cancelled ? "cancelled"
-                     : !result.ok() ? "error"
-                     : result.degraded ? "degraded"
-                     : retried ? "retried"
-                               : "slow";
-      entry.status = cancelled ? "cancelled"
-                     : result.ok() ? "ok"
-                     : result.timed_out() ? "timeout"
-                                          : "error";
-      entry.elapsed_us = elapsed_us;
-      entry.result_rows = result.result_rows;
-      entry.objects_processed = result.objects_processed;
-      entry.work_units = result.work_units;
-      entry.udf_cache_hits = result.udf_cache_hits;
-      entry.udf_cache_misses = result.udf_cache_misses;
-      entry.degraded = result.degraded;
-      entry.degraded_reasons = result.degraded_reasons;
-      entry.trace_path = decision.path;
-      slow_log_->Log(entry);
-    }
-    return decision.path;
+    return trace_path;
   };
 
   SqlParser parser(catalog_);
@@ -445,7 +407,8 @@ std::string QueryServer::RunSession(const std::string& sql,
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - begin)
             .count());
-    std::string trace_path = finish_query(failed, std::string(), elapsed_us);
+    std::string trace_path =
+        finish_query(MakeQueryReport(failed, sql, std::string()), elapsed_us);
     return RenderErrorResponse(request_id, spec_or.status(), trace_path);
   }
   QuerySpec spec = std::move(spec_or).value();
@@ -474,8 +437,10 @@ std::string QueryServer::RunSession(const std::string& sql,
   span.Arg("status", result.ok() ? "ok" : StatusCodeToString(result.status.code()))
       .Arg("rows", result.result_rows)
       .Arg("work_units", result.work_units);
-  std::string trace_path = finish_query(result, fingerprint, elapsed_us);
-  return RenderRunResponse(request_id, result, trace_path);
+  obs::QueryReport report =
+      MakeQueryReport(result, sql, std::move(fingerprint));
+  std::string trace_path = finish_query(report, elapsed_us);
+  return RenderRunResponse(request_id, report, trace_path);
 }
 
 void QueryServer::Shutdown() {

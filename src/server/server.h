@@ -57,8 +57,9 @@ struct ServerOptions {
   /// Structured slow-query log path (JSONL, obs/slowlog.h); empty
   /// disables. Env: MONSOON_SLOW_LOG.
   std::string slow_log_path;
-  /// Clean queries at/over this latency are logged and counted slow; 0
-  /// logs only degraded / cancelled / failed queries. Env: MONSOON_SLOW_MS.
+  /// Queries obs::ClassifyQuery calls slow at this threshold (clean and
+  /// at/over it) are logged and counted slow; 0 logs only retried /
+  /// degraded / cancelled / failed queries. Env: MONSOON_SLOW_MS.
   uint64_t slow_query_ms = 0;
 
   /// `base` with port / max_sessions / queue_depth / telemetry and

@@ -181,20 +181,9 @@ TEST(RuntimeTest, ConfigRoundTripsAndSizesThePool) {
   EXPECT_EQ(SharedPool()->num_threads(), 3);
   EXPECT_EQ(EffectiveMctsWorkers(), 3);
 
-  config.mcts_workers = 7;
-  SetDefaultConfig(config);
-  EXPECT_EQ(EffectiveMctsWorkers(), 7);
-
   config.num_threads = 1;
   SetDefaultConfig(config);
   EXPECT_EQ(SharedPool(), nullptr) << "serial config must not keep a pool";
-
-  // The deterministic escape hatch disables the pool outright.
-  config.num_threads = 4;
-  config.deterministic = true;
-  SetDefaultConfig(config);
-  EXPECT_EQ(SharedPool(), nullptr);
-  EXPECT_EQ(EffectiveMctsWorkers(), 1);
 
   SetDefaultConfig(original);
 }

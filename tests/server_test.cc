@@ -740,6 +740,69 @@ TEST_F(ServerTest, TailSamplingKeepsExactlySlowDegradedFaultedTraces) {
   EXPECT_EQ(query_server.slow_log()->entries_written(), 2u);
 }
 
+// A query that completes only by retrying transient faults is kept by both
+// sinks under the one classification: the tail sampler writes a
+// "retried" trace (it used to drop it as fast) and the slow log's line
+// carries reason "retried" and points at that trace.
+TEST_F(ServerTest, TailSamplingKeepsRetriedQueries) {
+  std::string dir = testing::TempDir() + "/tail_retried";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::string slow_log = testing::TempDir() + "/tail_retried_slow.jsonl";
+  std::remove(slow_log.c_str());
+
+  // Transient UDF faults at 5% per evaluation: under this seed some rows
+  // of the query fire and every one of them succeeds on a retry, so the
+  // query finishes ok and not degraded, with fault retries.
+  fault::FaultConfig fault_base;
+  fault_base.seed = 1;
+  ASSERT_TRUE(fault::InstallSpec("exec.udf_eval*=0.05", fault_base).ok());
+
+  obs::TailSamplingOptions tail;
+  tail.dir = dir;
+  tail.slow_us = 3600u * 1000 * 1000;  // 1h: nothing qualifies as "slow"
+  ASSERT_TRUE(obs::StartTailSampling(tail).ok());
+
+  ServerOptions options = BaseOptions();
+  options.share_state = false;
+  options.telemetry_interval_ms = 0;
+  options.slow_log_path = slow_log;
+  options.slow_query_ms = 0;
+  QueryServer query_server(&catalog_, options);
+  ASSERT_TRUE(query_server.Start().ok());
+
+  TestClient client(query_server.port());
+  ASSERT_TRUE(client.connected());
+  obs::JsonValue response = client.RoundTrip(small_sql_);
+  obs::JsonValue health = client.RoundTrip(".health");
+  query_server.Shutdown();
+  ASSERT_TRUE(obs::StopTailSampling().ok());
+  fault::Clear();
+
+  EXPECT_EQ(Str(response, "status"), "ok");
+  EXPECT_FALSE(response.Find("degraded")->bool_value);
+  EXPECT_GT(Num(health, "fault_retries"), 0u);
+  ASSERT_NE(response.Find("trace"), nullptr)
+      << "a retried query must keep its trace";
+
+  std::map<std::string, std::string> traces = TailTracesByReason(dir);
+  ASSERT_EQ(traces.size(), 1u);
+  ASSERT_TRUE(traces.count("retried"));
+  EXPECT_EQ(traces["retried"], Str(response, "trace"));
+
+  std::ifstream in(slow_log);
+  ASSERT_TRUE(in.is_open());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 1u);
+  auto doc = obs::JsonParse(lines[0]);
+  ASSERT_TRUE(doc.ok()) << lines[0];
+  EXPECT_EQ(Str(*doc, "reason"), "retried");
+  EXPECT_EQ(Str(*doc, "status"), "ok");
+  EXPECT_EQ(Str(*doc, "trace"), traces["retried"]);
+  EXPECT_TRUE(std::filesystem::exists(Str(*doc, "trace")));
+}
+
 // The "slow" side of the sampling decision: with a 1us threshold every
 // clean query ends slow, keeps its trace, and lands in the slow log.
 TEST_F(ServerTest, TailSamplingKeepsSlowQueries) {

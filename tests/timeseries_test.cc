@@ -317,18 +317,31 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
+/// The slow log's old eligibility predicate, now the shared classification
+/// against the log's own threshold.
+bool Eligible(const obs::SlowQueryLog& log, uint64_t elapsed_us, bool ok,
+              bool degraded, bool cancelled) {
+  obs::QueryReport report;
+  report.code = cancelled ? StatusCode::kCancelled
+                : ok      ? StatusCode::kOk
+                          : StatusCode::kInternal;
+  report.degraded = degraded;
+  return obs::ClassifyQuery(report, elapsed_us, log.slow_us()) !=
+         obs::QueryReason::kClean;
+}
+
 TEST(SlowQueryLogTest, EligibilityPredicate) {
   obs::SlowQueryLog log(TempPath("slow_pred.jsonl"), /*slow_us=*/1000);
-  EXPECT_TRUE(log.Eligible(2000, /*ok=*/true, /*degraded=*/false, false));
-  EXPECT_TRUE(log.Eligible(1000, true, false, false));  // inclusive threshold
-  EXPECT_FALSE(log.Eligible(999, true, false, false));
-  EXPECT_TRUE(log.Eligible(1, true, /*degraded=*/true, false));
-  EXPECT_TRUE(log.Eligible(1, true, false, /*cancelled=*/true));
-  EXPECT_TRUE(log.Eligible(1, /*ok=*/false, false, false));
+  EXPECT_TRUE(Eligible(log, 2000, /*ok=*/true, /*degraded=*/false, false));
+  EXPECT_TRUE(Eligible(log, 1000, true, false, false));  // inclusive threshold
+  EXPECT_FALSE(Eligible(log, 999, true, false, false));
+  EXPECT_TRUE(Eligible(log, 1, true, /*degraded=*/true, false));
+  EXPECT_TRUE(Eligible(log, 1, true, false, /*cancelled=*/true));
+  EXPECT_TRUE(Eligible(log, 1, /*ok=*/false, false, false));
 
   obs::SlowQueryLog gated(TempPath("slow_pred2.jsonl"), /*slow_us=*/0);
-  EXPECT_FALSE(gated.Eligible(1u << 30, true, false, false));
-  EXPECT_TRUE(gated.Eligible(1, false, false, false));
+  EXPECT_FALSE(Eligible(gated, 1u << 30, true, false, false));
+  EXPECT_TRUE(Eligible(gated, 1, false, false, false));
 }
 
 TEST(SlowQueryLogTest, WritesParseableJsonl) {
@@ -336,23 +349,19 @@ TEST(SlowQueryLogTest, WritesParseableJsonl) {
   std::remove(path.c_str());
   obs::SlowQueryLog log(path, 1000);
   ASSERT_TRUE(log.Open().ok());
-  obs::SlowLogEntry entry;
-  entry.sql = "SELECT \"quoted\" FROM t";
-  entry.fingerprint = "fp1";
-  entry.reason = "degraded";
+  obs::QueryReport entry;
+  entry.query = "SELECT \"quoted\" FROM t";
+  entry.strategy = "fp1";
   entry.status = "ok";
-  entry.elapsed_us = 1234;
   entry.result_rows = 5;
   entry.degraded = true;
   entry.degraded_reasons = {"udf timeout", "retry budget"};
-  entry.trace_path = "/tmp/tail-000001-degraded.json";
-  log.Log(entry);
-  obs::SlowLogEntry second;
-  second.sql = "SELECT 1";
-  second.reason = "slow";
+  log.Log(entry, /*elapsed_us=*/1234, obs::QueryReason::kDegraded,
+          "/tmp/tail-000001-degraded.json");
+  obs::QueryReport second;
+  second.query = "SELECT 1";
   second.status = "ok";
-  second.elapsed_us = 99999;
-  log.Log(second);
+  log.Log(second, /*elapsed_us=*/99999, obs::QueryReason::kSlow, "");
   EXPECT_EQ(log.entries_written(), 2u);
 
   std::ifstream in(path);
