@@ -87,18 +87,23 @@ tsan_stage() {
 }
 
 asan_stage() {
-  echo "=== [3/12] AddressSanitizer build + UDF cache tests ==="
+  echo "=== [3/12] AddressSanitizer build + lifetime tests ==="
   cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMONSOON_SANITIZE=address
   cmake --build build-ci-asan -j "${JOBS}" \
     --target udf_cache_test exec_test exec_batch_test fault_test shard_test \
-    server_test timeseries_test harness_test
+    server_test timeseries_test harness_test storage_test
   # The cache-on/off/serial/parallel equivalence suite plus the executor,
   # batch-execution, fault and shard suites: every cached column read
   # (join build/probe, residual filters, Σ passes, shard-scoped columns),
   # every selection-vector and Bloom-probe path, every LRU eviction, every
-  # killed-and-retried shard attempt, and every injected-fault error path
-  # runs under ASan. As above, every asan-labelled suite must be built.
+  # killed-and-retried shard attempt, every barrier gather into a pre-sized
+  # output window, and every injected-fault error path runs under ASan.
+  # The storage suite covers the table gathers themselves (appends, window
+  # gathers, ResizeRows); the server, timeseries and harness suites the
+  # query-end path (one report feeding the run report, slow log, tail
+  # sampler and server reply). As above, every asan-labelled suite must be
+  # built.
   ctest --test-dir build-ci-asan --output-on-failure -L asan
   # Vectorized-execution smoke: the batch/row sweep must keep rows and
   # accounting bit-identical and hold its speed gates (>= 2x on filtered
@@ -172,7 +177,7 @@ void Close() {
 EOS
   cat > "${inject_dir}/src/exec/inject_accounting.cc" <<'EOS'
 Status Emit(Table* dst, ExecContext* ctx) {
-  dst->AppendRangeFrom(src, 0, n);
+  dst->AppendSelectedFrom(src, rows, n);
   return Status::OK();
 }
 EOS

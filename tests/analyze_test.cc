@@ -236,7 +236,7 @@ TEST(MustPollTest, FlagsMorselLambdaBody) {
               "      [&](size_t m, size_t begin, size_t end) -> Status {\n"
               "        for (size_t i = begin; i < end; ++i) {\n"
               "          MONSOON_FAULT_POINT(\"exec.x\", i);\n"
-              "          EmitIfPasses(out, t, i);\n"
+              "          EmitRow(out, t, i);\n"
               "        }\n"
               "        return Status::OK();\n"
               "      });\n"
@@ -535,7 +535,7 @@ TEST(StatusFlowTest, NolintSuppresses) {
 TEST(AccountingTest, FlagsAppendWithoutCharge) {
   auto diags = Analyze("src/exec/e.cc",
                        "Status f(Table* dst, ExecContext* ctx) {\n"
-                       "  dst->AppendRangeFrom(src, b, e);\n"
+                       "  dst->AppendSelectedFrom(src, rows, n);\n"
                        "  return Status::OK();\n"
                        "}\n");
   ASSERT_TRUE(HasRule(diags, "monsoon-analyze-accounting"));
@@ -571,7 +571,7 @@ TEST(AccountingTest, ChargedPathsStayQuiet) {
                       "Status f(Table* dst, ExecContext* ctx) {\n"
                       "  for (size_t i = 0; i < n; ++i) {\n"
                       "    MONSOON_RETURN_IF_ERROR(ctx->CheckCancelled());\n"
-                      "    dst->AppendRangeFrom(src, i, i + 1);\n"
+                      "    dst->AppendSelectedFrom(src, &i, 1);\n"
                       "  }\n"
                       "  return ctx->ChargeWork(n);\n"
                       "}\n")
@@ -580,7 +580,7 @@ TEST(AccountingTest, ChargedPathsStayQuiet) {
   EXPECT_TRUE(Analyze("src/exec/e.cc",
                       "Status f(Table* dst, ExecContext* ctx) {\n"
                       "  MONSOON_RETURN_IF_ERROR(ctx->Charge(src.num_rows()));\n"
-                      "  dst->AppendRangeFrom(src, 0, src.num_rows());\n"
+                      "  dst->AppendSelectedFrom(src, rows, src.num_rows());\n"
                       "  return Status::OK();\n"
                       "}\n")
                   .empty());
@@ -588,29 +588,79 @@ TEST(AccountingTest, ChargedPathsStayQuiet) {
   EXPECT_TRUE(Analyze("src/exec/e.cc",
                       "Status f(Table* dst, ExecContext* ctx) {\n"
                       "  ++*work_tally_;\n"
-                      "  dst->AppendRangeFrom(src, b, e);\n"
+                      "  dst->AppendSelectedFrom(src, rows, n);\n"
                       "  return Status::OK();\n"
                       "}\n")
                   .empty());
   // Functions without an ExecContext are out of scope (leaf helpers whose
   // callers charge).
   EXPECT_TRUE(Analyze("src/exec/e.cc",
-                      "void EmitIfPasses(Table* dst) {\n"
+                      "void EmitRow(Table* dst) {\n"
                       "  dst->AppendConcatRow(lt, li, rt, ri);\n"
                       "}\n")
                   .empty());
   // src/storage/ owns the append implementations themselves.
   EXPECT_TRUE(Analyze("src/storage/t.cc",
                       "void f(Table* dst, ExecContext* ctx) {\n"
-                      "  dst->AppendRangeFrom(src, b, e);\n"
+                      "  dst->AppendSelectedFrom(src, rows, n);\n"
                       "}\n")
                   .empty());
+}
+
+TEST(AccountingTest, WindowGathersAreAppends) {
+  // The barrier gather writes rows into a pre-sized output: uncharged, it
+  // is reported like any append.
+  auto diags = Analyze("src/exec/e.cc",
+                       "Status f(Table* out, ExecContext* ctx) {\n"
+                       "  out->ResizeRows(n);\n"
+                       "  out->GatherAt(0, src, rows, n);\n"
+                       "  return Status::OK();\n"
+                       "}\n");
+  ASSERT_TRUE(HasRule(diags, "monsoon-analyze-accounting"));
+  EXPECT_EQ(diags[0].line, 3);
+  // Charged after the gather, as the join charges its output rows.
+  EXPECT_TRUE(Analyze("src/exec/e.cc",
+                      "Status f(Table* out, ExecContext* ctx) {\n"
+                      "  out->ResizeRows(n);\n"
+                      "  out->GatherConcatAt(0, lt, lrows, rt, rrows, n);\n"
+                      "  return ctx->Charge(out->num_rows());\n"
+                      "}\n")
+                  .empty());
+}
+
+TEST(AccountingTest, LambdasOfExecContextFunctionsAreInScope) {
+  // A pool lane's gather runs on behalf of the pass that took the
+  // context, so the lambda must charge or say where its rows were charged.
+  const std::string lane =
+      "Status f(Table* out, ExecContext* ctx) {\n"
+      "  return parallel::ParallelFor(\n"
+      "      ctx->pool(), n, 1, ctx->cancel_token(),\n"
+      "      [&](size_t r, size_t, size_t) {\n"
+      "        out->GatherAt(at[r], src, rows[r], n[r]);%s\n"
+      "        return Status::OK();\n"
+      "      });\n"
+      "}\n";
+  auto with = [&](const char* suffix) {
+    std::string src = lane;
+    src.replace(src.find("%s"), 2, suffix);
+    return Analyze("src/exec/e.cc", src);
+  };
+  auto diags = with("");
+  ASSERT_TRUE(HasRule(diags, "monsoon-analyze-accounting"));
+  EXPECT_EQ(diags[0].line, 5);
+  EXPECT_TRUE(
+      with("  // NOLINT(monsoon-analyze-accounting): charged by the caller").empty());
+  // The same lambda in a function without a context stays out of scope.
+  std::string free_fn = lane;
+  free_fn.replace(free_fn.find("ExecContext* ctx"), 16, "Pool* pool");
+  free_fn.replace(free_fn.find("%s"), 2, "");
+  EXPECT_TRUE(Analyze("src/exec/e.cc", free_fn).empty());
 }
 
 TEST(AccountingTest, NolintSuppresses) {
   EXPECT_TRUE(Analyze("src/exec/e.cc",
                       "Status f(Table* dst, ExecContext* ctx) {\n"
-                      "  dst->AppendRangeFrom(src, b, e);  // NOLINT(monsoon-analyze-accounting)\n"
+                      "  dst->AppendSelectedFrom(src, rows, n);  // NOLINT(monsoon-analyze-accounting)\n"
                       "  return Status::OK();\n"
                       "}\n")
                   .empty());
@@ -624,7 +674,7 @@ TEST(AnalyzeFilesTest, DiagnosticsSortedAndPassListStable) {
   auto diags = AnalyzeFiles(
       {{"src/exec/b.cc",
         "Status f(Table* dst, ExecContext* ctx) {\n"
-        "  dst->AppendRangeFrom(src, b, e);\n"
+        "  dst->AppendSelectedFrom(src, rows, n);\n"
         "  return Status::OK();\n"
         "}\n"},
        {"src/exec/a.cc",

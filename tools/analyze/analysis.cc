@@ -116,7 +116,7 @@ bool NodeIsPoll(const Cfg::Node& n) {
 
 /// Markers that identify a loop as iterating rows/morsels: either the
 /// header ranges over a row count, or the body does per-row work (charges
-/// the cost model, hits a fault point, or emits rows).
+/// the cost model or hits a fault point).
 bool HeaderIsRowRange(const std::vector<Token>& header) {
   for (const Token& t : header) {
     if (t.kind != TokenKind::kIdentifier) continue;
@@ -132,7 +132,7 @@ bool TokensDoRowWork(const std::vector<Token>& toks) {
   for (const Token& t : toks) {
     if (t.kind != TokenKind::kIdentifier) continue;
     if (t.text == "Charge" || t.text == "ChargeWork" ||
-        t.text == "MONSOON_FAULT_POINT" || t.text == "EmitIfPasses") {
+        t.text == "MONSOON_FAULT_POINT") {
       return true;
     }
   }
@@ -530,8 +530,8 @@ void PassStatusFlow(const std::vector<FunctionUnit>& fns, const ScannedFile& f,
 
 bool StmtAppendsRows(const std::vector<Token>& toks) {
   static const std::set<std::string> kAppends = {
-      "AppendRow",          "AppendConcatRow",  "AppendRangeFrom",
-      "AppendSelectedFrom", "AppendConcatSelected", "TakeRowsFrom",
+      "AppendRow",          "AppendConcatRow", "AppendSelectedFrom",
+      "AppendConcatSelected", "GatherAt",      "GatherConcatAt",
   };
   for (size_t i = 0; i < toks.size(); ++i) {
     if (IsCallAt(toks, i) && kAppends.count(toks[i].text) != 0) return true;
@@ -558,9 +558,14 @@ void PassAccounting(const std::vector<FunctionUnit>& fns, const ScannedFile& f,
                     Reporter& r) {
   if (!StartsWith(f.path, "src/exec/")) return;
   for (const FunctionUnit& fn : fns) {
+    // A lambda inside a function that takes an ExecContext runs on that
+    // function's behalf (a range body, a pool lane of one pass), so it is
+    // in scope too.
     bool takes_ctx = false;
-    for (const Token& t : fn.params) {
-      takes_ctx = takes_ctx || t.text == "ExecContext";
+    for (const auto* params : {&fn.params, &fn.outer_params}) {
+      for (const Token& t : *params) {
+        takes_ctx = takes_ctx || t.text == "ExecContext";
+      }
     }
     if (!takes_ctx) continue;
 

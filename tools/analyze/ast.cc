@@ -38,9 +38,11 @@ class Parser {
         fn.path = file_.path;
         fn.line = toks_[body].line;
         enclosing_ = fn.name;
+        enclosing_params_ = fn.params;
         size_t end = body;
         fn.body = ParseBlock(&end);
         enclosing_.clear();
+        enclosing_params_.clear();
         out_->push_back(std::move(fn));
         i = end;
       } else {
@@ -402,11 +404,16 @@ class Parser {
         fn.params.push_back(toks_[k]);
       }
     }
+    fn.outer_params = enclosing_params_;
     std::string saved = enclosing_;
+    std::vector<Token> saved_params = enclosing_params_;
     enclosing_ = fn.name;
+    enclosing_params_.insert(enclosing_params_.end(), fn.params.begin(),
+                             fn.params.end());
     size_t end = body;
     fn.body = ParseBlock(&end);
     enclosing_ = saved;
+    enclosing_params_ = std::move(saved_params);
     out_->push_back(std::move(fn));
     *pos = end;
   }
@@ -415,6 +422,7 @@ class Parser {
   const std::vector<Token>& toks_;
   std::vector<FunctionUnit>* out_;
   std::string enclosing_;
+  std::vector<Token> enclosing_params_;  // enclosing units' parameters
 };
 
 }  // namespace

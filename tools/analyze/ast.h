@@ -44,6 +44,9 @@ struct FunctionUnit {
   int line = 0;       // line of the body's opening brace
   bool is_lambda = false;
   std::vector<lint::Token> params;  // tokens between the parameter parens
+  // Lambdas only: the parameter tokens of every enclosing unit, outermost
+  // first, so a pass can tell what context the lambda runs on behalf of.
+  std::vector<lint::Token> outer_params;
   Stmt body;                        // kBlock
 };
 
