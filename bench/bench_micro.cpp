@@ -111,6 +111,61 @@ void BM_SigmaPass(benchmark::State& state) {
 }
 BENCHMARK(BM_SigmaPass)->Arg(10000)->Arg(100000);
 
+// One relation of a join output: eight mixed-type columns (three int64,
+// two double, three strings past the small-string buffer).
+Table GatherRelation(const std::string& prefix, size_t rows) {
+  std::vector<ColumnDef> columns;
+  for (int c = 0; c < 8; ++c) {
+    const ValueType type = c < 3   ? ValueType::kInt64
+                           : c < 5 ? ValueType::kDouble
+                                   : ValueType::kString;
+    columns.push_back({prefix + std::to_string(c), type});
+  }
+  Table table{Schema(columns)};
+  std::vector<Value> row(columns.size());
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < columns.size(); ++c) {
+      switch (columns[c].type) {
+        case ValueType::kInt64:
+          row[c] = Value(static_cast<int64_t>(r * (c + 1)));
+          break;
+        case ValueType::kDouble:
+          row[c] = Value(static_cast<double>(r) / static_cast<double>(c + 1));
+          break;
+        case ValueType::kString:
+          row[c] = Value(prefix + "-comment-" + std::to_string(r * (c + 1)));
+          break;
+      }
+    }
+    (void)table.AppendRow(row);
+  }
+  return table;
+}
+
+// The barrier's gather of one join output, serially: 100 k (left, right)
+// row pairs of two 8-column relations into a 16-column result, which is
+// then dropped — the output's construction, fill and destruction.
+void BM_GatherJoinOutput(benchmark::State& state) {
+  const size_t out_rows = 100000;
+  const Table left = GatherRelation("l", 40000);
+  const Table right = GatherRelation("r", 25000);
+  std::vector<uint32_t> lrows(out_rows);
+  std::vector<uint32_t> rrows(out_rows);
+  for (size_t i = 0; i < out_rows; ++i) {
+    lrows[i] = static_cast<uint32_t>((i * 7919) % left.num_rows());
+    rrows[i] = static_cast<uint32_t>((i * 104729) % right.num_rows());
+  }
+  const Schema schema = Schema::Concat(left.schema(), right.schema());
+  for (auto _ : state) {
+    Table out(schema);
+    out.AppendConcatSelected(left, lrows.data(), right, rrows.data(), out_rows);
+    benchmark::DoNotOptimize(out.num_rows());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(out_rows));
+}
+BENCHMARK(BM_GatherJoinOutput)->Unit(benchmark::kMillisecond);
+
 // The Sec. 2.3 MDP, used for MCTS throughput.
 struct MdpFixture {
   MdpFixture() : prior(MakePrior(PriorKind::kSpikeAndSlab)) {

@@ -72,17 +72,19 @@ tsan_stage() {
   cmake --build build-ci-tsan -j "${JOBS}" \
     --target parallel_test exec_test exec_batch_test determinism_test \
     obs_test timeseries_test fault_test shard_test server_test \
-    planner_golden_test
+    planner_golden_test exec_order_golden_test
   # Everything that crosses the src/parallel/ runtime: the pool/TaskGroup/
   # ParallelFor unit tests, the serial-vs-parallel equivalence suite
   # (the executor's range driver over morsels and shards, the flat hash
   # index, parallel Σ), the shard supervisor and its kill-and-recover
   # matrix, the telemetry sampler, the same-seed cross-run determinism
   # suite, the cancellation stress tests, the concurrent-session
-  # query-server suite, and the planner goldens run through root-parallel
-  # MCTS workers. Every tsan-labelled suite must be a build target here:
-  # an unbuilt one registers as an unlabelled *_NOT_BUILT test, which
-  # `ctest -L tsan` skips without a word.
+  # query-server suite, the planner goldens run through root-parallel
+  # MCTS workers, and the executor-order goldens (every generator's plans
+  # over shards {1, 4} x a 4-thread pool x batch {1, 1024}: concurrent id
+  # gathers reading shared column stores). Every tsan-labelled suite must
+  # be a build target here: an unbuilt one registers as an unlabelled
+  # *_NOT_BUILT test, which `ctest -L tsan` skips without a word.
   ctest --test-dir build-ci-tsan --output-on-failure -L tsan
 }
 
@@ -92,18 +94,21 @@ asan_stage() {
     -DMONSOON_SANITIZE=address
   cmake --build build-ci-asan -j "${JOBS}" \
     --target udf_cache_test exec_test exec_batch_test fault_test shard_test \
-    server_test timeseries_test harness_test storage_test
+    server_test timeseries_test harness_test storage_test \
+    exec_order_golden_test
   # The cache-on/off/serial/parallel equivalence suite plus the executor,
   # batch-execution, fault and shard suites: every cached column read
   # (join build/probe, residual filters, Σ passes, shard-scoped columns),
   # every selection-vector and Bloom-probe path, every LRU eviction, every
   # killed-and-retried shard attempt, every barrier gather into a pre-sized
   # output window, and every injected-fault error path runs under ASan.
-  # The storage suite covers the table gathers themselves (appends, window
-  # gathers, ResizeRows); the server, timeseries and harness suites the
-  # query-end path (one report feeding the run report, slow log, tail
-  # sampler and server reply). As above, every asan-labelled suite must be
-  # built.
+  # The storage suite covers the table gathers themselves (appends, the
+  # pre-size step, window gathers, gathers of gathers, store lifetimes and
+  # copies); the executor-order goldens run every workload plan's gathered
+  # intermediates, which hold their base tables' stores alive; the server,
+  # timeseries and harness suites the query-end path (one report feeding
+  # the run report, slow log, tail sampler and server reply). As above,
+  # every asan-labelled suite must be built.
   ctest --test-dir build-ci-asan --output-on-failure -L asan
   # Vectorized-execution smoke: the batch/row sweep must keep rows and
   # accounting bit-identical and hold its speed gates (>= 2x on filtered

@@ -95,8 +95,8 @@ StatusOr<BoundResidual> BindResidual(const Predicate& pred, const Schema& schema
 
 /// What one range emits: the ids of its output rows, in output order. A
 /// scan range lists the input rows that survive its filters (`left` only);
-/// a join range lists (left row, right row) pairs. Column values are copied
-/// once, by GatherRanges at the barrier.
+/// a join range lists (left row, right row) pairs. GatherRanges turns them
+/// into the output's per-relation row ids at the barrier; no cell is copied.
 struct RowIds {
   std::vector<uint32_t> left;
   std::vector<uint32_t> right;
@@ -199,12 +199,12 @@ RangePlan PlanRanges(const ExecContext* ctx, const shard::ShardMapPtr& hint,
 /// The barrier step of a pass whose ranges emitted row ids (`rt` null:
 /// rows of `lt`; else lt ⧺ rt pairs). Prefix sums over the slots give each
 /// range its window of the output, which is sized once; the ranges then
-/// gather their windows column-wise, side by side on the pool, so the
-/// output is in range order whatever the thread count. A sharded pass also
-/// records the windows as the output's shard map: downstream sharded
-/// passes split the intermediate along its producer's boundaries, a
-/// function of shard contents only — independent of thread count and
-/// recovery.
+/// write their windows' row ids (one per source relation), side by side on
+/// the pool, so the output is in range order whatever the thread count. A
+/// sharded pass also records the windows as the output's shard map:
+/// downstream sharded passes split the intermediate along its producer's
+/// boundaries, a function of shard contents only — independent of thread
+/// count and recovery.
 StatusOr<TablePtr> GatherRanges(ExecContext* ctx, const Schema& schema,
                                 const RangePlan& plan,
                                 const std::vector<RowIds>& slots,
@@ -217,7 +217,7 @@ StatusOr<TablePtr> GatherRanges(ExecContext* ctx, const Schema& schema,
     windows->offsets.push_back(windows->offsets.back() + slot.size());
   }
   auto out = std::make_shared<Table>(schema);
-  out->ResizeRows(windows->total_rows());
+  out->PresizeGather(windows->total_rows(), lt, rt);
   MONSOON_RETURN_IF_ERROR(parallel::ParallelFor(
       ctx->pool(), slots.size(), 1, ctx->cancel_token(),
       [&](size_t r, size_t, size_t) {

@@ -1,24 +1,70 @@
 #include "storage/table.h"
 
+#include <algorithm>
 #include <sstream>
+#include <type_traits>
+
+#include "common/check.h"
 
 namespace monsoon {
 
 Table::Table(Schema schema) : schema_(std::move(schema)) {
-  columns_.reserve(schema_.num_columns());
+  auto store = std::make_shared<Store>();
+  store->columns.reserve(schema_.num_columns());
+  cols_.reserve(schema_.num_columns());
   for (const auto& col : schema_.columns()) {
     switch (col.type) {
       case ValueType::kInt64:
-        columns_.emplace_back(Int64Column{});
+        store->columns.emplace_back(Int64Column{});
         break;
       case ValueType::kDouble:
-        columns_.emplace_back(DoubleColumn{});
+        store->columns.emplace_back(DoubleColumn{});
         break;
       case ValueType::kString:
-        columns_.emplace_back(StringColumn{});
+        store->columns.emplace_back(StringColumn{});
         break;
     }
+    cols_.push_back(ColumnRef{0, static_cast<uint32_t>(cols_.size())});
   }
+  groups_.push_back(Group{std::move(store), {}});
+  Rebind();
+}
+
+Table::Table(const Table& other)
+    : schema_(other.schema_),
+      groups_(other.groups_),
+      cols_(other.cols_),
+      gathered_(other.gathered_),
+      num_rows_(other.num_rows_) {
+  Rebind();
+}
+
+Table& Table::operator=(const Table& other) {
+  if (this != &other) {
+    schema_ = other.schema_;
+    groups_ = other.groups_;
+    cols_ = other.cols_;
+    gathered_ = other.gathered_;
+    num_rows_ = other.num_rows_;
+    Rebind();
+  }
+  return *this;
+}
+
+void Table::Rebind() {
+  for (ColumnRef& ref : cols_) {
+    const Group& group = groups_[ref.group];
+    ref.cells = std::visit([](const auto& vec) -> const void* { return vec.data(); },
+                           group.store->columns[ref.store_col]);
+    ref.ids = gathered_ ? group.ids.data() : nullptr;
+  }
+}
+
+Table::Store& Table::MutableStore() {
+  MONSOON_DCHECK(!gathered_ && groups_.size() == 1);
+  std::shared_ptr<Store>& store = groups_[0].store;
+  if (store.use_count() != 1) store = std::make_shared<Store>(*store);
+  return *store;
 }
 
 Status Table::AppendRow(const std::vector<Value>& values) {
@@ -31,76 +77,125 @@ Status Table::AppendRow(const std::vector<Value>& values) {
                                      schema_.column(i).name + "'");
     }
   }
+  if (gathered_) {
+    MONSOON_CHECK(num_rows_ == 0) << "AppendRow into a non-empty gathered table";
+    *this = Table(schema_);
+  }
+  Store& store = MutableStore();
   for (size_t i = 0; i < values.size(); ++i) {
-    switch (values[i].type()) {
-      case ValueType::kInt64:
-        std::get<Int64Column>(columns_[i]).push_back(values[i].AsInt64());
-        break;
-      case ValueType::kDouble:
-        std::get<DoubleColumn>(columns_[i]).push_back(values[i].AsDouble());
-        break;
-      case ValueType::kString:
-        std::get<StringColumn>(columns_[i]).push_back(values[i].AsString());
-        break;
-    }
+    // A dense table's column i is store column i; the push may move it.
+    cols_[i].cells = std::visit(
+        [&](auto& vec) -> const void* {
+          using T = typename std::remove_reference_t<decltype(vec)>::value_type;
+          if constexpr (std::is_same_v<T, int64_t>) {
+            vec.push_back(values[i].AsInt64());
+          } else if constexpr (std::is_same_v<T, double>) {
+            vec.push_back(values[i].AsDouble());
+          } else {
+            vec.push_back(values[i].AsString());
+          }
+          return vec.data();
+        },
+        store.columns[i]);
   }
   ++num_rows_;
   return Status::OK();
 }
 
-namespace {
-
-// Copies src_col[row] onto the end of dst_col (same alternative held).
-void AppendCell(std::variant<std::vector<int64_t>, std::vector<double>,
-                             std::vector<std::string>>& dst_col,
-                const std::variant<std::vector<int64_t>, std::vector<double>,
-                                   std::vector<std::string>>& src_col,
-                size_t row) {
-  std::visit(
-      [&](auto& dst) {
-        using VecT = std::remove_reference_t<decltype(dst)>;
-        dst.push_back(std::get<VecT>(src_col)[row]);
-      },
-      dst_col);
+bool Table::HasLayoutOf(const Table& left, const Table* right) const {
+  if (!gathered_) return false;
+  size_t g = 0;
+  size_t c = 0;
+  auto matches = [&](const Table& src) {
+    const size_t base = g;
+    for (const Group& group : src.groups_) {
+      if (g == groups_.size() || groups_[g++].store != group.store) return false;
+    }
+    for (const ColumnRef& ref : src.cols_) {
+      if (c == cols_.size() || cols_[c].group != base + ref.group ||
+          cols_[c].store_col != ref.store_col) {
+        return false;
+      }
+      ++c;
+    }
+    return true;
+  };
+  return matches(left) && (right == nullptr || matches(*right)) &&
+         g == groups_.size() && c == cols_.size();
 }
 
-// dst[at + i] = src[rows[i]] for i in [0, n), both columns holding the
-// same alternative.
-void GatherColumn(std::variant<std::vector<int64_t>, std::vector<double>,
-                               std::vector<std::string>>& dst_col,
-                  const std::variant<std::vector<int64_t>, std::vector<double>,
-                                     std::vector<std::string>>& src_col,
-                  size_t at, const uint32_t* rows, size_t n) {
-  std::visit(
-      [&](auto& dst) {
-        using VecT = std::remove_reference_t<decltype(dst)>;
-        const VecT& from = std::get<VecT>(src_col);
-        auto* out = dst.data() + at;
-        for (size_t i = 0; i < n; ++i) out[i] = from[rows[i]];
-      },
-      dst_col);
+void Table::BindLayout(const Table& left, const Table* right) {
+  if (HasLayoutOf(left, right)) return;
+  MONSOON_CHECK(num_rows_ == 0) << "append from another layout into a table of "
+                                << num_rows_ << " rows";
+  groups_.clear();
+  cols_.clear();
+  auto add_source = [this](const Table& src) {
+    const auto base = static_cast<uint32_t>(groups_.size());
+    for (const Group& group : src.groups_) groups_.push_back(Group{group.store, {}});
+    for (const ColumnRef& ref : src.cols_) {
+      cols_.push_back(ColumnRef{base + ref.group, ref.store_col});
+    }
+  };
+  add_source(left);
+  if (right != nullptr) add_source(*right);
+  MONSOON_CHECK(cols_.size() == schema_.num_columns())
+      << "sources have " << cols_.size() << " columns, the table "
+      << schema_.num_columns();
+  gathered_ = true;
+  Rebind();
 }
 
-}  // namespace
+void Table::PresizeGather(size_t rows, const Table& left, const Table* right) {
+  BindLayout(left, right);
+  for (Group& group : groups_) group.ids.resize(rows);
+  num_rows_ = rows;
+  Rebind();
+}
+
+void Table::WriteIds(size_t first_group, size_t at, const Table& src,
+                     const uint32_t* rows, size_t n) {
+  for (size_t g = 0; g < src.groups_.size(); ++g) {
+    uint32_t* out = groups_[first_group + g].ids.data() + at;
+    if (!src.gathered_) {
+      std::copy(rows, rows + n, out);
+      continue;
+    }
+    const uint32_t* src_ids = src.groups_[g].ids.data();
+    for (size_t i = 0; i < n; ++i) out[i] = src_ids[rows[i]];
+  }
+}
+
+void Table::GatherAt(size_t at, const Table& src, const uint32_t* rows,
+                     size_t n) {
+  MONSOON_DCHECK(at + n <= num_rows_ && HasLayoutOf(src, nullptr));
+  WriteIds(0, at, src, rows, n);
+}
+
+void Table::GatherConcatAt(size_t at, const Table& left, const uint32_t* lrows,
+                           const Table& right, const uint32_t* rrows,
+                           size_t n) {
+  MONSOON_DCHECK(at + n <= num_rows_ && HasLayoutOf(left, &right));
+  WriteIds(0, at, left, lrows, n);
+  WriteIds(left.groups_.size(), at, right, rrows, n);
+}
 
 void Table::AppendConcatRow(const Table& left, size_t li, const Table& right,
                             size_t ri) {
-  size_t nl = left.num_columns();
-  for (size_t c = 0; c < nl; ++c) AppendCell(columns_[c], left.columns_[c], li);
-  size_t nr = right.num_columns();
-  for (size_t c = 0; c < nr; ++c) AppendCell(columns_[nl + c], right.columns_[c], ri);
-  ++num_rows_;
+  const auto l = static_cast<uint32_t>(li);
+  const auto r = static_cast<uint32_t>(ri);
+  AppendConcatSelected(left, &l, right, &r, 1);
 }
 
 void Table::AppendRowFrom(const Table& src, size_t row) {
-  for (size_t c = 0; c < columns_.size(); ++c) AppendCell(columns_[c], src.columns_[c], row);
-  ++num_rows_;
+  const auto r = static_cast<uint32_t>(row);
+  AppendSelectedFrom(src, &r, 1);
 }
 
 void Table::AppendSelectedFrom(const Table& src, const uint32_t* rows,
                                size_t n) {
   const size_t at = num_rows_;
-  ResizeRows(at + n);
+  PresizeGather(at + n, src);
   GatherAt(at, src, rows, n);
 }
 
@@ -108,46 +203,27 @@ void Table::AppendConcatSelected(const Table& left, const uint32_t* lrows,
                                  const Table& right, const uint32_t* rrows,
                                  size_t n) {
   const size_t at = num_rows_;
-  ResizeRows(at + n);
+  PresizeGather(at + n, left, &right);
   GatherConcatAt(at, left, lrows, right, rrows, n);
 }
 
-void Table::ResizeRows(size_t rows) {
-  for (auto& col : columns_) {
-    std::visit([rows](auto& vec) { vec.resize(rows); }, col);
-  }
-  num_rows_ = rows;
-}
-
-void Table::GatherAt(size_t at, const Table& src, const uint32_t* rows,
-                     size_t n) {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    GatherColumn(columns_[c], src.columns_[c], at, rows, n);
-  }
-}
-
-void Table::GatherConcatAt(size_t at, const Table& left, const uint32_t* lrows,
-                           const Table& right, const uint32_t* rrows,
-                           size_t n) {
-  const size_t nl = left.num_columns();
-  for (size_t c = 0; c < nl; ++c) {
-    GatherColumn(columns_[c], left.columns_[c], at, lrows, n);
-  }
-  for (size_t c = 0; c < right.num_columns(); ++c) {
-    GatherColumn(columns_[nl + c], right.columns_[c], at, rrows, n);
-  }
-}
-
 void Table::ClearRows() {
-  for (auto& col : columns_) {
-    std::visit([](auto& vec) { vec.clear(); }, col);
+  if (!gathered_) {
+    *this = Table(schema_);  // a fresh store: the old one may be shared
+    return;
   }
+  for (Group& group : groups_) group.ids.clear();
   num_rows_ = 0;
 }
 
 void Table::PopRow() {
-  for (auto& col : columns_) {
-    std::visit([](auto& vec) { vec.pop_back(); }, col);
+  if (gathered_) {
+    for (Group& group : groups_) group.ids.pop_back();
+  } else {
+    for (auto& col : MutableStore().columns) {
+      std::visit([](auto& vec) { vec.pop_back(); }, col);
+    }
+    Rebind();
   }
   --num_rows_;
 }
@@ -165,14 +241,20 @@ Value Table::ValueAt(size_t col, size_t row) const {
 }
 
 void Table::Reserve(size_t rows) {
-  for (auto& col : columns_) {
-    std::visit([rows](auto& vec) { vec.reserve(rows); }, col);
+  if (gathered_) {
+    for (Group& group : groups_) group.ids.reserve(rows);
+  } else {
+    for (auto& col : MutableStore().columns) {
+      std::visit([rows](auto& vec) { vec.reserve(rows); }, col);
+    }
   }
+  Rebind();
 }
 
 size_t Table::ApproxBytes() const {
+  if (gathered_) return num_rows_ * groups_.size() * sizeof(uint32_t);
   size_t bytes = 0;
-  for (const auto& col : columns_) {
+  for (const auto& col : groups_[0].store->columns) {
     std::visit(
         [&bytes](const auto& vec) {
           using T = typename std::remove_reference_t<decltype(vec)>::value_type;

@@ -16,7 +16,8 @@ namespace monsoon {
 class Table;
 
 /// Lightweight reference to one row of a Table. UDFs consume RowRefs.
-/// Valid only while the underlying Table is alive and unmodified.
+/// Valid while the Table is alive and its rows unchanged: the cells live
+/// in stores the table keeps alive, so a RowRef never outlives them.
 class RowRef {
  public:
   RowRef(const Table* table, size_t row) : table_(table), row_(row) {}
@@ -34,86 +35,107 @@ class RowRef {
   size_t row_;
 };
 
-/// Columnar in-memory table. One typed vector per column; all columns have
-/// equal length. This is the unit of materialization in the engine: base
-/// relations, join intermediates, and final results are all Tables.
+/// Columnar in-memory table: base relations, join intermediates and final
+/// results are all Tables. Cells live in *stores* — one typed vector per
+/// column — held by shared_ptr, and a table reads them through *groups*:
+/// a store plus a row-id vector, one group per source store.
+///
+///  * A table built with AppendRow is *dense*: one group over its own
+///    store and no id vector, so row r is store row r.
+///  * A table built by the gathers is *gathered*: each group's ids[r] is
+///    the store row holding row r's cells of that group's columns. A join
+///    output over k base relations costs 4 bytes per relation per row,
+///    whatever its width. Gathers resolve their sources' ids as they
+///    write, so ids never chain: they always index a store directly.
+///
+/// An empty table adopts its sources' layout on its first gather; an
+/// append into a non-empty table from another layout fails a
+/// MONSOON_CHECK. A store another table shares is never mutated (a dense
+/// table copies its store before it writes), so a gathered table keeps
+/// its sources' stores alive — it outlives their TablePtrs and catalog
+/// replacement — and concurrent readers need no locks.
 class Table {
  public:
-  Table() = default;
+  Table() : Table(Schema()) {}
   explicit Table(Schema schema);
+  Table(const Table& other);
+  Table& operator=(const Table& other);
+  Table(Table&&) noexcept = default;
+  Table& operator=(Table&&) noexcept = default;
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return schema_.num_columns(); }
 
-  /// Appends one row. Values must match the schema's types and arity.
+  /// Appends one row to a dense table (an empty gathered table turns
+  /// dense again). Values must match the schema's types and arity.
   Status AppendRow(const std::vector<Value>& values);
 
   /// Appends the concatenation of left[li] and right[ri]. The table's
   /// schema must be Schema::Concat(left.schema(), right.schema()).
-  /// Hot path for join output; avoids Value boxing.
   void AppendConcatRow(const Table& left, size_t li, const Table& right, size_t ri);
 
-  /// Appends a copy of src[row]. Schemas must match.
+  /// Appends src[row]. Schemas must match.
   void AppendRowFrom(const Table& src, size_t row);
 
-  /// Appends src[rows[0]], ..., src[rows[n-1]] in order (column-wise
-  /// gather; schemas must match). Selection-vector gather path: one type
-  /// dispatch per column per batch instead of per cell per row. Columns
-  /// grow geometrically, so many small appends cost what one large does.
+  /// Appends src[rows[0]], ..., src[rows[n-1]] in order (schemas must
+  /// match). Writes one id per group per row; id vectors grow
+  /// geometrically, so many small appends cost what one large does.
   void AppendSelectedFrom(const Table& src, const uint32_t* rows, size_t n);
 
   /// Appends the concatenations left[lrows[i]] ⧺ right[rrows[i]] for
-  /// i in [0, n), column-wise. The schema must be
+  /// i in [0, n). The schema must be
   /// Schema::Concat(left.schema(), right.schema()). Residual staging.
   void AppendConcatSelected(const Table& left, const uint32_t* lrows,
                             const Table& right, const uint32_t* rrows,
                             size_t n);
 
-  /// Sets the row count to `rows`: new rows hold zeros and empty strings
-  /// until written, surplus rows are dropped. The executor sizes a pass's
-  /// output once with this, then fills it through the window gathers.
-  void ResizeRows(size_t rows);
+  /// Pre-size step of the window gathers: binds the table to the layout of
+  /// `left` (⧺ `right` when non-null) — adopting it when the table is
+  /// empty — and sets the row count to `rows`. New rows read the sources'
+  /// row 0 until a window gather writes them; surplus rows are dropped.
+  /// The executor sizes a pass's output once with this, then fills it
+  /// through GatherAt / GatherConcatAt with the same sources.
+  void PresizeGather(size_t rows, const Table& left, const Table* right = nullptr);
 
-  /// Window gather: row at + i becomes a copy of src[rows[i]] for i in
-  /// [0, n), column-wise (schemas must match; at + n <= num_rows()).
-  /// Writes only that window, so gathers into disjoint windows of one
-  /// table may run concurrently.
+  /// Window gather: row at + i becomes src[rows[i]] for i in [0, n). The
+  /// table must be pre-sized from `src` and at + n <= num_rows(). Writes
+  /// only that window, so gathers into disjoint windows of one table may
+  /// run concurrently.
   void GatherAt(size_t at, const Table& src, const uint32_t* rows, size_t n);
 
   /// Window gather of concatenations: row at + i becomes
-  /// left[lrows[i]] ⧺ right[rrows[i]] for i in [0, n). The schema must be
-  /// Schema::Concat(left.schema(), right.schema()); same window contract
-  /// as GatherAt.
+  /// left[lrows[i]] ⧺ right[rrows[i]] for i in [0, n). The table must be
+  /// pre-sized from (left, right); same window contract as GatherAt.
   void GatherConcatAt(size_t at, const Table& left, const uint32_t* lrows,
                       const Table& right, const uint32_t* rrows, size_t n);
 
-  /// Drops every row but keeps the schema and column capacity — scratch
-  /// tables (join candidate staging) reuse their allocations per batch.
+  /// Drops every row but keeps the schema and the layout. A gathered table
+  /// keeps its id buffers, so scratch tables (join candidate staging)
+  /// reuse them per batch; a dense table starts a fresh store.
   void ClearRows();
 
-  /// Removes the last row. Used by the join executor to retract a
-  /// candidate row that failed a residual filter. Requires num_rows() > 0.
+  /// Removes the last row. Requires num_rows() > 0.
   void PopRow();
 
-  // Typed column access (hot paths). Callers must respect schema types.
-  int64_t Int64At(size_t col, size_t row) const {
-    return std::get<Int64Column>(columns_[col])[row];
-  }
-  double DoubleAt(size_t col, size_t row) const {
-    return std::get<DoubleColumn>(columns_[col])[row];
-  }
+  // Typed cell access (hot paths): one id load on a gathered table, then
+  // the store cell. Callers must respect schema types.
+  int64_t Int64At(size_t col, size_t row) const { return Cell<int64_t>(col, row); }
+  double DoubleAt(size_t col, size_t row) const { return Cell<double>(col, row); }
   const std::string& StringAt(size_t col, size_t row) const {
-    return std::get<StringColumn>(columns_[col])[row];
+    return Cell<std::string>(col, row);
   }
   Value ValueAt(size_t col, size_t row) const;
 
   RowRef row(size_t i) const { return RowRef(this, i); }
 
-  /// Reserves capacity in every column.
+  /// Reserves capacity for `rows` rows: the store's columns of a dense
+  /// table, the id vectors of a gathered one.
   void Reserve(size_t rows);
 
-  /// Approximate bytes held (for memory accounting in the executor).
+  /// Approximate bytes held (for memory accounting in the executor): the
+  /// cells of a dense table's store, or rows × groups × 4 id bytes for a
+  /// gathered table, whose stores belong to its sources.
   size_t ApproxBytes() const;
 
   /// Renders up to `limit` rows for debugging.
@@ -125,8 +147,52 @@ class Table {
   using StringColumn = std::vector<std::string>;
   using Column = std::variant<Int64Column, DoubleColumn, StringColumn>;
 
+  /// The typed column vectors cells live in. Immutable once shared.
+  struct Store {
+    std::vector<Column> columns;
+  };
+
+  /// A store and, in a gathered table, the store row of each table row.
+  struct Group {
+    std::shared_ptr<Store> store;
+    std::vector<uint32_t> ids;
+  };
+
+  /// Where a table column's cells are: its group and store column, plus
+  /// the cached cell and id pointers reads go through (`ids` is null in a
+  /// dense table). Rebind() refreshes the pointers after any change that
+  /// may move the buffers.
+  struct ColumnRef {
+    uint32_t group = 0;
+    uint32_t store_col = 0;
+    const void* cells = nullptr;
+    const uint32_t* ids = nullptr;
+  };
+
+  template <typename T>
+  const T& Cell(size_t col, size_t row) const {
+    const ColumnRef& ref = cols_[col];
+    return static_cast<const T*>(ref.cells)[ref.ids != nullptr ? ref.ids[row] : row];
+  }
+
+  /// True when the table's groups and columns are exactly those of
+  /// `left` ⧺ `right` (right may be null).
+  bool HasLayoutOf(const Table& left, const Table* right) const;
+  /// Makes the layout that of `left` ⧺ `right` unless it already is;
+  /// checks the table is empty when it is not.
+  void BindLayout(const Table& left, const Table* right);
+  /// ids[at + i] of the groups from `first_group` on = the store rows of
+  /// src[rows[i]]: src's own ids resolved, or rows[i] when src is dense.
+  void WriteIds(size_t first_group, size_t at, const Table& src,
+                const uint32_t* rows, size_t n);
+  /// The dense table's store, copied first when another table shares it.
+  Store& MutableStore();
+  void Rebind();
+
   Schema schema_;
-  std::vector<Column> columns_;
+  std::vector<Group> groups_;
+  std::vector<ColumnRef> cols_;
+  bool gathered_ = false;
   size_t num_rows_ = 0;
 };
 

@@ -612,7 +612,7 @@ TEST(AccountingTest, WindowGathersAreAppends) {
   // is reported like any append.
   auto diags = Analyze("src/exec/e.cc",
                        "Status f(Table* out, ExecContext* ctx) {\n"
-                       "  out->ResizeRows(n);\n"
+                       "  out->PresizeGather(n, src);\n"
                        "  out->GatherAt(0, src, rows, n);\n"
                        "  return Status::OK();\n"
                        "}\n");
@@ -621,7 +621,7 @@ TEST(AccountingTest, WindowGathersAreAppends) {
   // Charged after the gather, as the join charges its output rows.
   EXPECT_TRUE(Analyze("src/exec/e.cc",
                       "Status f(Table* out, ExecContext* ctx) {\n"
-                      "  out->ResizeRows(n);\n"
+                      "  out->PresizeGather(n, lt, &rt);\n"
                       "  out->GatherConcatAt(0, lt, lrows, rt, rrows, n);\n"
                       "  return ctx->Charge(out->num_rows());\n"
                       "}\n")

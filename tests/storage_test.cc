@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -207,34 +208,45 @@ TEST(TableGatherTest, ManySmallAppendsEqualOneBulkAppend) {
   EXPECT_EQ(concat_bulk.StringAt(5, 4), right.StringAt(2, rrows[4]));
 }
 
-TEST(TableGatherTest, ResizeRowsAddsBlankRowsAndDrops) {
-  Table t = GatherSource(3);
-  t.ResizeRows(5);
+TEST(TableGatherTest, PresizeGatherAdoptsLayoutAndDrops) {
+  const Table src = GatherSource(6);
+  const std::vector<uint32_t> rows = {4, 1, 5};
+  Table t(src.schema());
+  t.PresizeGather(5, src);
   ASSERT_EQ(t.num_rows(), 5u);
-  EXPECT_EQ(t.Int64At(0, 2), 6);
-  EXPECT_EQ(t.Int64At(0, 4), 0);
-  EXPECT_EQ(t.DoubleAt(1, 3), 0.0);
-  EXPECT_EQ(t.StringAt(2, 4), "");
-  t.ResizeRows(1);
-  ASSERT_EQ(t.num_rows(), 1u);
-  EXPECT_EQ(t.StringAt(2, 0), GatherSource(1).StringAt(2, 0));
+  EXPECT_EQ(t.ApproxBytes(), 5 * sizeof(uint32_t)) << "one id vector, no cells";
+  t.GatherAt(1, src, rows.data(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(t.Int64At(0, 1 + i), src.Int64At(0, rows[i]));
+    EXPECT_EQ(t.DoubleAt(1, 1 + i), src.DoubleAt(1, rows[i]));
+    EXPECT_EQ(t.StringAt(2, 1 + i), src.StringAt(2, rows[i]));
+  }
+  // Rows no window wrote read the sources' row 0.
+  EXPECT_EQ(t.Int64At(0, 0), src.Int64At(0, 0));
+  EXPECT_EQ(t.StringAt(2, 4), src.StringAt(2, 0));
+  t.PresizeGather(2, src);
+  ASSERT_EQ(t.num_rows(), 2u);
+  EXPECT_EQ(t.DoubleAt(1, 1), src.DoubleAt(1, 4));
+  EXPECT_EQ(t.StringAt(2, 1), src.StringAt(2, 4));
 }
 
 TEST(TableGatherTest, WindowGatherFillsOnlyItsWindow) {
   const Table src = GatherSource(40);
   const std::vector<uint32_t> rows = ScatteredRows(25, src.num_rows());
   Table out(src.schema());
-  out.ResizeRows(5 + rows.size() + 4);
+  out.PresizeGather(5 + rows.size() + 4, src);
   out.GatherAt(5, src, rows.data(), rows.size());
+  std::vector<uint32_t> all(5, 0);
+  all.insert(all.end(), rows.begin(), rows.end());
+  all.resize(all.size() + 4, 0);
   Table expected(src.schema());
-  expected.ResizeRows(5);
-  expected.AppendSelectedFrom(src, rows.data(), rows.size());
-  expected.ResizeRows(5 + rows.size() + 4);
+  expected.AppendSelectedFrom(src, all.data(), all.size());
   ExpectSameRows(out, expected);
+  EXPECT_EQ(out.Int64At(0, 6), src.Int64At(0, rows[1]));
   EXPECT_EQ(out.StringAt(2, 5), src.StringAt(2, rows[0]));
   EXPECT_EQ(out.DoubleAt(1, 29), src.DoubleAt(1, rows[24]));
-  EXPECT_EQ(out.StringAt(2, 4), "");
-  EXPECT_EQ(out.StringAt(2, 30), "");
+  EXPECT_EQ(out.StringAt(2, 4), src.StringAt(2, 0));
+  EXPECT_EQ(out.StringAt(2, 30), src.StringAt(2, 0));
 }
 
 TEST(TableGatherTest, ConcatWindowsTileLikeAppends) {
@@ -248,7 +260,7 @@ TEST(TableGatherTest, ConcatWindowsTileLikeAppends) {
   const std::vector<uint32_t> r1 = ScatteredRows(7, 3);
   const Schema concat = Schema::Concat(left.schema(), right.schema());
   Table out(concat);
-  out.ResizeRows(l0.size() + l1.size());
+  out.PresizeGather(l0.size() + l1.size(), left, &right);
   out.GatherConcatAt(l0.size(), left, l1.data(), right, r1.data(), l1.size());
   out.GatherConcatAt(0, left, l0.data(), right, r0.data(), l0.size());
   Table expected(concat);
@@ -256,7 +268,140 @@ TEST(TableGatherTest, ConcatWindowsTileLikeAppends) {
   expected.AppendConcatSelected(left, l1.data(), right, r1.data(), l1.size());
   ExpectSameRows(out, expected);
   EXPECT_EQ(out.Int64At(0, 12), left.Int64At(0, l1[0]));
+  EXPECT_EQ(out.DoubleAt(4, 13), right.DoubleAt(1, r1[1]));
   EXPECT_EQ(out.StringAt(5, 18), right.StringAt(2, r1[6]));
+}
+
+// A dense table holding `t`'s cells, copied value by value.
+Table DenseCopy(const Table& t) {
+  Table dense(t.schema());
+  std::vector<Value> row(t.num_columns());
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < t.num_columns(); ++c) row[c] = t.ValueAt(c, r);
+    EXPECT_TRUE(dense.AppendRow(row).ok());
+  }
+  return dense;
+}
+
+TEST(TableGatherTest, GatherOfGatherEqualsDenseCopy) {
+  const Table left = GatherSource(23);
+  const Table right = GatherSource(8);
+  const std::vector<uint32_t> lrows = ScatteredRows(40, left.num_rows());
+  const std::vector<uint32_t> rrows = ScatteredRows(40, right.num_rows());
+  Table join(Schema::Concat(left.schema(), right.schema()));
+  join.AppendConcatSelected(left, lrows.data(), right, rrows.data(), lrows.size());
+  const Table dense_join = DenseCopy(join);
+
+  // Re-gathering the gathered join and a dense copy of it must agree cell
+  // by cell, alone and concatenated with a base table.
+  const std::vector<uint32_t> rows = ScatteredRows(31, join.num_rows());
+  Table again(join.schema());
+  again.AppendSelectedFrom(join, rows.data(), rows.size());
+  Table dense_again(join.schema());
+  dense_again.AppendSelectedFrom(dense_join, rows.data(), rows.size());
+  ExpectSameRows(again, dense_again);
+
+  const std::vector<uint32_t> brows = ScatteredRows(rows.size(), right.num_rows());
+  const Schema wide = Schema::Concat(join.schema(), right.schema());
+  Table three(wide);
+  three.AppendConcatSelected(join, rows.data(), right, brows.data(), rows.size());
+  Table dense_three(wide);
+  dense_three.AppendConcatSelected(dense_join, rows.data(), right, brows.data(),
+                                   rows.size());
+  ExpectSameRows(three, dense_three);
+  EXPECT_EQ(three.StringAt(2, 3), left.StringAt(2, lrows[rows[3]]));
+}
+
+TEST(TableGatherTest, ApproxBytesOfGatheredTableIsFourBytesPerGroupRow) {
+  // Ids never chain: a gather of a gather has one group per base store,
+  // however many gathers deep, and costs rows x groups x 4 bytes.
+  const Table left = GatherSource(23);
+  const Table right = GatherSource(8);
+  const std::vector<uint32_t> lrows = ScatteredRows(40, left.num_rows());
+  const std::vector<uint32_t> rrows = ScatteredRows(40, right.num_rows());
+  Table join(Schema::Concat(left.schema(), right.schema()));
+  join.AppendConcatSelected(left, lrows.data(), right, rrows.data(), lrows.size());
+  EXPECT_EQ(join.ApproxBytes(), 40u * 2 * sizeof(uint32_t));
+  const std::vector<uint32_t> rows = ScatteredRows(17, join.num_rows());
+  Table again(join.schema());
+  again.AppendSelectedFrom(join, rows.data(), rows.size());
+  EXPECT_EQ(again.ApproxBytes(), 17u * 2 * sizeof(uint32_t));
+  const std::vector<uint32_t> rows3 = ScatteredRows(9, again.num_rows());
+  Table third(again.schema());
+  third.AppendSelectedFrom(again, rows3.data(), rows3.size());
+  EXPECT_EQ(third.ApproxBytes(), 9u * 2 * sizeof(uint32_t));
+  EXPECT_LT(third.ApproxBytes(), DenseCopy(third).ApproxBytes());
+}
+
+TEST(TableGatherTest, GatheredTableOutlivesItsSource) {
+  auto src = std::make_shared<Table>(GatherSource(12));
+  const std::vector<uint32_t> rows = ScatteredRows(9, src->num_rows());
+  Table out(src->schema());
+  out.AppendSelectedFrom(*src, rows.data(), rows.size());
+  const Table expected = DenseCopy(out);
+  TablePtr ptr = std::move(src);
+  ptr.reset();  // the store lives on in `out`
+  ExpectSameRows(out, expected);
+  EXPECT_EQ(out.StringAt(2, 8), expected.StringAt(2, 8));
+}
+
+TEST(TableGatherTest, CopiesAreIndependent) {
+  // AppendRow on a copy copies the shared store first.
+  const Table original = GatherSource(3);
+  Table copy = original;
+  ASSERT_TRUE(copy.AppendRow({Value(int64_t{-1}), Value(-1.0), Value("new")}).ok());
+  EXPECT_EQ(copy.num_rows(), 4u);
+  EXPECT_EQ(copy.StringAt(2, 3), "new");
+  ExpectSameRows(original, GatherSource(3));
+  copy.PopRow();
+  copy.PopRow();
+  ExpectSameRows(original, GatherSource(3));
+
+  // A copied gathered table reads through its own ids.
+  const std::vector<uint32_t> rows = {2, 0, 1, 2};
+  auto gathered = std::make_unique<Table>(original.schema());
+  gathered->AppendSelectedFrom(original, rows.data(), rows.size());
+  Table gathered_copy(*gathered);
+  const Table expected = DenseCopy(*gathered);
+  gathered.reset();
+  ExpectSameRows(gathered_copy, expected);
+  Table assigned;
+  assigned = gathered_copy;
+  gathered_copy.PopRow();
+  ExpectSameRows(assigned, expected);
+}
+
+TEST(TableGatherTest, ClearRowsThenReappendFromTheSameSources) {
+  const Table left = GatherSource(15);
+  const Table right = GatherSource(6);
+  const std::vector<uint32_t> l0 = ScatteredRows(10, left.num_rows());
+  const std::vector<uint32_t> r0 = ScatteredRows(10, right.num_rows());
+  const std::vector<uint32_t> l1 = {3, 14, 0};
+  const std::vector<uint32_t> r1 = {5, 5, 1};
+  const Schema concat = Schema::Concat(left.schema(), right.schema());
+  Table staging(concat);
+  staging.AppendConcatSelected(left, l0.data(), right, r0.data(), l0.size());
+  staging.ClearRows();
+  EXPECT_EQ(staging.num_rows(), 0u);
+  staging.AppendConcatSelected(left, l1.data(), right, r1.data(), l1.size());
+  Table fresh(concat);
+  fresh.AppendConcatSelected(left, l1.data(), right, r1.data(), l1.size());
+  ExpectSameRows(staging, fresh);
+  // Emptied, the table adopts another layout.
+  staging.ClearRows();
+  staging.AppendConcatSelected(right, r1.data(), left, l1.data(), l1.size());
+  EXPECT_EQ(staging.Int64At(0, 0), right.Int64At(0, r1[0]));
+}
+
+TEST(TableGatherDeathTest, AppendFromAnotherLayoutFails) {
+  const Table src = GatherSource(5);
+  const Table other = GatherSource(5);
+  const std::vector<uint32_t> rows = {0, 1, 2};
+  Table out(src.schema());
+  out.AppendSelectedFrom(src, rows.data(), rows.size());
+  EXPECT_DEATH(out.AppendSelectedFrom(other, rows.data(), 1), "another layout");
+  Table dense = GatherSource(2);
+  EXPECT_DEATH(dense.AppendSelectedFrom(src, rows.data(), 1), "another layout");
 }
 
 TEST(TableMiscTest, ApproxBytesGrowsWithData) {
