@@ -327,7 +327,8 @@ telemetry_stage() {
   echo "=== [10/12] Telemetry: exposition, tail sampling, slow log, top ==="
   cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DMONSOON_WERROR=ON
   cmake --build build-ci-release -j "${JOBS}" \
-    --target monsoon-serve monsoon-client monsoon-top monsoon-trace-check
+    --target monsoon-serve monsoon-client monsoon-top monsoon-trace-check \
+    bench_server_throughput
   local telem_dir="build-ci-release/telemetry-smoke"
   rm -rf "${telem_dir}"
   mkdir -p "${telem_dir}/tail"
@@ -393,6 +394,12 @@ telemetry_stage() {
   kill -INT "${serve_pid}"
   wait "${serve_pid}"
   grep -q 'pool pending=0' "${telem_dir}/serve.log"
+  # Telemetry A/B (DESIGN.md §14): the 16-client point against a
+  # telemetry-off and a fully instrumented server; fails when the
+  # instrumented arm's qps drops past MONSOON_OBS_AB_MAX_DROP_PCT (50%).
+  MONSOON_SERVER_CLIENTS=16 MONSOON_SERVER_REQUESTS=800 \
+    ./build-ci-release/bench/bench_server_throughput \
+    "${telem_dir}/BENCH_server.json"
 }
 
 shard_stage() {

@@ -192,21 +192,12 @@ Status MctsSearch::RunIteration(Node* root) {
   Node* node = root;
   double path_cost = 0;
   double rollout_cost = 0;
-
-  // One span per phase (Sec. 5.1's selection → expansion → simulation →
-  // backpropagation); span ids come from the lane's stream, so tracing
-  // never draws from rng_ and cannot perturb the search.
-  obs::TraceSpan select_span("mcts", "select");
   int depth = 0;
 
   for (;;) {
     if (node->terminal) break;
 
     if (!node->untried.empty()) {
-      select_span.Arg("depth", depth);
-      select_span.End();
-      obs::TraceSpan expand_span("mcts", "expand");
-      expand_span.Arg("chance", false);
       // Expansion: take one untried action.
       size_t pick = rng_.NextBounded(static_cast<uint32_t>(node->untried.size()));
       MdpAction action = node->untried[pick];
@@ -222,12 +213,9 @@ Status MctsSearch::RunIteration(Node* root) {
       if (action.IsExecute()) child->key = child->state.stats.Fingerprint();
       Expand(child);
       edge.children = child;
-      expand_span.End();
 
       if (!child->terminal) {
-        obs::TraceSpan rollout_span("mcts", "rollout");
         MONSOON_ASSIGN_OR_RETURN(rollout_cost, Rollout(child->state));
-        rollout_span.Arg("cost", rollout_cost);
       }
       // Count the visit on the new leaf as well.
       child->visits += 1;
@@ -258,20 +246,13 @@ Status MctsSearch::RunIteration(Node* root) {
       uint64_t key = scratch_.stats.Fingerprint();
       child = edge.FindChild(key);
       if (child == nullptr) {
-        select_span.Arg("depth", depth);
-        select_span.End();
         // A chance outcome we have not seen before: expand it here.
-        obs::TraceSpan expand_span("mcts", "expand");
-        expand_span.Arg("chance", true);
         child = NewNode(scratch_, key);
         Expand(child);
         child->next_sibling = edge.children;
         edge.children = child;
-        expand_span.End();
         if (!child->terminal) {
-          obs::TraceSpan rollout_span("mcts", "rollout");
           MONSOON_ASSIGN_OR_RETURN(rollout_cost, Rollout(child->state));
-          rollout_span.Arg("cost", rollout_cost);
         }
         child->visits += 1;
         break;
@@ -281,11 +262,9 @@ Status MctsSearch::RunIteration(Node* root) {
     node->visits += 1;
   }
 
-  select_span.Arg("depth", depth);  // terminal-hit descent: not ended above
-  select_span.End();
+  info_.max_depth = std::max(info_.max_depth, depth);
 
   // Backpropagation.
-  obs::TraceSpan backprop_span("mcts", "backprop");
   double ret = -(path_cost + rollout_cost);
   if (!bounds_init_) {
     min_return_ = max_return_ = ret;
@@ -300,7 +279,6 @@ Status MctsSearch::RunIteration(Node* root) {
     edge.visits += 1;
     edge.total_return += ret;
   }
-  backprop_span.Arg("return", ret).Arg("path", static_cast<uint64_t>(path_.size()));
   return Status::OK();
 }
 
@@ -323,6 +301,10 @@ StatusOr<MdpAction> MctsSearch::SearchBestAction(const MdpState& root_state) {
       obs::Registry::Global().GetCounter("mcts.iterations");
   searches_metric->Add(1);
 
+  // One span per search, on the worker's lane; its ids come from the
+  // lane's stream, so tracing never draws from rng_ and cannot perturb the
+  // search.
+  obs::TraceSpan tree_span("mcts", "tree");
   info_ = SearchInfo{};
   bounds_init_ = false;
   for (iteration_ = 0; iteration_ < options_.iterations; ++iteration_) {
@@ -355,7 +337,11 @@ StatusOr<MdpAction> MctsSearch::SearchBestAction(const MdpState& root_state) {
   }
 
   info_.tree_nodes = tree_nodes_;
-
+  tree_span.Arg("iterations", info_.iterations_run)
+      .Arg("tree_nodes", static_cast<uint64_t>(info_.tree_nodes))
+      .Arg("max_depth", info_.max_depth)
+      .Arg("best_visits", info_.best_visits)
+      .Arg("best_mean", info_.best_mean_return);
   return best->action;
 }
 

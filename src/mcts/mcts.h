@@ -64,6 +64,8 @@ class MctsSearch {
   struct SearchInfo {
     int iterations_run = 0;
     size_t tree_nodes = 0;
+    /// Deepest selection descent of any iteration.
+    int max_depth = 0;
     double best_mean_return = 0;
     int best_visits = 0;
     std::vector<RootEdgeInfo> root_edges;

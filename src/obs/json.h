@@ -70,8 +70,8 @@ class JsonWriter {
   void Key(const std::string& key);
 
   void String(const std::string& value);
-  /// Emits pre-serialized JSON text verbatim as the next value (the trace
-  /// layer stores span args already serialized).
+  /// Emits pre-serialized JSON text verbatim as the next value (the bench
+  /// writers splice in rows they formatted earlier).
   void Raw(const std::string& json_text);
   void Int(int64_t value);
   void Uint(uint64_t value);

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <utility>
+#include <variant>
 
 #include "common/check.h"
 #include "common/env.h"
@@ -32,27 +34,27 @@ struct TraceEvent {
   uint64_t seq;
   uint64_t ts_us;
   uint64_t dur_us;
-  /// BeginQueryTrace scope the event was recorded under; 0 outside any
-  /// scope. Only consulted in tail mode.
-  uint64_t query_serial = 0;
-  std::vector<std::pair<std::string, std::string>> args;
+  std::vector<TraceArg> args;
 };
 
 /// Rough in-memory footprint, charged against the tail byte budget.
 size_t ApproxEventBytes(const TraceEvent& ev) {
-  size_t bytes = sizeof(TraceEvent);
-  for (const auto& [key, value] : ev.args) bytes += key.size() + value.size();
+  size_t bytes = sizeof(TraceEvent) + ev.args.size() * sizeof(TraceArg);
+  for (const TraceArg& arg : ev.args) {
+    if (const auto* text = std::get_if<std::string>(&arg.value)) {
+      bytes += text->size();
+    }
+  }
   return bytes;
 }
 
-/// Per-thread event buffer. The owning thread appends under the buffer's
-/// own mutex (uncontended except during a drain); StopTracing locks each
-/// buffer to collect. `bmu` is deliberately not in tools/lint/lock_ranks.h:
-/// it nests only inside the tracer mutex and never wraps other locks.
-struct ThreadBuffer {
-  Mutex bmu;
-  std::vector<TraceEvent> events GUARDED_BY(bmu);
-};
+void SortByLaneSeq(std::vector<TraceEvent>* events) {
+  std::stable_sort(events->begin(), events->end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     if (a.lane != b.lane) return a.lane < b.lane;
+                     return a.seq < b.seq;
+                   });
+}
 
 /// Per-lane id stream. A lane has a single owning thread at any moment
 /// (main, one MCTS worker task, or one pool worker), so rng/seq are
@@ -64,8 +66,39 @@ struct LaneState {
 };
 
 thread_local int tls_lane = -1;
-/// Active BeginQueryTrace scope for this thread; 0 = none.
-thread_local uint64_t tls_query_serial = 0;
+
+}  // namespace
+
+/// A span buffer. A query scope (serial > 0) is shared by the query's
+/// session thread and the pool tasks it submitted, and charges its events
+/// to the tail byte budget; the process scope (serial 0) collects full
+/// tracing's spans. A span that ends after its query did (a task's
+/// pool/task span closes after its group's Wait may return) is freed with
+/// the scope. `smu` is deliberately not in tools/lint/lock_ranks.h: it is
+/// a leaf lock.
+class TraceScope {
+ public:
+  explicit TraceScope(uint64_t query_serial) : serial(query_serial) {}
+  ~TraceScope() { Take(); }
+
+  void Record(TraceEvent ev);
+  /// Returns the events recorded so far and gives their bytes back to the
+  /// tail budget.
+  std::vector<TraceEvent> Take();
+
+  const uint64_t serial;
+
+ private:
+  Mutex smu;
+  std::vector<TraceEvent> events GUARDED_BY(smu);
+  size_t bytes GUARDED_BY(smu) = 0;
+};
+
+namespace {
+
+/// The calling thread's current query scope (BeginQueryTrace, or the one a
+/// pool task carries); null outside every query.
+thread_local std::shared_ptr<TraceScope> tls_scope;
 
 class Tracer {
  public:
@@ -80,12 +113,13 @@ class Tracer {
   std::string path GUARDED_BY(tracer_mu);
   uint64_t seed GUARDED_BY(tracer_mu) = 0;
   std::string lane_names[kNumLanes] GUARDED_BY(tracer_mu);
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers GUARDED_BY(tracer_mu);
-  std::vector<TraceEvent> orphans GUARDED_BY(tracer_mu);
+  /// Full tracing's scope: spans outside every query scope record here
+  /// while StartTracing is armed.
+  TraceScope process{0};
 
   /// Tail-sampling state (StartTailSampling). The atomics are read on the
   /// span fast path and at query end without the mutex; dir only changes
-  /// under it.
+  /// under it. tail_bytes is the sum of the live query scopes' bytes.
   std::string tail_dir GUARDED_BY(tracer_mu);
   std::atomic<uint64_t> tail_slow_us{0};
   std::atomic<size_t> tail_byte_budget{0};
@@ -99,36 +133,15 @@ class Tracer {
   LaneState lanes[kNumLanes];
   std::atomic<int> next_external{kExternalLaneBase};
 
-  ThreadBuffer* RegisterBuffer() {
-    MutexLock lock(tracer_mu);
-    buffers.push_back(std::make_unique<ThreadBuffer>());
-    return buffers.back().get();
-  }
-
-  void ReleaseBuffer(ThreadBuffer* buffer) {
-    MutexLock lock(tracer_mu);
-    for (size_t i = 0; i < buffers.size(); ++i) {
-      if (buffers[i].get() != buffer) continue;
-      {
-        MutexLock buffer_lock(buffer->bmu);
-        for (TraceEvent& ev : buffer->events) {
-          orphans.push_back(std::move(ev));
-        }
-      }
-      buffers.erase(buffers.begin() + static_cast<ptrdiff_t>(i));
-      return;
-    }
-  }
-
   void SetLaneName(int lane, const std::string& name) {
     MutexLock lock(tracer_mu);
     lane_names[lane] = name;
   }
 
   /// The arm step both modes share: fails while either mode is armed (they
-  /// are mutually exclusive), else starts a fresh epoch, resets every
-  /// lane's id stream to seed + lane and empties the buffers. The caller
-  /// publishes the state with the release store on g_trace_enabled.
+  /// are mutually exclusive), else starts a fresh epoch and resets every
+  /// lane's id stream to seed + lane. The caller publishes the state with
+  /// the release store on g_trace_enabled.
   Status Arm(uint64_t trace_seed) REQUIRES(tracer_mu) {
     if (active) {
       return Status::AlreadyExists("full-file tracing is already active (" +
@@ -144,11 +157,6 @@ class Tracer {
       lanes[lane].seq = 0;
     }
     if (lane_names[kMainLane].empty()) lane_names[kMainLane] = "main";
-    for (const auto& buffer : buffers) {
-      MutexLock buffer_lock(buffer->bmu);
-      buffer->events.clear();
-    }
-    orphans.clear();
     if (tls_lane < 0) tls_lane = kMainLane;
     return Status::OK();
   }
@@ -156,24 +164,6 @@ class Tracer {
  private:
   Tracer() = default;
 };
-
-/// Owns this thread's registration; thread exit moves any still-buffered
-/// events into the tracer's orphan list so they survive into the file.
-struct BufferHandle {
-  ThreadBuffer* buffer = nullptr;
-  ~BufferHandle() {
-    if (buffer != nullptr) Tracer::Global().ReleaseBuffer(buffer);
-  }
-};
-
-thread_local BufferHandle tls_buffer;
-
-ThreadBuffer* CurrentBuffer() {
-  if (tls_buffer.buffer == nullptr) {
-    tls_buffer.buffer = Tracer::Global().RegisterBuffer();
-  }
-  return tls_buffer.buffer;
-}
 
 int ClampLane(int lane) {
   if (lane < 0) return 0;
@@ -262,9 +252,9 @@ Status WriteTraceJson(const std::string& path,
     writer.KV("span_id", StrFormat("0x%016llx",
                                    static_cast<unsigned long long>(ev.span_id)));
     writer.KV("seq", ev.seq);
-    for (const auto& [key, json_text] : ev.args) {
-      writer.Key(key);
-      writer.Raw(json_text);
+    for (const TraceArg& arg : ev.args) {
+      std::visit([&](const auto& value) { writer.KV(arg.key, value); },
+                 arg.value);
     }
     writer.EndObject();
     writer.EndObject();
@@ -285,6 +275,38 @@ Status WriteTraceJson(const std::string& path,
 }
 
 }  // namespace
+
+void TraceScope::Record(TraceEvent ev) {
+  Tracer& tracer = Tracer::Global();
+  size_t ev_bytes = serial == 0 ? 0 : ApproxEventBytes(ev);
+  MutexLock lock(smu);
+  if (ev_bytes > 0) {
+    size_t budget = tracer.tail_byte_budget.load(std::memory_order_relaxed);
+    if (tracer.tail_bytes.fetch_add(ev_bytes, std::memory_order_relaxed) +
+            ev_bytes >
+        budget) {
+      tracer.tail_bytes.fetch_sub(ev_bytes, std::memory_order_relaxed);
+      tracer.tail_dropped.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    bytes += ev_bytes;
+  }
+  events.push_back(std::move(ev));
+}
+
+std::vector<TraceEvent> TraceScope::Take() {
+  std::vector<TraceEvent> taken;
+  size_t freed = 0;
+  {
+    MutexLock lock(smu);
+    taken.swap(events);
+    std::swap(freed, bytes);
+  }
+  if (freed > 0) {
+    Tracer::Global().tail_bytes.fetch_sub(freed, std::memory_order_relaxed);
+  }
+  return taken;
+}
 
 void SetThreadDefaultLane(int lane, const std::string& name) {
   lane = ClampLane(lane);
@@ -314,6 +336,7 @@ Status StartTracing(const std::string& path, uint64_t seed) {
   }
 
   tracer.active = true;
+  tracer.process.Take();  // spans that ended after the last StopTracing
   internal::g_trace_enabled.store(true, std::memory_order_release);
   return Status::OK();
 }
@@ -325,25 +348,8 @@ Status StopTracing() {
   internal::g_trace_enabled.store(false, std::memory_order_release);
   tracer.active = false;
 
-  std::vector<TraceEvent> events;
-  for (const auto& buffer : tracer.buffers) {
-    MutexLock buffer_lock(buffer->bmu);
-    for (TraceEvent& ev : buffer->events) {
-      events.push_back(std::move(ev));
-    }
-    buffer->events.clear();
-  }
-  for (TraceEvent& ev : tracer.orphans) {
-    events.push_back(std::move(ev));
-  }
-  tracer.orphans.clear();
-
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.lane != b.lane) return a.lane < b.lane;
-                     return a.seq < b.seq;
-                   });
-
+  std::vector<TraceEvent> events = tracer.process.Take();
+  SortByLaneSeq(&events);
   return WriteTraceJson(tracer.path, events, tracer.lane_names, tracer.seed);
 }
 
@@ -363,7 +369,6 @@ Status StartTailSampling(const TailSamplingOptions& options) {
   tracer.tail_slow_us.store(options.slow_us, std::memory_order_relaxed);
   tracer.tail_byte_budget.store(options.byte_budget,
                                 std::memory_order_relaxed);
-  tracer.tail_bytes.store(0, std::memory_order_relaxed);
   tracer.tail_dropped.store(0, std::memory_order_relaxed);
 
   internal::g_tail_mode.store(true, std::memory_order_release);
@@ -377,12 +382,6 @@ Status StopTailSampling() {
   if (!TailSamplingActive()) return Status::OK();
   internal::g_trace_enabled.store(false, std::memory_order_release);
   internal::g_tail_mode.store(false, std::memory_order_release);
-  for (const auto& buffer : tracer.buffers) {
-    MutexLock buffer_lock(buffer->bmu);
-    buffer->events.clear();
-  }
-  tracer.orphans.clear();
-  tracer.tail_bytes.store(0, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -403,53 +402,28 @@ uint64_t BeginQueryTrace() {
   Tracer& tracer = Tracer::Global();
   uint64_t serial =
       tracer.next_query_serial.fetch_add(1, std::memory_order_relaxed) + 1;
-  tls_query_serial = serial;
+  tls_scope = std::make_shared<TraceScope>(serial);
   return serial;
 }
 
 std::string EndQueryTrace(uint64_t serial, QueryReason reason,
                           uint64_t elapsed_us) {
-  if (serial == 0) return std::string();
-  if (tls_query_serial == serial) tls_query_serial = 0;
-
-  Tracer& tracer = Tracer::Global();
-  MutexLock lock(tracer.tracer_mu);
-
-  // Sweep this query's events out of every buffer (they normally live in
-  // the session thread's buffer only; orphans cover a thread that exited).
-  std::vector<TraceEvent> events;
-  auto take_from = [&](std::vector<TraceEvent>& source) {
-    auto keep_end = std::stable_partition(
-        source.begin(), source.end(),
-        [&](const TraceEvent& ev) { return ev.query_serial != serial; });
-    for (auto it = keep_end; it != source.end(); ++it) {
-      events.push_back(std::move(*it));
-    }
-    source.erase(keep_end, source.end());
-  };
-  for (const auto& buffer : tracer.buffers) {
-    MutexLock buffer_lock(buffer->bmu);
-    take_from(buffer->events);
+  if (serial == 0 || tls_scope == nullptr || tls_scope->serial != serial) {
+    return std::string();
   }
-  take_from(tracer.orphans);
-  size_t freed = 0;
-  for (const TraceEvent& ev : events) freed += ApproxEventBytes(ev);
-  tracer.tail_bytes.fetch_sub(freed, std::memory_order_relaxed);
+  std::shared_ptr<TraceScope> scope = std::move(tls_scope);
+  std::vector<TraceEvent> events = scope->Take();
 
-  // Dropped: the events are discarded with this scope. Also when sampling
+  // Dropped: the events are freed with this scope. Also when sampling
   // stopped while the query was in flight.
   if (!TailSamplingActive() || reason == QueryReason::kClean) {
     return std::string();
   }
   const std::string reason_name =
       reason == QueryReason::kError ? "faulted" : QueryReasonName(reason);
+  SortByLaneSeq(&events);
 
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.lane != b.lane) return a.lane < b.lane;
-                     return a.seq < b.seq;
-                   });
-
+  Tracer& tracer = Tracer::Global();
   // The sampling-decision marker leads the file so checkers can classify
   // the trace without scanning it.
   TraceEvent marker;
@@ -460,19 +434,16 @@ std::string EndQueryTrace(uint64_t serial, QueryReason reason,
   marker.seq = 0;
   marker.ts_us = events.empty() ? 0 : events.front().ts_us;
   marker.dur_us = 0;
-  marker.args.emplace_back("decision", "\"sampled\"");
-  marker.args.emplace_back("reason", "\"" + reason_name + "\"");
-  marker.args.emplace_back(
-      "elapsed_us",
-      StrFormat("%llu", static_cast<unsigned long long>(elapsed_us)));
-  marker.args.emplace_back(
-      "serial", StrFormat("%llu", static_cast<unsigned long long>(serial)));
-  marker.args.emplace_back(
-      "budget_dropped_events",
-      StrFormat("%llu", static_cast<unsigned long long>(
-                            tracer.tail_dropped.load(std::memory_order_relaxed))));
+  marker.args = {
+      {"decision", std::string("sampled")},
+      {"reason", reason_name},
+      {"elapsed_us", elapsed_us},
+      {"serial", serial},
+      {"budget_dropped_events",
+       tracer.tail_dropped.load(std::memory_order_relaxed)}};
   events.insert(events.begin(), std::move(marker));
 
+  MutexLock lock(tracer.tracer_mu);
   std::string path =
       tracer.tail_dir +
       StrFormat("/tail-%06llu-", static_cast<unsigned long long>(serial)) +
@@ -504,52 +475,37 @@ TraceSpan::TraceSpan(const char* category, const char* name) {
   start_us_ = NowUs();
 }
 
+std::shared_ptr<TraceScope> CurrentTraceScope() { return tls_scope; }
+
+TraceScopeGuard::TraceScopeGuard(const std::shared_ptr<TraceScope>& scope)
+    : saved_(scope) {
+  tls_scope.swap(saved_);
+}
+
+TraceScopeGuard::~TraceScopeGuard() { tls_scope.swap(saved_); }
+
 void TraceSpan::End() {
   if (!enabled_) return;
   enabled_ = false;
-  TraceEvent ev;
-  ev.category = category_;
-  ev.name = name_;
-  ev.lane = lane_;
-  ev.span_id = span_id_;
-  ev.seq = seq_;
-  ev.ts_us = start_us_;
-  uint64_t end_us = NowUs();
-  ev.dur_us = end_us >= start_us_ ? end_us - start_us_ : 0;
-  ev.query_serial = tls_query_serial;
-  ev.args = std::move(args_);
-  if (internal::g_tail_mode.load(std::memory_order_acquire)) {
-    // Tail mode buffers only events inside a query scope, under the global
-    // byte budget; everything else is discarded right here so idle-time
-    // spans can never grow the buffers unboundedly.
-    if (ev.query_serial == 0) return;
-    Tracer& tracer = Tracer::Global();
-    size_t bytes = ApproxEventBytes(ev);
-    size_t budget = tracer.tail_byte_budget.load(std::memory_order_relaxed);
-    if (tracer.tail_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes >
-        budget) {
-      tracer.tail_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-      tracer.tail_dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+  TraceScope* scope = tls_scope.get();
+  if (scope == nullptr) {
+    // Outside every query scope only full tracing keeps the span.
+    if (TailSamplingActive()) return;
+    scope = &Tracer::Global().process;
   }
-  ThreadBuffer* buffer = CurrentBuffer();
-  MutexLock lock(buffer->bmu);
-  buffer->events.push_back(std::move(ev));
+  uint64_t end_us = NowUs();
+  scope->Record(TraceEvent{category_, name_, lane_, span_id_, seq_, start_us_,
+                           end_us >= start_us_ ? end_us - start_us_ : 0,
+                           std::move(args_)});
 }
 
 TraceSpan& TraceSpan::Arg(const char* key, int64_t value) {
-  if (enabled_) {
-    args_.emplace_back(key, StrFormat("%lld", static_cast<long long>(value)));
-  }
+  if (enabled_) args_.emplace_back(key, value);
   return *this;
 }
 
 TraceSpan& TraceSpan::Arg(const char* key, uint64_t value) {
-  if (enabled_) {
-    args_.emplace_back(key,
-                       StrFormat("%llu", static_cast<unsigned long long>(value)));
-  }
+  if (enabled_) args_.emplace_back(key, value);
   return *this;
 }
 
@@ -558,12 +514,12 @@ TraceSpan& TraceSpan::Arg(const char* key, int value) {
 }
 
 TraceSpan& TraceSpan::Arg(const char* key, double value) {
-  if (enabled_) args_.emplace_back(key, StrFormat("%.17g", value));
+  if (enabled_) args_.emplace_back(key, value);
   return *this;
 }
 
 TraceSpan& TraceSpan::Arg(const char* key, bool value) {
-  if (enabled_) args_.emplace_back(key, value ? "true" : "false");
+  if (enabled_) args_.emplace_back(key, value);
   return *this;
 }
 
@@ -575,14 +531,7 @@ TraceSpan& TraceSpan::Arg(const char* key, const char* value) {
 }
 
 TraceSpan& TraceSpan::Arg(const char* key, const std::string& value) {
-  if (enabled_) {
-    std::string quoted;
-    quoted.reserve(value.size() + 2);
-    quoted += '"';
-    quoted += JsonEscape(value);
-    quoted += '"';
-    args_.emplace_back(key, std::move(quoted));
-  }
+  if (enabled_) args_.emplace_back(key, value);
   return *this;
 }
 

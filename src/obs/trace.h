@@ -3,8 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/status.h"
@@ -19,12 +20,15 @@ namespace monsoon::obs {
 /// numbers come from per-lane Pcg32 streams seeded with seed + lane —
 /// never from the clock.
 ///
-/// Lifecycle: StartTracing(path, seed) arms the global flag; TraceSpan
-/// objects on any thread buffer events locally; StopTracing() disarms,
-/// drains every buffer, sorts by (lane, seq), and writes the JSON file.
-/// When tracing is off a TraceSpan costs one acquire load and a branch —
-/// no allocation, no lock (pinned by bench_obs_overhead and the
-/// zero-allocation test).
+/// Spans record into a *trace scope*: a tail-sampled query's own buffer
+/// (BeginQueryTrace), or full tracing's one process scope.
+///
+/// Lifecycle: StartTracing(path, seed) arms the global flag and empties the
+/// process scope; TraceSpan objects on any thread record into it;
+/// StopTracing() disarms, sorts the scope's events by (lane, seq), and
+/// writes the JSON file. When tracing is off a TraceSpan costs one acquire
+/// load and a branch — no allocation, no lock (pinned by bench_obs_overhead
+/// and the zero-allocation test).
 
 enum class QueryReason;  // obs/report.h
 
@@ -97,12 +101,14 @@ bool MaybeStartTracingFromEnv();
 /// Each kept query becomes its own Chrome trace file in `dir`, prefixed
 /// with a "sampling_decision" marker event recording why it was kept.
 ///
-/// Scoping: BeginQueryTrace() tags the calling thread with a fresh query
-/// serial; spans recorded by that thread until the matching EndQueryTrace()
-/// carry the serial. In tail mode, spans on threads with no active serial
-/// (other sessions' pool workers, morsel tasks stolen by peers) are not
-/// buffered — a tail trace documents the session thread's timeline, which
-/// is where the MDP / Σ / executor spans of a server query live. Full-file
+/// Scoping: BeginQueryTrace() opens the query's trace scope and makes it
+/// the calling thread's current scope. ThreadPool tasks carry their
+/// submitter's current scope to whichever thread runs them, so the morsel,
+/// shard-range and MCTS-worker spans of a query land in its scope — also
+/// when a peer session's thread runs the task while it waits. A span
+/// recorded outside every query scope is not kept in tail mode. The
+/// matching EndQueryTrace() closes the scope: a dropped query frees its
+/// events without a global lock, a kept one writes its own. Full-file
 /// tracing (StartTracing) and tail sampling are mutually exclusive.
 
 struct TailSamplingOptions {
@@ -121,24 +127,26 @@ struct TailSamplingOptions {
 /// Arms tail sampling. Fails if tracing (either mode) is already active.
 Status StartTailSampling(const TailSamplingOptions& options);
 
-/// Disarms tail sampling and discards any still-buffered events (queries
-/// that never reached EndQueryTrace). Idempotent.
+/// Disarms tail sampling. Queries still in flight drop their events when
+/// they end. Idempotent.
 Status StopTailSampling();
 
 /// Arms tail sampling from MONSOON_TRACE_TAIL_MS (threshold, milliseconds)
 /// and MONSOON_TRACE_TAIL_DIR (default "."); returns true when armed.
 bool MaybeStartTailSamplingFromEnv();
 
-/// Opens a per-query capture scope on the calling thread and returns its
-/// serial (> 0), or 0 when tail sampling is inactive. Costs one acquire
-/// load when inactive (gated by bench_obs_overhead).
+/// Opens a query's trace scope, makes it the calling thread's current
+/// scope, and returns its serial (> 0), or 0 when tail sampling is
+/// inactive. Costs one acquire load when inactive (gated by
+/// bench_obs_overhead).
 uint64_t BeginQueryTrace();
 
-/// Closes the scope opened by BeginQueryTrace. `reason` is ClassifyQuery at
-/// TailSamplingSlowUs(): kClean drops the events, anything else writes
-/// "<dir>/tail-<serial>-<reason>.json" (kError is spelled "faulted").
-/// Returns the written path; "" when dropped, on a failed write, or for
-/// serial == 0 (tail sampling inactive at Begin time, a no-op).
+/// Closes the scope BeginQueryTrace opened; call it on the same thread.
+/// `reason` is ClassifyQuery at TailSamplingSlowUs(): kClean drops the
+/// events, anything else writes "<dir>/tail-<serial>-<reason>.json" (kError
+/// is spelled "faulted"). Returns the written path; "" when dropped, on a
+/// failed write, or for serial == 0 (tail sampling inactive at Begin time,
+/// a no-op).
 std::string EndQueryTrace(uint64_t serial, QueryReason reason,
                           uint64_t elapsed_us);
 
@@ -148,11 +156,42 @@ uint64_t TailSamplingSlowUs();
 /// Events dropped by the byte budget since StartTailSampling.
 uint64_t TailSamplingDroppedEvents();
 
+/// A span buffer (defined in trace.cc): one per tail-sampled query, plus
+/// full tracing's process scope.
+class TraceScope;
+
+/// The calling thread's current query scope; null outside every
+/// tail-sampled query, and copying a null scope costs no atomic.
+/// ThreadPool::SubmitTo captures it with each task.
+std::shared_ptr<TraceScope> CurrentTraceScope();
+
+/// Makes `scope` the calling thread's current scope for this object's
+/// lifetime, then restores the thread's own. ThreadPool runs each task
+/// under the scope captured when it was submitted.
+class TraceScopeGuard {
+ public:
+  explicit TraceScopeGuard(const std::shared_ptr<TraceScope>& scope);
+  ~TraceScopeGuard();
+
+  TraceScopeGuard(const TraceScopeGuard&) = delete;
+  TraceScopeGuard& operator=(const TraceScopeGuard&) = delete;
+
+ private:
+  std::shared_ptr<TraceScope> saved_;
+};
+
+/// One span arg, stored typed and formatted only when a trace file is
+/// written. `key` must be a string literal (stored as a pointer).
+struct TraceArg {
+  const char* key;
+  std::variant<int64_t, uint64_t, double, bool, std::string> value;
+};
+
 /// RAII span. Construction samples the start time and draws a span id
 /// from the current lane's stream; End() (or the destructor) samples the
-/// duration and buffers the event. `category` and `name` must be string
-/// literals (stored as pointers). Args are serialized immediately; guard
-/// expensive arg computation with `if (span.enabled())`.
+/// duration and records the event into the thread's current scope.
+/// `category`, `name` and arg keys must be string literals (stored as
+/// pointers). Guard expensive arg computation with `if (span.enabled())`.
 class TraceSpan {
  public:
   TraceSpan(const char* category, const char* name);
@@ -163,7 +202,7 @@ class TraceSpan {
 
   bool enabled() const { return enabled_; }
 
-  /// Closes the span and buffers the event; further Arg() calls are
+  /// Closes the span and records the event; further Arg() calls are
   /// ignored. Safe to call more than once.
   void End();
 
@@ -183,8 +222,7 @@ class TraceSpan {
   uint64_t span_id_ = 0;
   uint64_t seq_ = 0;
   uint64_t start_us_ = 0;
-  /// key -> already-serialized JSON value text.
-  std::vector<std::pair<std::string, std::string>> args_;
+  std::vector<TraceArg> args_;
 };
 
 }  // namespace monsoon::obs

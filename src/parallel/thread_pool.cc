@@ -61,9 +61,12 @@ void ThreadPool::SubmitTo(size_t queue, Task task) {
   size_t home = queue % queues_.size();
   // Wrap the task with lifecycle telemetry: enqueue → dequeue latency, and
   // whether it was stolen off its home queue. The wrapper runs on the
-  // claiming thread, so the TraceSpan lands on that worker's lane.
+  // claiming thread, so the TraceSpan lands on that worker's lane, and
+  // under the submitter's trace scope, so it lands in the submitter's
+  // query whichever thread claims it.
   auto enqueued = std::chrono::steady_clock::now();
-  Task wrapped = [home, enqueued, inner = std::move(task)] {
+  Task wrapped = [home, enqueued, scope = obs::CurrentTraceScope(),
+                  inner = std::move(task)] {
     uint64_t queue_us = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - enqueued)
@@ -73,6 +76,7 @@ void ThreadPool::SubmitTo(size_t queue, Task task) {
     run_metric->Add(1);
     if (stolen) stolen_metric->Add(1);
     queue_us_metric->Observe(queue_us);
+    obs::TraceScopeGuard trace_scope(scope);
     obs::TraceSpan span("pool", "task");
     span.Arg("queue_us", queue_us)
         .Arg("home", static_cast<uint64_t>(home))

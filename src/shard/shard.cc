@@ -101,7 +101,6 @@ PartitionResult Partition(const TablePtr& table, size_t num_shards) {
     selections[s].push_back(static_cast<uint32_t>(row));
   }
   auto out = std::make_shared<Table>(table->schema());
-  out->Reserve(rows);
   auto map = std::make_shared<ShardMap>();
   map->offsets.reserve(num_shards + 1);
   map->offsets.push_back(0);

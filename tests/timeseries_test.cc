@@ -1,14 +1,18 @@
 // Tests for the live-telemetry layer: HistogramPercentile ground truth,
 // TimeSeriesRing wrap/window merging, MetricsSampler priming, Prometheus
-// exposition rendering + validation round trip, the slow-query log, and
-// the harness-CSV bit-identity guarantee with telemetry on vs off.
+// exposition rendering + validation round trip, the slow-query log, the
+// trace-scope contract (a query's pool-task spans reach its tail trace and
+// no other, the tail byte budget), and the harness-CSV bit-identity
+// guarantee with telemetry on vs off.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/runner.h"
@@ -16,9 +20,11 @@
 #include "obs/exposition.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/slowlog.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "parallel/thread_pool.h"
 #include "workloads/tpch.h"
 
 namespace monsoon {
@@ -384,6 +390,162 @@ TEST(SlowQueryLogTest, WritesParseableJsonl) {
     }
   }
   EXPECT_EQ(lines, 2);
+}
+
+// ---------------------------------------------------------------------------
+// Trace scopes
+// ---------------------------------------------------------------------------
+
+/// The complete (ph:"X") events of the Chrome trace at `path`, in file
+/// order; a tail trace's sampling_decision marker comes first.
+std::vector<obs::JsonValue> SpansOf(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  auto doc = obs::JsonParse(text.str());
+  EXPECT_TRUE(doc.ok()) << path << ": " << doc.status().ToString();
+  std::vector<obs::JsonValue> spans;
+  if (!doc.ok()) return spans;
+  for (const obs::JsonValue& event : doc->Find("traceEvents")->array) {
+    if (event.Find("ph")->string_value == "X") spans.push_back(event);
+  }
+  return spans;
+}
+
+/// Tail sampling that keeps no query as slow: only the reason passed to
+/// EndQueryTrace decides.
+obs::TailSamplingOptions NeverSlowTail() {
+  obs::TailSamplingOptions tail;
+  tail.dir = testing::TempDir();
+  tail.slow_us = 3600ull * 1000 * 1000;
+  return tail;
+}
+
+/// Runs `tasks` tasks on `pool` from the calling thread; each emits one
+/// "work" span tagged with `query`. The sleep lets the workers claim tasks
+/// while the caller is still submitting.
+void RunTaggedTasks(parallel::ThreadPool* pool, int64_t query, int tasks) {
+  parallel::TaskGroup group(pool);
+  for (int t = 0; t < tasks; ++t) {
+    group.Run([query] {
+      obs::TraceSpan span("test", "work");
+      span.Arg("query", query);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+  }
+  group.Wait();
+}
+
+TEST(TraceScopeTest, PoolTaskSpansReachTheKeptQuerysTrace) {
+  ASSERT_TRUE(obs::StartTailSampling(NeverSlowTail()).ok());
+  parallel::ThreadPool pool(4);
+  uint64_t serial = obs::BeginQueryTrace();
+  ASSERT_GT(serial, 0u);
+  RunTaggedTasks(&pool, 1, 16);
+  std::string path =
+      obs::EndQueryTrace(serial, obs::QueryReason::kDegraded, 1);
+  ASSERT_TRUE(obs::StopTailSampling().ok());
+  ASSERT_FALSE(path.empty());
+
+  int work = 0;
+  int on_pool_lanes = 0;
+  for (const obs::JsonValue& event : SpansOf(path)) {
+    if (event.Find("name")->string_value != "work") continue;
+    ++work;
+    if (event.Find("tid")->number >= obs::kPoolLaneBase) ++on_pool_lanes;
+  }
+  EXPECT_EQ(work, 16) << "every task's span is in its query's trace";
+  EXPECT_GT(on_pool_lanes, 0) << "pool workers' spans are kept";
+}
+
+TEST(TraceScopeTest, ConcurrentQueriesKeepOnlyTheirOwnSpans) {
+  ASSERT_TRUE(obs::StartTailSampling(NeverSlowTail()).ok());
+  // One shared pool: each query's thread helps run the other's tasks while
+  // it waits, and those spans must still land in the submitter's scope.
+  parallel::ThreadPool pool(4);
+  constexpr int kTasks = 64;
+  std::string kept_path;
+  std::string clean_path = "unset";
+  std::thread kept([&] {
+    uint64_t serial = obs::BeginQueryTrace();
+    RunTaggedTasks(&pool, 1, kTasks);
+    kept_path = obs::EndQueryTrace(serial, obs::QueryReason::kDegraded, 1);
+  });
+  std::thread clean([&] {
+    uint64_t serial = obs::BeginQueryTrace();
+    RunTaggedTasks(&pool, 2, kTasks);
+    clean_path = obs::EndQueryTrace(serial, obs::QueryReason::kClean, 1);
+  });
+  kept.join();
+  clean.join();
+  ASSERT_TRUE(obs::StopTailSampling().ok());
+
+  EXPECT_TRUE(clean_path.empty()) << "a clean query keeps no trace";
+  ASSERT_FALSE(kept_path.empty());
+  int tagged = 0;
+  for (const obs::JsonValue& event : SpansOf(kept_path)) {
+    const obs::JsonValue* query = event.Find("args")->Find("query");
+    if (query == nullptr) continue;
+    EXPECT_EQ(query->number, 1) << "a span of the clean query was misfiled";
+    ++tagged;
+  }
+  EXPECT_EQ(tagged, kTasks);
+}
+
+TEST(TraceScopeTest, FullTraceKeepsSpansOfExitedThreads) {
+  std::string path = testing::TempDir() + "/trace_exited_thread.json";
+  ASSERT_TRUE(obs::StartTracing(path, /*seed=*/7).ok());
+  std::thread([] { obs::TraceSpan span("test", "exited_thread"); }).join();
+  ASSERT_TRUE(obs::StopTracing().ok());
+
+  int found = 0;
+  for (const obs::JsonValue& event : SpansOf(path)) {
+    if (event.Find("name")->string_value == "exited_thread") ++found;
+  }
+  EXPECT_EQ(found, 1);
+}
+
+TEST(TraceScopeTest, ByteBudgetDropsEventsAndComesBackAtQueryEnd) {
+  obs::TailSamplingOptions tail = NeverSlowTail();
+  tail.byte_budget = 1024;  // a few events
+  ASSERT_TRUE(obs::StartTailSampling(tail).ok());
+  constexpr int kSpans = 100;
+  uint64_t first = obs::BeginQueryTrace();
+  for (int i = 0; i < kSpans; ++i) {
+    obs::TraceSpan span("test", "flood");
+  }
+  std::string first_path =
+      obs::EndQueryTrace(first, obs::QueryReason::kDegraded, 1);
+  uint64_t dropped = obs::TailSamplingDroppedEvents();
+  // The first query's bytes came back when it ended: the next one buffers.
+  uint64_t second = obs::BeginQueryTrace();
+  { obs::TraceSpan span("test", "after"); }
+  std::string second_path =
+      obs::EndQueryTrace(second, obs::QueryReason::kDegraded, 1);
+  uint64_t dropped_after = obs::TailSamplingDroppedEvents();
+  ASSERT_TRUE(obs::StopTailSampling().ok());
+
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(dropped_after, dropped);
+  ASSERT_FALSE(first_path.empty());
+  std::vector<obs::JsonValue> spans = SpansOf(first_path);
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans[0].Find("name")->string_value, "sampling_decision");
+  EXPECT_EQ(spans[0].Find("args")->Find("budget_dropped_events")->number,
+            static_cast<double>(dropped));
+  int flood = 0;
+  for (const obs::JsonValue& event : spans) {
+    if (event.Find("name")->string_value == "flood") ++flood;
+  }
+  EXPECT_GT(flood, 0);
+  EXPECT_EQ(static_cast<uint64_t>(flood) + dropped, uint64_t{kSpans});
+
+  ASSERT_FALSE(second_path.empty());
+  int after = 0;
+  for (const obs::JsonValue& event : SpansOf(second_path)) {
+    if (event.Find("name")->string_value == "after") ++after;
+  }
+  EXPECT_EQ(after, 1);
 }
 
 // ---------------------------------------------------------------------------
