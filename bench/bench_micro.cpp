@@ -256,6 +256,67 @@ void BM_LegalActions(benchmark::State& state) {
 }
 BENCHMARK(BM_LegalActions);
 
+// imdb-q13 mid-query, the shape MCTS rollouts enumerate: each of two rounds
+// plans a Σ over a base relation and two joins, then simulates EXECUTE, so
+// R_e grows from 5 entries to 7–9 and S holds sampled distinct counts.
+MdpState MidQueryState(const QueryMdp& mdp, const MdpState& root) {
+  MdpState state = root;
+  Pcg32 rng(7);
+  auto apply_first = [&](MdpAction::Type type) {
+    for (const MdpAction& action : mdp.LegalActions(state)) {
+      if (action.type != type) continue;
+      state = mdp.ApplyPlanAction(state, action).value();
+      return;
+    }
+  };
+  for (int round = 0; round < 2; ++round) {
+    apply_first(MdpAction::Type::kAddStatsPlan);
+    apply_first(MdpAction::Type::kJoinExecExec);
+    apply_first(MdpAction::Type::kJoinExecExec);
+    state = mdp.SimulateExecute(state, rng).value().state;
+  }
+  return state;
+}
+
+void BM_LegalActionsMidQuery(benchmark::State& state) {
+  ImdbQ13Fixture fixture;
+  MdpState mid = MidQueryState(*fixture.mdp, fixture.root);
+  std::pmr::vector<MdpAction> actions;
+  for (auto _ : state) {
+    fixture.mdp->LegalActions(mid, &actions);
+    benchmark::DoNotOptimize(actions.data());
+  }
+  state.counters["executed"] = static_cast<double>(mid.executed.size());
+  state.counters["actions"] = static_cast<double>(actions.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LegalActionsMidQuery);
+
+// StatsStore's containment fallback: 8 terms, each with partner-specific
+// samples and observations over 15 sub-expressions of a six-relation
+// query; every lookup misses its exact and wildcard keys and scans the
+// term's entries for the most specific sub-expression.
+void BM_StatsStoreLookupDistinct(benchmark::State& state) {
+  StatsStore store;
+  const ExprSig partner{0b100000, 0};
+  for (int term = 0; term < 8; ++term) {
+    for (uint64_t rels = 1; rels < 16; ++rels) {
+      ExprSig expr{rels, rels << 1};
+      store.SetDistinct(term, expr, partner, static_cast<double>(100 * term + rels));
+      if (rels % 3 == 0) store.SetDistinctObserved(term, expr, static_cast<double>(rels));
+      store.SetDistinct(term, expr, ExprSig{0b010000, 0}, 1);
+    }
+  }
+  const ExprSig lookup{0b011111, 0b111};
+  int term = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.LookupDistinct(term, lookup, partner));
+    term = (term + 1) & 7;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StatsStoreLookupDistinct);
+
 void BM_MctsIterationsImdbQ13(benchmark::State& state) {
   ImdbQ13Fixture fixture;
   for (auto _ : state) {

@@ -95,7 +95,8 @@ asan_stage() {
   cmake --build build-ci-asan -j "${JOBS}" \
     --target udf_cache_test exec_test exec_batch_test fault_test shard_test \
     server_test timeseries_test harness_test storage_test \
-    exec_order_golden_test
+    exec_order_golden_test stats_store_test mdp_test mcts_test \
+    planner_golden_test
   # The cache-on/off/serial/parallel equivalence suite plus the executor,
   # batch-execution, fault and shard suites: every cached column read
   # (join build/probe, residual filters, Σ passes, shard-scoped columns),
@@ -107,7 +108,9 @@ asan_stage() {
   # copies); the executor-order goldens run every workload plan's gathered
   # intermediates, which hold their base tables' stores alive; the server,
   # timeseries and harness suites the query-end path (one report feeding
-  # the run report, slow log, tail sampler and server reply). As above,
+  # the run report, slow log, tail sampler and server reply); the
+  # statistics-store, MDP, MCTS and planner-golden suites the planner's
+  # sorted in-place inserts and arena copies of its flat stores. As above,
   # every asan-labelled suite must be built.
   ctest --test-dir build-ci-asan --output-on-failure -L asan
   # Vectorized-execution smoke: the batch/row sweep must keep rows and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -46,8 +45,7 @@ StatusOr<MdpAction> RootParallelMcts::SearchBestAction(const MdpState& root) {
                  w] {
         // Trace onto the worker's own lane regardless of which pool thread
         // picked the task up, so same-seed runs produce identical lanes.
-        obs::TraceLaneScope lane(obs::kMctsLaneBase + w,
-                                 "mcts-w" + std::to_string(w));
+        obs::TraceLaneScope lane(obs::kMctsLaneBase + w);
         StatusOr<MdpAction> best = search.SearchBestAction(root);
         status = best.status();  // actions are re-derived from merged edges
         // First failure cancels the siblings: they stop at their next

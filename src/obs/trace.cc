@@ -85,6 +85,8 @@ class TraceScope {
   /// Returns the events recorded so far and gives their bytes back to the
   /// tail budget.
   std::vector<TraceEvent> Take();
+  /// Events this scope lost to the tail byte budget.
+  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
   const uint64_t serial;
 
@@ -92,6 +94,7 @@ class TraceScope {
   Mutex smu;
   std::vector<TraceEvent> events GUARDED_BY(smu);
   size_t bytes GUARDED_BY(smu) = 0;
+  std::atomic<uint64_t> dropped_{0};
 };
 
 namespace {
@@ -233,7 +236,11 @@ Status WriteTraceJson(const std::string& path,
     writer.Key("args");
     writer.BeginObject();
     std::string name = lane_names[lane];
-    if (name.empty()) name = StrFormat("lane-%d", lane);
+    if (name.empty()) {
+      name = lane >= kMctsLaneBase && lane < kPoolLaneBase
+                 ? StrFormat("mcts-w%d", lane - kMctsLaneBase)
+                 : StrFormat("lane-%d", lane);
+    }
     writer.KV("name", name);
     writer.EndObject();
     writer.EndObject();
@@ -287,6 +294,7 @@ void TraceScope::Record(TraceEvent ev) {
         budget) {
       tracer.tail_bytes.fetch_sub(ev_bytes, std::memory_order_relaxed);
       tracer.tail_dropped.fetch_add(1, std::memory_order_relaxed);
+      dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     bytes += ev_bytes;
@@ -314,11 +322,8 @@ void SetThreadDefaultLane(int lane, const std::string& name) {
   Tracer::Global().SetLaneName(lane, name);
 }
 
-TraceLaneScope::TraceLaneScope(int lane, const std::string& name)
-    : saved_lane_(tls_lane) {
-  lane = ClampLane(lane);
-  tls_lane = lane;
-  if (TracingEnabled()) Tracer::Global().SetLaneName(lane, name);
+TraceLaneScope::TraceLaneScope(int lane) : saved_lane_(tls_lane) {
+  tls_lane = ClampLane(lane);
 }
 
 TraceLaneScope::~TraceLaneScope() { tls_lane = saved_lane_; }
@@ -439,8 +444,7 @@ std::string EndQueryTrace(uint64_t serial, QueryReason reason,
       {"reason", reason_name},
       {"elapsed_us", elapsed_us},
       {"serial", serial},
-      {"budget_dropped_events",
-       tracer.tail_dropped.load(std::memory_order_relaxed)}};
+      {"budget_dropped_events", scope->dropped()}};
   events.insert(events.begin(), std::move(marker));
 
   MutexLock lock(tracer.tracer_mu);

@@ -50,7 +50,8 @@ inline bool TailSamplingActive() {
 
 /// Logical lane layout. A lane is the "tid" in the trace file.
 inline constexpr int kMainLane = 0;
-/// Root-parallel MCTS workers: lane = kMctsLaneBase + worker index.
+/// Root-parallel MCTS workers: lane = kMctsLaneBase + worker index, named
+/// "mcts-w<index>" in the trace file.
 inline constexpr int kMctsLaneBase = 1;
 /// Thread-pool workers: lane = kPoolLaneBase + pool worker id.
 inline constexpr int kPoolLaneBase = 64;
@@ -66,9 +67,11 @@ void SetThreadDefaultLane(int lane, const std::string& name);
 
 /// Scoped lane override for the current thread (MCTS worker tasks, which
 /// run on arbitrary pool threads but must trace onto their worker's lane).
+/// It sets a thread-local and nothing else: the MCTS lanes' names follow
+/// from the lane layout, so no name is built and no lock is taken.
 class TraceLaneScope {
  public:
-  TraceLaneScope(int lane, const std::string& name);
+  explicit TraceLaneScope(int lane);
   ~TraceLaneScope();
 
   TraceLaneScope(const TraceLaneScope&) = delete;

@@ -9,13 +9,18 @@ PlanNode::Ptr MakeLeaf(const QuerySpec& query, int rel) {
 
 uint64_t ApplicableJoinPredMask(const QuerySpec& query, const ExprSig& left,
                                 const ExprSig& right) {
+  return ApplicableJoinPredMask(query, left, query.PredicatesTouching(RelSet(left.rels)),
+                                right, query.PredicatesTouching(RelSet(right.rels)));
+}
+
+uint64_t ApplicableJoinPredMask(const QuerySpec& query, const ExprSig& left,
+                                uint64_t left_touching, const ExprSig& right,
+                                uint64_t right_touching) {
   const std::vector<uint64_t>& pred_rels = query.predicate_rels();
   const uint64_t union_rels = left.rels | right.rels;
   uint64_t out = 0;
   // Covered by neither input alone implies touching both.
-  uint64_t open = query.PredicatesTouching(RelSet(left.rels)) &
-                  query.PredicatesTouching(RelSet(right.rels)) &
-                  ~(left.preds | right.preds);
+  uint64_t open = left_touching & right_touching & ~(left.preds | right.preds);
   while (open != 0) {
     int pred_id = __builtin_ctzll(open);
     open &= open - 1;

@@ -24,6 +24,11 @@ std::vector<int> ApplicableJoinPreds(const QuerySpec& query, const ExprSig& left
 /// The same predicates as a mask (bit i = predicate i); allocation-free.
 uint64_t ApplicableJoinPredMask(const QuerySpec& query, const ExprSig& left,
                                 const ExprSig& right);
+/// The same, given each input's QuerySpec::PredicatesTouching mask (for
+/// callers that test one input against many).
+uint64_t ApplicableJoinPredMask(const QuerySpec& query, const ExprSig& left,
+                                uint64_t left_touching, const ExprSig& right,
+                                uint64_t right_touching);
 
 /// True if at least one applicable predicate connects the two inputs
 /// (joining them is not a bare cross product).

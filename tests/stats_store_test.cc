@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory_resource>
+
 #include "catalog/stats_store.h"
 
 namespace monsoon {
@@ -140,6 +142,105 @@ TEST(StatsStoreTest, FingerprintOrderIndependent) {
   b.SetCount(kS, 2);
   b.SetCount(kR, 1);
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+}
+
+// Containment ties: d(F, r⋈s | t) and d(F, r⋈u | t) both answer
+// d(F, r⋈s⋈u | t) from the same tier and relation count. The smaller
+// signature, r⋈s, wins whatever the insertion order or copy history.
+TEST(StatsStoreTest, TiedContainmentCandidatesPickSmallestSignature) {
+  const ExprSig rs{0b0011, 0b01};
+  const ExprSig ru{0b1001, 0b10};
+  const ExprSig rsu{0b1011, 0b11};
+  const ExprSig t{0b0100, 0};
+
+  StatsStore forward;
+  forward.SetDistinct(0, rs, t, 11);
+  forward.SetDistinct(0, ru, t, 22);
+  StatsStore backward;
+  backward.SetDistinct(0, ru, t, 22);
+  backward.SetDistinct(0, rs, t, 11);
+  EXPECT_DOUBLE_EQ(*forward.LookupDistinct(0, rsu, t), 11);
+  EXPECT_DOUBLE_EQ(*backward.LookupDistinct(0, rsu, t), 11);
+
+  // Inserted into copies (plain and allocator-extended) of a store that
+  // already holds the other candidate.
+  StatsStore base;
+  base.SetDistinct(0, ru, t, 22);
+  StatsStore copied = base;
+  copied.SetDistinct(0, rs, t, 11);
+  EXPECT_DOUBLE_EQ(*copied.LookupDistinct(0, rsu, t), 11);
+  std::pmr::monotonic_buffer_resource arena;
+  StatsStore arena_copy(base, &arena);
+  arena_copy.SetDistinct(0, rs, t, 11);
+  EXPECT_DOUBLE_EQ(*arena_copy.LookupDistinct(0, rsu, t), 11);
+  EXPECT_DOUBLE_EQ(*base.LookupDistinct(0, rsu, t), 22);
+}
+
+TEST(StatsStoreTest, TiedWildcardObservationsPickSmallestPredicates) {
+  // Two observations over σ(S) with different filters tie for S ⋈ R; the
+  // smaller predicate mask wins.
+  const ExprSig s_a{0b010, 0b1000};
+  const ExprSig s_b{0b010, 0b0100};
+  for (bool a_first : {true, false}) {
+    StatsStore store;
+    if (a_first) store.SetDistinctObserved(0, s_a, 8);
+    store.SetDistinctObserved(0, s_b, 4);
+    if (!a_first) store.SetDistinctObserved(0, s_a, 8);
+    EXPECT_DOUBLE_EQ(*store.LookupDistinct(0, kRS, kT), 4) << a_first;
+  }
+}
+
+TEST(StatsStoreTest, LookupCountByRelsStaysInItsRun) {
+  StatsStore store;
+  store.SetCount(ExprSig{0b001, 0b111}, 1);  // fewer rels, more preds
+  store.SetCount(ExprSig{0b011, 0b111}, 2);  // more rels, more preds
+  store.SetCount(ExprSig{0b010, 0}, 1000);
+  store.SetCount(ExprSig{0b010, 0b1000}, 100);
+  store.SetCount(ExprSig{0b010, 0b0110}, 10);
+  store.SetCount(ExprSig{0b010, 0b1001}, 20);  // ties 0b0110 on popcount
+  EXPECT_DOUBLE_EQ(*store.LookupCountByRels(RelSet(0b010)), 10);
+  EXPECT_DOUBLE_EQ(*store.LookupCountByRels(RelSet(0b001)), 1);
+  EXPECT_FALSE(store.LookupCountByRels(RelSet(0b110)).has_value());
+}
+
+TEST(StatsStoreTest, SameContentsInAnyOrderAreEqual) {
+  StatsStore a;
+  a.SetCount(kR, 1);
+  a.SetCount(kRS, 7);
+  a.SetDistinct(0, kS, kR, 5);
+  a.SetDistinctObserved(1, kRS, 3);
+  a.SetDistinct(0, kS, kR, 6);  // overwrite
+  a.SetCount(kSFiltered, 9);
+
+  StatsStore b;
+  b.SetCount(kSFiltered, 9);
+  b.SetDistinctObserved(1, kRS, 3);
+  b.SetDistinct(0, kS, kR, 6);
+  b.SetCount(kRS, 7);
+  b.SetCount(kR, 1);
+
+  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+  EXPECT_EQ(a.ToString(), b.ToString());
+  EXPECT_EQ(a.num_counts(), 3u);
+  EXPECT_EQ(a.num_distincts(), 2u);
+}
+
+TEST(StatsStoreTest, HasDistinctInfoForAllMatchesPerTermCalls) {
+  StatsStore store;
+  store.SetDistinct(0, kS, kR, 5);
+  store.SetDistinctObserved(2, kRS, 3);
+  store.SetDistinctObserved(63, kT, 1);
+  for (uint64_t rels = 0; rels < 8; ++rels) {
+    for (uint64_t terms : {uint64_t{0}, uint64_t{0b1}, uint64_t{0b10}, uint64_t{0b101},
+                           (uint64_t{1} << 63) | 1, (uint64_t{1} << 63) | 0b101}) {
+      bool expected = true;
+      for (uint64_t m = terms; m != 0; m &= m - 1) {
+        expected &= store.HasDistinctInfo(__builtin_ctzll(m), RelSet(rels));
+      }
+      EXPECT_EQ(store.HasDistinctInfoForAll(terms, RelSet(rels)), expected)
+          << rels << " " << terms;
+    }
+  }
 }
 
 TEST(StatsStoreTest, ValueSemantics) {

@@ -541,8 +541,13 @@ TEST(TraceScopeTest, ByteBudgetDropsEventsAndComesBackAtQueryEnd) {
   EXPECT_EQ(static_cast<uint64_t>(flood) + dropped, uint64_t{kSpans});
 
   ASSERT_FALSE(second_path.empty());
+  std::vector<obs::JsonValue> second_spans = SpansOf(second_path);
+  ASSERT_FALSE(second_spans.empty());
+  // Drops are counted per query: the second query dropped nothing.
+  EXPECT_EQ(second_spans[0].Find("name")->string_value, "sampling_decision");
+  EXPECT_EQ(second_spans[0].Find("args")->Find("budget_dropped_events")->number, 0);
   int after = 0;
-  for (const obs::JsonValue& event : SpansOf(second_path)) {
+  for (const obs::JsonValue& event : second_spans) {
     if (event.Find("name")->string_value == "after") ++after;
   }
   EXPECT_EQ(after, 1);
