@@ -100,7 +100,7 @@ asan_stage() {
   # The cache-on/off/serial/parallel equivalence suite plus the executor,
   # batch-execution, fault and shard suites: every cached column read
   # (join build/probe, residual filters, Σ passes, shard-scoped columns),
-  # every selection-vector and Bloom-probe path, every LRU eviction, every
+  # every scan-selection and Bloom-probe path, every LRU eviction, every
   # killed-and-retried shard attempt, every barrier gather into a pre-sized
   # output window, and every injected-fault error path runs under ASan.
   # The storage suite covers the table gathers themselves (appends, the

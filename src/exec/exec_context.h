@@ -115,7 +115,7 @@ class ExecContext {
     shard_recoveries_.Add(stats.recoveries);
   }
 
-  /// Rows per executor pipeline batch (see exec/pipeline.h). 1 = the
+  /// Rows per executor batch (ForEachBatch in exec/executor.cc). 1 = the
   /// legacy row-at-a-time strategy; snapshotted from the process default
   /// (MONSOON_BATCH_SIZE / --batch-size) at construction. Tests pin
   /// batch-on/off configurations with the setter.

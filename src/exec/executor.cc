@@ -9,8 +9,6 @@
 #include "common/hash.h"
 #include "exec/batch.h"
 #include "exec/bloom.h"
-#include "exec/pipeline.h"
-#include "exec/selection.h"
 #include "fault/injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -251,7 +249,8 @@ struct RangeTask {
   /// in two halves around the mid-range kill site, so a killed attempt has
   /// done real work that must be discarded before the retry re-reads
   /// exactly this range.
-  Status Feed(const std::function<Status(size_t, size_t)>& rows) const {
+  template <typename Fn>
+  Status Feed(Fn&& rows) const {
     if (!sharded) return rows(begin, end);
     const size_t mid = begin + (end - begin) / 2;
     MONSOON_RETURN_IF_ERROR(rows(begin, mid));
@@ -409,44 +408,75 @@ class FlatHashIndex {
 };
 
 // ---------------------------------------------------------------------------
-// Batch pipeline operators (DESIGN.md §12). batch_size == 1 drives the same
-// operators with one-row batches, which reproduces the row-at-a-time seed
-// executor exactly — there is no separate legacy code path to diverge from.
+// Batch functions (DESIGN.md §12). A range body hands its rows to
+// ForEachBatch, which calls one *Batch function per ctx->batch_size() rows.
+// batch_size == 1 runs the same functions on one-row batches, which
+// reproduces the row-at-a-time seed executor exactly — there is no
+// separate legacy code path to diverge from.
 // ---------------------------------------------------------------------------
 
-/// Narrows the batch to rows satisfying `pass` (absolute row ids). The
-/// first filter scans the whole range and materializes the selection;
-/// later filters compact the selection in place, so a conjunction touches
-/// each row once per filter it survives to — the row path's short-circuit
-/// evaluation set, just column-at-a-time.
-template <typename Pred>
-void RefineSelection(Batch* batch, Pred&& pass) {
-  if (!batch->filtered) {
-    batch->sel.Reserve(batch->end - batch->begin);
-    for (size_t row = batch->begin; row < batch->end; ++row) {
-      if (pass(row)) batch->sel.Append(static_cast<uint32_t>(row));
-    }
-    batch->filtered = true;
-    return;
+/// Calls fn(table, b, e) for consecutive batches [b, e) of the rows
+/// [begin, end) of `table`, ctx->batch_size() rows each, polling
+/// cancellation before every batch. A range's last batch is short rather
+/// than reaching into the next range, so range boundaries are always batch
+/// boundaries.
+template <typename Fn>
+Status ForEachBatch(ExecContext* ctx, const Table& table, size_t begin,
+                    size_t end, Fn&& fn) {
+  static obs::Histogram* const batch_rows_metric =
+      obs::Registry::Global().GetHistogram("exec.batch_rows");
+  const size_t batch_size = std::max<size_t>(1, ctx->batch_size());
+  for (size_t b = begin; b < end; b += batch_size) {
+    MONSOON_RETURN_IF_ERROR(ctx->CheckCancelled());
+    const size_t e = std::min(end, b + batch_size);
+    // The histogram records genuine vectorized batches; row-at-a-time
+    // drives (batch_size == 1) would only log a constant while taxing the
+    // legacy path with an atomic add per row.
+    if (batch_size > 1) batch_rows_metric->Observe(static_cast<double>(e - b));
+    MONSOON_RETURN_IF_ERROR(fn(table, b, e));
   }
-  uint32_t* rows = batch->sel.mutable_data();
-  const size_t n = batch->sel.size();
-  size_t w = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t row = rows[i];
-    if (pass(row)) rows[w++] = row;
-  }
-  batch->sel.Truncate(w);
+  return Status::OK();
 }
 
-/// Applies one bound residual to the batch's selection. Cached filters run
+/// Narrows a scan batch [begin, end) to the rows satisfying `pass`
+/// (absolute row ids). The batch's selection is the tail of the range's
+/// row-id list from `tail` on: the first filter scans the batch and
+/// appends its survivors there, later filters compact the tail in place.
+/// A conjunction thus touches each row once per filter it survives to —
+/// the row path's short-circuit evaluation set, just column-at-a-time —
+/// and the last filter leaves the survivors where the scan emits them.
+template <typename Pred>
+void RefineSelection(size_t begin, size_t end, bool first, size_t tail,
+                     std::vector<uint32_t>* rows, Pred&& pass) {
+  size_t w = tail;
+  if (first) {
+    rows->resize(tail + (end - begin));
+    uint32_t* out = rows->data();
+    for (size_t row = begin; row < end; ++row) {
+      if (pass(row)) out[w++] = static_cast<uint32_t>(row);
+    }
+  } else {
+    uint32_t* sel = rows->data();
+    const size_t n = rows->size();
+    for (size_t i = tail; i < n; ++i) {
+      const uint32_t row = sel[i];
+      if (pass(row)) sel[w++] = row;
+    }
+  }
+  rows->resize(w);
+}
+
+/// Applies one bound residual to a scan batch's selection (see
+/// RefineSelection for `first`, `tail` and `rows`). Cached filters run
 /// type-specialized loops over the flat columns (mirroring EqualsValue /
 /// CachedUdfColumn::Equal exactly, hash-first for strings); uncached
 /// filters fall back to per-row evaluation.
-void ApplyResidualBatch(const BoundResidual& f, Batch* batch) {
-  const Table& in = *batch->table;
+void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
+                        size_t end, bool first, size_t tail,
+                        std::vector<uint32_t>* rows) {
   if (f.left_col == nullptr) {
-    RefineSelection(batch, [&](size_t row) { return f.Eval(in, row); });
+    RefineSelection(begin, end, first, tail, rows,
+                    [&](size_t row) { return f.Eval(in, row); });
     return;
   }
   const CachedUdfColumn& lcol = *f.left_col;
@@ -455,21 +485,22 @@ void ApplyResidualBatch(const BoundResidual& f, Batch* batch) {
   const size_t base = f.col_base;
   if (f.kind == BoundResidual::Kind::kSelectionEq) {
     if (f.constant.type() != lcol.type()) {
-      RefineSelection(batch, [](size_t) { return false; });
+      RefineSelection(begin, end, first, tail, rows,
+                      [](size_t) { return false; });
       return;
     }
     switch (lcol.type()) {
       case ValueType::kInt64: {
         const int64_t want = f.constant.AsInt64();
         const int64_t* data = lcol.Int64Data();
-        RefineSelection(batch,
+        RefineSelection(begin, end, first, tail, rows,
                         [&](size_t row) { return data[row - base] == want; });
         return;
       }
       case ValueType::kDouble: {
         const double want = f.constant.AsDouble();
         const double* data = lcol.DoubleData();
-        RefineSelection(batch,
+        RefineSelection(begin, end, first, tail, rows,
                         [&](size_t row) { return data[row - base] == want; });
         return;
       }
@@ -478,7 +509,7 @@ void ApplyResidualBatch(const BoundResidual& f, Batch* batch) {
         const uint64_t want_hash = HashString(want);
         const uint64_t* hashes = lcol.HashData();
         const std::string* strs = lcol.StringData();
-        RefineSelection(batch, [&](size_t row) {
+        RefineSelection(begin, end, first, tail, rows, [&](size_t row) {
           return hashes[row - base] == want_hash && strs[row - base] == want;
         });
         return;
@@ -490,14 +521,15 @@ void ApplyResidualBatch(const BoundResidual& f, Batch* batch) {
   const CachedUdfColumn& rcol = *f.right_col;
   if (lcol.type() != rcol.type()) {
     // Equal() is false across types on every row.
-    RefineSelection(batch, [keep_equal](size_t) { return !keep_equal; });
+    RefineSelection(begin, end, first, tail, rows,
+                    [keep_equal](size_t) { return !keep_equal; });
     return;
   }
   switch (lcol.type()) {
     case ValueType::kInt64: {
       const int64_t* a = lcol.Int64Data();
       const int64_t* b = rcol.Int64Data();
-      RefineSelection(batch, [&](size_t row) {
+      RefineSelection(begin, end, first, tail, rows, [&](size_t row) {
         return (a[row - base] == b[row - base]) == keep_equal;
       });
       return;
@@ -505,7 +537,7 @@ void ApplyResidualBatch(const BoundResidual& f, Batch* batch) {
     case ValueType::kDouble: {
       const double* a = lcol.DoubleData();
       const double* b = rcol.DoubleData();
-      RefineSelection(batch, [&](size_t row) {
+      RefineSelection(begin, end, first, tail, rows, [&](size_t row) {
         return (a[row - base] == b[row - base]) == keep_equal;
       });
       return;
@@ -515,7 +547,7 @@ void ApplyResidualBatch(const BoundResidual& f, Batch* batch) {
       const uint64_t* hb = rcol.HashData();
       const std::string* sa = lcol.StringData();
       const std::string* sb = rcol.StringData();
-      RefineSelection(batch, [&](size_t row) {
+      RefineSelection(begin, end, first, tail, rows, [&](size_t row) {
         return (ha[row - base] == hb[row - base] &&
                 sa[row - base] == sb[row - base]) == keep_equal;
       });
@@ -524,104 +556,64 @@ void ApplyResidualBatch(const BoundResidual& f, Batch* batch) {
   }
 }
 
-/// Stateless filter stage, shareable across ranges. Fires the per-row fault
-/// point over the whole range first (firing is a pure function of the
-/// coordinate, so hoisting it out of the filter loops leaves fault
-/// behavior identical to the row path), then refines the selection one
-/// filter at a time.
-class FilterOperator : public PipelineOperator {
- public:
-  explicit FilterOperator(const std::vector<BoundResidual>* filters)
-      : filters_(filters) {}
-  const char* name() const override { return "filter"; }
-
-  Status ProcessBatch(Batch* batch, ExecContext* /*ctx*/) override {
-    for (size_t row = batch->begin; row < batch->end; ++row) {
-      MONSOON_FAULT_POINT("exec.udf_eval.filter", row);
-    }
-    for (const auto& filter : *filters_) {
-      ApplyResidualBatch(filter, batch);
-      if (batch->sel.empty()) break;
-    }
-    return Status::OK();
+/// Leaf scan: appends the rows of [begin, end) that pass every filter to
+/// the range's row-id list `rows`; column values are copied once, by the
+/// gather at the barrier. Fires the per-row fault point over the whole
+/// batch first (firing is a pure function of the coordinate, so hoisting
+/// it out of the filter loops leaves fault behavior identical to the row
+/// path), then narrows the selection one filter at a time, stopping once
+/// it is empty. A scan without filters returns its source, so `filters`
+/// is never empty.
+Status ScanBatch(const std::vector<BoundResidual>& filters, const Table& in,
+                 size_t begin, size_t end, std::vector<uint32_t>* rows) {
+  MONSOON_DCHECK(!filters.empty()) << "scan batch without filters";
+  for (size_t row = begin; row < end; ++row) {
+    MONSOON_FAULT_POINT("exec.udf_eval.filter", row);
   }
-
- private:
-  const std::vector<BoundResidual>* filters_;
-};
-
-/// Scan sink: a selection. Appends the batch's surviving input rows to
-/// the range's id list; column values are copied once, by the gather at
-/// the barrier. Follows a FilterOperator with at least one filter (a scan
-/// without predicates returns its source), so the batch is always
-/// filtered. One per range (the list is the range's own).
-class SelectOperator : public PipelineOperator {
- public:
-  explicit SelectOperator(std::vector<uint32_t>* rows) : rows_(rows) {}
-  const char* name() const override { return "select"; }
-
-  Status ProcessBatch(Batch* batch, ExecContext* /*ctx*/) override {
-    MONSOON_DCHECK(batch->filtered) << "select sink reached unfiltered";
-    rows_->insert(rows_->end(), batch->sel.data(),
-                  batch->sel.data() + batch->sel.size());
-    return Status::OK();
+  const size_t tail = rows->size();
+  for (size_t i = 0; i < filters.size(); ++i) {
+    ApplyResidualBatch(filters[i], in, begin, end, /*first=*/i == 0, tail,
+                       rows);
+    if (rows->size() == tail) break;
   }
+  return Status::OK();
+}
 
- private:
-  std::vector<uint32_t>* rows_;
-};
-
-/// Σ sink: folds the batch's rows into one HLL per term — precomputed
-/// hashes from the evaluate-once column when available, per-row evaluation
+/// Σ: folds rows [begin, end) into one HLL per term — precomputed hashes
+/// from the evaluate-once column when the term has one, per-row evaluation
 /// otherwise (each value is consumed exactly once, so there is nothing to
-/// unbox ahead of time).
-class SigmaOperator : public PipelineOperator {
- public:
-  /// `col_base` is the cached columns' index of absolute row 0 (the
-  /// shard's first row for shard-scoped columns, 0 for whole-table ones).
-  SigmaOperator(const std::vector<std::pair<int, BoundTerm>>* terms,
-                const std::vector<CachedUdfColumnPtr>* cols,
-                std::vector<HyperLogLog>* sketches, size_t col_base = 0)
-      : terms_(terms), cols_(cols), sketches_(sketches), col_base_(col_base) {}
-  const char* name() const override { return "sigma"; }
-
-  Status ProcessBatch(Batch* batch, ExecContext* /*ctx*/) override {
-    const Table& table = *batch->table;
-    const size_t b = batch->begin;
-    const size_t e = batch->end;
-    for (size_t row = b; row < e; ++row) {
-      MONSOON_FAULT_POINT("exec.udf_eval.sigma", row);
-    }
-    for (size_t t = 0; t < terms_->size(); ++t) {
-      HyperLogLog& sketch = (*sketches_)[t];
-      const CachedUdfColumnPtr& col = (*cols_)[t];
-      if (col != nullptr) {
-        const FlatView v = FlatView::Of(*col);
-        for (size_t row = b; row < e; ++row) {
-          sketch.AddHash(v.HashAt(row - col_base_));
-        }
-      } else {
-        const BoundTerm& bound = (*terms_)[t].second;
-        for (size_t row = b; row < e; ++row) {
-          sketch.AddHash(bound.Eval(table, row).Hash());
-        }
+/// unbox ahead of time). `col_base` is the cached columns' index of
+/// absolute row 0 (the shard's first row for shard-scoped columns, 0 for
+/// whole-table ones).
+Status SigmaBatch(const std::vector<std::pair<int, BoundTerm>>& terms,
+                  const std::vector<CachedUdfColumnPtr>& cols, size_t col_base,
+                  const Table& table, size_t begin, size_t end,
+                  std::vector<HyperLogLog>* sketches) {
+  for (size_t row = begin; row < end; ++row) {
+    MONSOON_FAULT_POINT("exec.udf_eval.sigma", row);
+  }
+  for (size_t t = 0; t < terms.size(); ++t) {
+    HyperLogLog& sketch = (*sketches)[t];
+    if (cols[t] != nullptr) {
+      const FlatView v = FlatView::Of(*cols[t]);
+      for (size_t row = begin; row < end; ++row) {
+        sketch.AddHash(v.HashAt(row - col_base));
+      }
+    } else {
+      const BoundTerm& bound = terms[t].second;
+      for (size_t row = begin; row < end; ++row) {
+        sketch.AddHash(bound.Eval(table, row).Hash());
       }
     }
-    return Status::OK();
   }
-
- private:
-  const std::vector<std::pair<int, BoundTerm>>* terms_;
-  const std::vector<CachedUdfColumnPtr>* cols_;
-  std::vector<HyperLogLog>* sketches_;
-  size_t col_base_;
-};
+  return Status::OK();
+}
 
 /// acc[i] = HashCombine(acc[i], hash of view[(begin + i) - base]) for i in
 /// [0, end - begin). `base` is the view's index of absolute row 0: 0 for
-/// whole-side views, batch->begin for batch-local fills. Callers invoke
-/// this once per key column in k-ascending order, which reproduces the row
-/// path's per-row HashCombine chain bit-for-bit.
+/// whole-side views, the batch's first row for batch-local fills. Callers
+/// invoke this once per key column in k-ascending order, which reproduces
+/// the row path's per-row HashCombine chain bit-for-bit.
 void CombineKeyHashes(const FlatView& v, size_t begin, size_t end, size_t base,
                       uint64_t* acc) {
   switch (v.type) {
@@ -645,171 +637,138 @@ void CombineKeyHashes(const FlatView& v, size_t begin, size_t end, size_t base,
   }
 }
 
-/// Build-side key stage of the hash join: fires the join_build fault point
-/// for the batch, fills uncached key columns, and writes each row's
-/// composite key hash. Shared across ranges — ranges write disjoint rows
-/// of the same whole-side arrays.
-class HashBuildOperator : public PipelineOperator {
- public:
-  HashBuildOperator(const std::vector<const BoundTerm*>* terms,
-                    bool keys_cached, std::vector<FlatColumn>* flat,
-                    const std::vector<FlatView>* views,
-                    std::vector<uint64_t>* hashes)
-      : terms_(terms),
-        keys_cached_(keys_cached),
-        flat_(flat),
-        views_(views),
-        hashes_(hashes) {}
-  const char* name() const override { return "hash-build"; }
-
-  Status ProcessBatch(Batch* batch, ExecContext* /*ctx*/) override {
-    const size_t b = batch->begin;
-    const size_t e = batch->end;
-    for (size_t row = b; row < e; ++row) {
-      MONSOON_FAULT_POINT("exec.udf_eval.join_build", row);
-    }
-    if (!keys_cached_) {
-      for (size_t k = 0; k < terms_->size(); ++k) {
-        MONSOON_RETURN_IF_ERROR(
-            (*flat_)[k].Fill(*(*terms_)[k], *batch->table, b, e, b));
-      }
-    }
-    uint64_t* acc = hashes_->data() + b;
-    std::fill(acc, acc + (e - b), kJoinHashSeed);
-    for (size_t k = 0; k < views_->size(); ++k) {
-      CombineKeyHashes((*views_)[k], b, e, /*base=*/0, acc);
-    }
-    return Status::OK();
+/// Build-side keys of the hash join for rows [begin, end): fires the
+/// join_build fault point for the batch, fills the uncached key columns
+/// (`flat` is empty when the keys are cached), and writes each row's
+/// composite key hash to hashes[row]. Ranges write disjoint rows of the
+/// same whole-side arrays.
+Status BuildKeysBatch(const std::vector<const BoundTerm*>& terms,
+                      std::vector<FlatColumn>* flat,
+                      const std::vector<FlatView>& views, const Table& build,
+                      size_t begin, size_t end, uint64_t* hashes) {
+  for (size_t row = begin; row < end; ++row) {
+    MONSOON_FAULT_POINT("exec.udf_eval.join_build", row);
   }
+  for (size_t k = 0; k < flat->size(); ++k) {
+    MONSOON_RETURN_IF_ERROR((*flat)[k].Fill(*terms[k], build, begin, end, begin));
+  }
+  uint64_t* acc = hashes + begin;
+  std::fill(acc, acc + (end - begin), kJoinHashSeed);
+  for (const FlatView& view : views) {
+    CombineKeyHashes(view, begin, end, /*base=*/0, acc);
+  }
+  return Status::OK();
+}
 
- private:
-  const std::vector<const BoundTerm*>* terms_;
-  bool keys_cached_;
-  std::vector<FlatColumn>* flat_;
-  const std::vector<FlatView>* views_;
-  std::vector<uint64_t>* hashes_;
+/// One probe range of the hash join: the join it reads, shared read-only
+/// with every other range, and the range's own task, output pairs and
+/// scratch buffers, reused from batch to batch.
+struct ProbeRange {
+  const Table& lt;
+  const Table& rt;
+  bool build_left;
+  bool keys_cached;
+  const std::vector<const BoundTerm*>& probe_terms;
+  const std::vector<FlatView>& build_views;
+  const std::vector<FlatView>& probe_views;  // cached keys only
+  const FlatHashIndex& index;
+  const JoinBloomFilter* bloom;  // null when batching is off
+  const std::vector<BoundResidual>& residual;
+  const RangeTask& task;
+  Table candidates;  // residual staging
+  RowIds pairs{};
+  std::vector<FlatColumn> probe_flat{};  // uncached batch-local keys
+  std::vector<FlatView> probe_flat_views{};
+  std::vector<uint64_t> hashes{};
+  std::vector<uint32_t> match_build{};
+  std::vector<uint32_t> match_probe{};
 };
 
-/// Probe stage of the hash join. Per batch: fills uncached probe-key
-/// columns, computes composite hashes column-wise, probes per row (fault
-/// point, one work unit, Bloom pre-check, one unit per equal-hash
-/// candidate and key confirm), checks the range's tally against the
-/// budget, and emits matched pairs column-wise — straight into the output,
-/// or through a residual staging table whose survivors gather in. The
-/// Bloom filter stores exactly the hashes in the index, so a reject only
-/// skips a chain walk that would have found no candidate — zero units
-/// charged either way.
-class HashProbeOperator : public PipelineOperator {
- public:
-  struct Spec {
-    const Table* lt = nullptr;
-    const Table* rt = nullptr;
-    bool build_left = false;
-    bool keys_cached = false;
-    const std::vector<const BoundTerm*>* probe_terms = nullptr;
-    const std::vector<FlatView>* build_views = nullptr;
-    const std::vector<FlatView>* probe_views = nullptr;  // cached keys only
-    const FlatHashIndex* index = nullptr;
-    const JoinBloomFilter* bloom = nullptr;  // null when batching is off
-    const std::vector<BoundResidual>* residual = nullptr;
-    const Schema* out_schema = nullptr;
-  };
+/// Probes rows [begin, end) of `probe`: fills uncached probe-key columns,
+/// computes composite hashes column-wise, probes per row (fault point, one
+/// work unit, Bloom pre-check, one unit per equal-hash candidate and key
+/// confirm), checks the range's tally against the budget, and emits the
+/// matched pairs column-wise — straight into the range's pairs, or through
+/// the residual staging table whose survivors gather in. The Bloom filter
+/// stores exactly the hashes in the index, so a reject only skips a chain
+/// walk that would have found no candidate — zero units charged either
+/// way.
+Status ProbeBatch(ProbeRange* p, const Table& probe, size_t begin, size_t end) {
+  static obs::Counter* const bloom_checks_metric =
+      obs::Registry::Global().GetCounter("exec.bloom_checks");
+  static obs::Counter* const bloom_rejects_metric =
+      obs::Registry::Global().GetCounter("exec.bloom_rejects");
 
-  HashProbeOperator(const Spec& spec, RowIds* dst, const RangeTask& task)
-      : s_(spec), dst_(dst), task_(task), candidates_(*s_.out_schema) {}
-  const char* name() const override { return "hash-probe"; }
+  const size_t n = end - begin;
+  const size_t nkeys = p->probe_terms.size();
 
-  Status ProcessBatch(Batch* batch, ExecContext* /*ctx*/) override {
-    static obs::Counter* const bloom_checks_metric =
-        obs::Registry::Global().GetCounter("exec.bloom_checks");
-    static obs::Counter* const bloom_rejects_metric =
-        obs::Registry::Global().GetCounter("exec.bloom_rejects");
-
-    const Table& probe = *batch->table;
-    const size_t begin = batch->begin;
-    const size_t end = batch->end;
-    const size_t n = end - begin;
-    const size_t nkeys = s_.probe_terms->size();
-
-    // Composite key hashes for the whole batch, column-wise.
-    const std::vector<FlatView>* views;
-    size_t base;
-    if (s_.keys_cached) {
-      views = s_.probe_views;
-      base = 0;
-    } else {
-      probe_flat_.resize(nkeys);
-      probe_flat_views_.clear();
-      for (size_t k = 0; k < nkeys; ++k) {
-        const BoundTerm& term = *(*s_.probe_terms)[k];
-        probe_flat_[k].Resize(term.result_type(), n);
-        MONSOON_RETURN_IF_ERROR(probe_flat_[k].Fill(term, probe, begin, end, 0));
-        probe_flat_views_.push_back(FlatView::Of(probe_flat_[k]));
-      }
-      views = &probe_flat_views_;
-      base = begin;
-    }
-    hashes_.assign(n, kJoinHashSeed);
+  // Composite key hashes for the whole batch, column-wise.
+  const std::vector<FlatView>* views;
+  size_t base;
+  if (p->keys_cached) {
+    views = &p->probe_views;
+    base = 0;
+  } else {
+    p->probe_flat.resize(nkeys);
+    p->probe_flat_views.clear();
     for (size_t k = 0; k < nkeys; ++k) {
-      CombineKeyHashes((*views)[k], begin, end, base, hashes_.data());
+      const BoundTerm& term = *p->probe_terms[k];
+      p->probe_flat[k].Resize(term.result_type(), n);
+      MONSOON_RETURN_IF_ERROR(p->probe_flat[k].Fill(term, probe, begin, end, 0));
+      p->probe_flat_views.push_back(FlatView::Of(p->probe_flat[k]));
     }
-
-    match_build_.clear();
-    match_probe_.clear();
-    uint64_t bloom_checked = 0;
-    uint64_t bloom_rejected = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t row = begin + i;
-      MONSOON_FAULT_POINT("exec.udf_eval.join_probe", row);
-      ++*task_.work_tally;
-      const uint64_t h = hashes_[i];
-      if (s_.bloom != nullptr) {
-        ++bloom_checked;
-        if (!s_.bloom->MayContain(h)) {
-          ++bloom_rejected;
-          continue;
-        }
-      }
-      s_.index->ForEachCandidate(h, [&](uint32_t build_row) {
-        ++*task_.work_tally;
-        for (size_t k = 0; k < nkeys; ++k) {
-          if (!FlatView::Equal((*s_.build_views)[k], build_row, (*views)[k],
-                               row - base)) {
-            return;
-          }
-        }
-        match_build_.push_back(build_row);
-        match_probe_.push_back(static_cast<uint32_t>(row));
-      });
-    }
-    if (bloom_checked != 0) {
-      bloom_checks_metric->Add(bloom_checked);
-      bloom_rejects_metric->Add(bloom_rejected);
-    }
-    MONSOON_RETURN_IF_ERROR(task_.CheckWork());
-
-    const size_t nmatch = match_probe_.size();
-    if (nmatch == 0) return Status::OK();
-    const uint32_t* lrows =
-        s_.build_left ? match_build_.data() : match_probe_.data();
-    const uint32_t* rrows =
-        s_.build_left ? match_probe_.data() : match_build_.data();
-    EmitSurvivors(*s_.residual, *s_.lt, lrows, *s_.rt, rrows, nmatch,
-                  &candidates_, dst_);
-    return Status::OK();
+    views = &p->probe_flat_views;
+    base = begin;
+  }
+  p->hashes.assign(n, kJoinHashSeed);
+  for (size_t k = 0; k < nkeys; ++k) {
+    CombineKeyHashes((*views)[k], begin, end, base, p->hashes.data());
   }
 
- private:
-  Spec s_;
-  RowIds* dst_;
-  const RangeTask& task_;
-  std::vector<FlatColumn> probe_flat_;       // uncached batch-local keys
-  std::vector<FlatView> probe_flat_views_;
-  std::vector<uint64_t> hashes_;
-  std::vector<uint32_t> match_build_;
-  std::vector<uint32_t> match_probe_;
-  Table candidates_;  // residual staging
-};
+  p->match_build.clear();
+  p->match_probe.clear();
+  uint64_t bloom_checked = 0;
+  uint64_t bloom_rejected = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t row = begin + i;
+    MONSOON_FAULT_POINT("exec.udf_eval.join_probe", row);
+    ++*p->task.work_tally;
+    const uint64_t h = p->hashes[i];
+    if (p->bloom != nullptr) {
+      ++bloom_checked;
+      if (!p->bloom->MayContain(h)) {
+        ++bloom_rejected;
+        continue;
+      }
+    }
+    p->index.ForEachCandidate(h, [&](uint32_t build_row) {
+      ++*p->task.work_tally;
+      for (size_t k = 0; k < nkeys; ++k) {
+        if (!FlatView::Equal(p->build_views[k], build_row, (*views)[k],
+                             row - base)) {
+          return;
+        }
+      }
+      p->match_build.push_back(build_row);
+      p->match_probe.push_back(static_cast<uint32_t>(row));
+    });
+  }
+  if (bloom_checked != 0) {
+    bloom_checks_metric->Add(bloom_checked);
+    bloom_rejects_metric->Add(bloom_rejected);
+  }
+  MONSOON_RETURN_IF_ERROR(p->task.CheckWork());
+
+  const size_t nmatch = p->match_probe.size();
+  if (nmatch == 0) return Status::OK();
+  const uint32_t* lrows =
+      p->build_left ? p->match_build.data() : p->match_probe.data();
+  const uint32_t* rrows =
+      p->build_left ? p->match_probe.data() : p->match_build.data();
+  EmitSurvivors(p->residual, p->lt, lrows, p->rt, rrows, nmatch,
+                &p->candidates, &p->pairs);
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -945,8 +904,8 @@ StatusOr<MaterializedExpr> Executor::ExecuteLeaf(const PlanNode::Ptr& node,
   // Each range lists the input rows that survive its filters; the lists
   // gather in range order, so the output is a fixed function of the input —
   // independent of thread count and of any recovered shard kill.
-  // FilterOperator fires the per-row fault point with the absolute input
-  // row as its coordinate, so the firing site is the same in every mode.
+  // ScanBatch fires the per-row fault point with the absolute input row as
+  // its coordinate, so the firing site is the same in every mode.
   std::vector<RowIds> slots(ranges.num_ranges());
   auto scan = [&](const RangeTask& task) -> Status {
     std::vector<BoundResidual> shard_filters;
@@ -955,13 +914,14 @@ StatusOr<MaterializedExpr> Executor::ExecuteLeaf(const PlanNode::Ptr& node,
       MONSOON_RETURN_IF_ERROR(
           BindFilterColumns(ctx, cache, *source, &task, &shard_filters));
     }
-    FilterOperator filter_op(shard_columns ? &shard_filters : &filters);
+    const std::vector<BoundResidual>& range_filters =
+        shard_columns ? shard_filters : filters;
     RowIds kept;
-    SelectOperator select(&kept.left);
-    Pipeline pipeline;
-    pipeline.Add(&filter_op).Add(&select);
+    auto scan_batch = [&](const Table& t, size_t b, size_t e) {
+      return ScanBatch(range_filters, t, b, e, &kept.left);
+    };
     MONSOON_RETURN_IF_ERROR(task.Feed([&](size_t begin, size_t end) {
-      return pipeline.Run(in, begin, end, ctx);
+      return ForEachBatch(ctx, in, begin, end, scan_batch);
     }));
     slots[task.index] = std::move(kept);
     return Status::OK();
@@ -1152,16 +1112,16 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
       }
     }
     std::vector<uint64_t> build_hashes(build.num_rows());
-    HashBuildOperator build_op(&build_terms, keys_cached, &build_flat,
-                               &build_views, &build_hashes);
+    auto build_batch = [&](const Table& t, size_t b, size_t e) {
+      return BuildKeysBatch(build_terms, &build_flat, build_views, t, b, e,
+                            build_hashes.data());
+    };
     MONSOON_RETURN_IF_ERROR(DriveRanges(
         ctx,
         PlanRanges(ctx, build_expr.shards, build.num_rows(), ctx->morsel_size()),
         [&](const RangeTask& task) {
-          Pipeline pipeline;
-          pipeline.Add(&build_op);
           return task.Feed([&](size_t begin, size_t end) {
-            return pipeline.Run(build, begin, end, ctx);
+            return ForEachBatch(ctx, build, begin, end, build_batch);
           });
         }));
     // The index and the Bloom filter are functions of the build hashes
@@ -1188,29 +1148,28 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     for (size_t k = 0; k < probe_views.size(); ++k) {
       probe_views[k] = FlatView::Of(*probe_cols[k]);
     }
-    HashProbeOperator::Spec spec;
-    spec.lt = &lt;
-    spec.rt = &rt;
-    spec.build_left = build_left;
-    spec.keys_cached = keys_cached;
-    spec.probe_terms = &probe_terms;
-    spec.build_views = &build_views;
-    spec.probe_views = &probe_views;
-    spec.index = &index;
-    spec.bloom = bloom.get();
-    spec.residual = &residual;
-    spec.out_schema = &out_schema;
     ranges = PlanRanges(ctx, probe_expr.shards, probe.num_rows(), ctx->morsel_size());
     slots.resize(ranges.num_ranges());
     auto probe_range = [&](const RangeTask& task) -> Status {
-      RowIds pairs;
-      HashProbeOperator probe_op(spec, &pairs, task);
-      Pipeline pipeline;
-      pipeline.Add(&probe_op);
+      ProbeRange range{.lt = lt,
+                       .rt = rt,
+                       .build_left = build_left,
+                       .keys_cached = keys_cached,
+                       .probe_terms = probe_terms,
+                       .build_views = build_views,
+                       .probe_views = probe_views,
+                       .index = index,
+                       .bloom = bloom.get(),
+                       .residual = residual,
+                       .task = task,
+                       .candidates = Table(out_schema)};
+      auto probe_batch = [&](const Table& t, size_t b, size_t e) {
+        return ProbeBatch(&range, t, b, e);
+      };
       MONSOON_RETURN_IF_ERROR(task.Feed([&](size_t begin, size_t end) {
-        return pipeline.Run(probe, begin, end, ctx);
+        return ForEachBatch(ctx, probe, begin, end, probe_batch);
       }));
-      slots[task.index] = std::move(pairs);
+      slots[task.index] = std::move(range.pairs);
       return Status::OK();
     };
     MONSOON_RETURN_IF_ERROR(DriveRanges(ctx, ranges, probe_range));
@@ -1322,12 +1281,14 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
       }
     }
     std::vector<HyperLogLog> local(terms.size(), HyperLogLog(kHllPrecision));
-    SigmaOperator sigma_op(&terms, shard_columns ? &shard_cols : &term_cols,
-                           &local, shard_columns ? task.begin : 0);
-    Pipeline pipeline;
-    pipeline.Add(&sigma_op);
+    const std::vector<CachedUdfColumnPtr>& cols =
+        shard_columns ? shard_cols : term_cols;
+    const size_t col_base = shard_columns ? task.begin : 0;
+    auto sigma_batch = [&](const Table& t, size_t b, size_t e) {
+      return SigmaBatch(terms, cols, col_base, t, b, e, &local);
+    };
     MONSOON_RETURN_IF_ERROR(task.Feed([&](size_t begin, size_t end) {
-      return pipeline.Run(table, begin, end, ctx);
+      return ForEachBatch(ctx, table, begin, end, sigma_batch);
     }));
     slots[task.index] = std::move(local);
     return Status::OK();

@@ -19,7 +19,7 @@ struct Config {
   /// L2 while leaving enough morsels for stealing to balance skew; see
   /// DESIGN.md "Parallel runtime".
   size_t morsel_size = 2048;
-  /// Rows per batch for the vectorized executor pipeline (DESIGN.md §12).
+  /// Rows per batch for the vectorized executor (DESIGN.md §12).
   /// 1 selects the legacy row-at-a-time strategy (same operators driven
   /// with degenerate batches — the seed executor's behavior, kept as the
   /// equivalence/ablation baseline). Morsel boundaries are always batch

@@ -26,9 +26,9 @@ inline constexpr char kShardExecPoint[] = "shard.exec";
 /// Hash-range shard layout over ONE partitioned Table: shard s owns the
 /// contiguous row range [offsets[s], offsets[s+1]). Keeping the shards as
 /// ranges of a single table (rather than N separate Tables) means every
-/// existing per-range operator — Pipeline::Run, FlatColumn::Fill,
-/// CombineKeyHashes — works on a shard unchanged, and shards=1 is
-/// bit-for-bit today's layout (the original table, untouched).
+/// existing per-range operator — the executor's ForEachBatch,
+/// FlatColumn::Fill, CombineKeyHashes — works on a shard unchanged, and
+/// shards=1 is bit-for-bit today's layout (the original table, untouched).
 struct ShardMap {
   std::vector<size_t> offsets;  // num_shards() + 1 entries, monotone
 

@@ -225,6 +225,20 @@ TEST(MustPollTest, FlagsPollReachedOnlyOnSomePaths) {
       "monsoon-analyze-must-poll"));
 }
 
+TEST(MustPollTest, FlagsRunCallThatPollsNothing) {
+  // Only ForEachBatch polls per batch; a Run call that happens to share a
+  // statement with the word Pipeline polls nothing.
+  EXPECT_TRUE(HasRule(
+      Analyze("src/exec/e.cc",
+              "Status Run(ExecContext* ctx, TaskGroup& group, size_t num_morsels) {\n"
+              "  for (size_t m = 0; m < num_morsels; ++m) {\n"
+              "    group.Run(Pipeline::Drain, stages[m]);\n"
+              "  }\n"
+              "  return Status::OK();\n"
+              "}\n"),
+      "monsoon-analyze-must-poll"));
+}
+
 TEST(MustPollTest, FlagsMorselLambdaBody) {
   // The morsel-body lambda is its own unit: rows iterated inside one morsel
   // still need a poll even though ParallelFor polls between morsels.
@@ -279,11 +293,21 @@ TEST(MustPollTest, CleanLoopsStayQuiet) {
                       "  return Status::OK();\n"
                       "}\n")
                   .empty());
-  // Batch functions run one batch per call; Pipeline::Run polls per batch.
+  // Batch functions run one batch per call; ForEachBatch polls per batch.
   EXPECT_TRUE(Analyze("src/exec/e.cc",
-                      "Status Op::ProcessBatch(Batch* b, ExecContext* ctx) {\n"
-                      "  for (size_t i = b->begin; i < b->end; ++i) {\n"
+                      "Status ScanBatch(ExecContext* ctx, size_t begin, size_t end) {\n"
+                      "  for (size_t i = begin; i < end; ++i) {\n"
                       "    MONSOON_RETURN_IF_ERROR(ctx->ChargeWork(1));\n"
+                      "  }\n"
+                      "  return Status::OK();\n"
+                      "}\n")
+                  .empty());
+  // A ForEachBatch call polls: it checks cancellation before every batch.
+  EXPECT_TRUE(Analyze("src/exec/e.cc",
+                      "Status Run(ExecContext* ctx, const Table& t, const ShardMap& map) {\n"
+                      "  for (size_t m = 0; m < map.num_morsels(); ++m) {\n"
+                      "    MONSOON_RETURN_IF_ERROR(ForEachBatch(ctx, t, map.begin(m),\n"
+                      "                                         map.end(m), scan_batch));\n"
                       "  }\n"
                       "  return Status::OK();\n"
                       "}\n")

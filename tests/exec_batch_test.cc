@@ -1,9 +1,9 @@
-// Vectorized-execution tests: selection-vector edge cases, the join Bloom
-// filter, and batch/row equivalence. The batch pipeline's contract is that
-// it is a pure execution-speed change — rows, observed counts, Σ distincts,
-// work_units and objects_processed are bit-identical to the row-at-a-time
-// path (batch_size=1) at every thread count and cache setting, because
-// accounting is charged per logical row, never per batch.
+// Vectorized-execution tests: scan selection edge cases, the per-batch
+// cancellation poll, the join Bloom filter, and batch/row equivalence.
+// Batching is a pure execution-speed change — rows, observed counts, Σ
+// distincts, work_units and objects_processed are bit-identical to the
+// row-at-a-time path (batch_size=1) at every thread count and cache
+// setting, because accounting is charged per logical row, never per batch.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,7 @@
 
 #include "exec/bloom.h"
 #include "exec/executor.h"
-#include "exec/selection.h"
+#include "fault/cancellation.h"
 #include "obs/metrics.h"
 #include "optimizer/optimizer.h"
 #include "parallel/thread_pool.h"
@@ -26,42 +26,6 @@
 
 namespace monsoon {
 namespace {
-
-// ---------------------------------------------------------------------------
-// SelectionVector
-// ---------------------------------------------------------------------------
-
-TEST(SelectionVectorTest, AppendKeepsAbsoluteAscendingRows) {
-  SelectionVector sel;
-  EXPECT_TRUE(sel.empty());
-  sel.Reserve(4);
-  sel.Append(3);
-  sel.Append(5);
-  sel.Append(9);
-  ASSERT_EQ(sel.size(), 3u);
-  EXPECT_EQ(sel[0], 3u);
-  EXPECT_EQ(sel[2], 9u);
-  EXPECT_EQ(sel.data()[1], 5u);
-}
-
-TEST(SelectionVectorTest, InPlaceCompactionViaMutableDataAndTruncate) {
-  // Later filters refine an existing selection by compacting survivors to
-  // the front and truncating — mirror that exact access pattern.
-  SelectionVector sel;
-  for (uint32_t row = 0; row < 8; ++row) sel.Append(row);
-  uint32_t* data = sel.mutable_data();
-  size_t kept = 0;
-  for (size_t i = 0; i < sel.size(); ++i) {
-    if (data[i] % 3 == 0) data[kept++] = data[i];
-  }
-  sel.Truncate(kept);
-  ASSERT_EQ(sel.size(), 3u);
-  EXPECT_EQ(sel[0], 0u);
-  EXPECT_EQ(sel[1], 3u);
-  EXPECT_EQ(sel[2], 6u);
-  sel.Clear();
-  EXPECT_TRUE(sel.empty());
-}
 
 // ---------------------------------------------------------------------------
 // JoinBloomFilter
@@ -232,6 +196,71 @@ TEST_F(BatchExecTest, ConjunctiveFiltersRefineSelection) {
   ExpectLeafRows(
       "SELECT * FROM customers c WHERE c.country = 'zz' AND c.city = 'city1'",
       3);
+}
+
+// ---------------------------------------------------------------------------
+// Cancellation is polled once per batch: a scan whose residual UDF cancels
+// the query at row r finishes that row's batch, then stops before the next
+// one — so at most ceil((r + 1) / batch) * batch rows are evaluated.
+// ---------------------------------------------------------------------------
+
+// cancel_at(id): counts its calls and cancels g_cancel_token when it
+// evaluates id == g_cancel_row.
+fault::CancellationToken* g_cancel_token = nullptr;
+int64_t g_cancel_row = 0;
+size_t g_cancel_calls = 0;
+
+void RegisterCancelAtUdf() {
+  UdfRegistry::Global().RegisterOrReplace(UdfFunction{
+      "cancel_at", ValueType::kInt64,
+      [](const RowRef& row, const std::vector<size_t>& arg_cols) {
+        ++g_cancel_calls;
+        if (row.GetValue(arg_cols[0]).AsInt64() == g_cancel_row) {
+          g_cancel_token->Cancel(StatusCode::kCancelled, "cancelled mid-scan");
+        }
+        return Value(int64_t{1});
+      }});
+}
+
+TEST_F(BatchExecTest, CancelledScanStopsAtTheNextBatch) {
+  constexpr int64_t kRows = 3000;
+  g_cancel_row = 1500;
+  RegisterCancelAtUdf();
+  auto events = std::make_shared<Table>(Schema({{"id", ValueType::kInt64}}));
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(events->AppendRow({Value(i)}).ok());
+  }
+  ASSERT_TRUE(catalog_.AddTable("events", events).ok());
+  auto query = Parse("SELECT * FROM events e WHERE cancel_at(e.id) = 1");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const PlanNode::Ptr plan = MakeLeaf(*query, 0);
+
+  for (size_t batch_size : {size_t{7}, size_t{1024}}) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+    fault::CancellationToken token;
+    g_cancel_token = &token;
+    g_cancel_calls = 0;
+    auto store = MaterializedStore::ForQuery(catalog_, *query);
+    ASSERT_TRUE(store.ok());
+    store->udf_cache()->set_byte_budget(0);
+    Executor executor(*query, &UdfRegistry::Global());
+    ExecContext ctx;
+    ctx.SetParallel(nullptr, /*morsel_size=*/64);
+    ctx.SetShards(1);
+    ctx.SetBatchSize(batch_size);
+    ctx.SetCancelToken(&token);
+
+    auto result = executor.Execute(plan, &*store, &ctx);
+    g_cancel_token = nullptr;
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+    // ceil((r + 1) / batch) batches ran, the last one in full.
+    const size_t batches =
+        (static_cast<size_t>(g_cancel_row) + batch_size) / batch_size;
+    EXPECT_GT(g_cancel_calls, static_cast<size_t>(g_cancel_row));
+    EXPECT_LE(g_cancel_calls, batches * batch_size);
+    EXPECT_LT(g_cancel_calls, static_cast<size_t>(kRows));
+  }
 }
 
 // ---------------------------------------------------------------------------

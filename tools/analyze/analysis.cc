@@ -62,19 +62,19 @@ bool IsCallAt(const std::vector<Token>& toks, size_t i) {
 
 /// Does this token run poll the cancellation token? Direct polls are
 /// CheckCancelled() and <token>->Check(); calls that poll internally per
-/// morsel/batch are ParallelFor(...) and Pipeline...Run(...).
+/// morsel/batch are ParallelFor(...) and the executor's ForEachBatch(...).
 bool TokensPoll(const std::vector<Token>& toks) {
-  bool has_pipeline = TokensMention(toks, "Pipeline");
   for (size_t i = 0; i < toks.size(); ++i) {
     if (!IsCallAt(toks, i)) continue;
     const std::string& t = toks[i].text;
-    if (t == "CheckCancelled" || t == "ParallelFor") return true;
+    if (t == "CheckCancelled" || t == "ParallelFor" || t == "ForEachBatch") {
+      return true;
+    }
     if (t == "Check" && i >= 1 &&
         (toks[i - 1].text == "." ||
          (i >= 2 && toks[i - 1].text == ">" && toks[i - 2].text == "-"))) {
       return true;
     }
-    if (t == "Run" && has_pipeline) return true;
   }
   return false;
 }
@@ -200,7 +200,7 @@ void PassMustPoll(const std::vector<FunctionUnit>& fns, const ScannedFile& f,
   if (!StartsWith(f.path, "src/exec/") && !StartsWith(f.path, "src/parallel/"))
     return;
   for (const FunctionUnit& fn : fns) {
-    // *Batch functions run one batch per call; Pipeline::Run polls at every
+    // *Batch functions run one batch per call; ForEachBatch polls at every
     // batch boundary, so their internal loops are already bounded.
     if (fn.name.find("Batch") != std::string::npos) continue;
     WalkRowLoops(fn.body, /*under_row_loop=*/false, r);

@@ -14,11 +14,11 @@ namespace monsoon::analyze {
 ///   monsoon-analyze-must-poll   (src/exec/, src/parallel/)  every loop that
 ///                    iterates rows/morsels must reach a cancellation poll
 ///                    (CheckCancelled / CancellationToken::Check / a call
-///                    that polls internally: ParallelFor, Pipeline::Run) on
+///                    that polls internally: ParallelFor, ForEachBatch) on
 ///                    every path through its body that runs another
 ///                    iteration. Loops nested inside another row loop are
 ///                    exempt (the outer iteration is the poll boundary), as
-///                    are *Batch functions (Pipeline::Run polls per batch).
+///                    are *Batch functions (ForEachBatch polls per batch).
 ///   monsoon-analyze-lock-scope  (src/, tools/)  tracks live RAII guard
 ///                    scopes (MutexLock / MutexLockRanked / lock_guard /
 ///                    unique_lock / scoped_lock) through the statement tree

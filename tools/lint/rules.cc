@@ -278,11 +278,11 @@ void CheckPinnedGet(const ScannedFile& f, Reporter& r) {
 // monsoon-batch
 // ---------------------------------------------------------------------------
 
-/// The batch pipeline's speedup comes from keeping rows in typed columns;
-/// a single `Value v = ...` inside a ProcessBatch loop reintroduces one
+/// The batch executor's speedup comes from keeping rows in typed columns;
+/// a single `Value v = ...` inside a batch function's loop reintroduces one
 /// heap-boxed variant per row and silently voids the win. Flags the `Value`
 /// type anywhere in the body of a src/exec/ function whose name contains
-/// "Batch" (ProcessBatch, ApplyResidualBatch, ...). Columns expose
+/// "Batch" (ScanBatch, ProbeBatch, ApplyResidualBatch, ...). Columns expose
 /// FlatColumn / FlatView for exactly this reason; a deliberate scalar
 /// escape carries a NOLINT.
 void CheckBatch(const ScannedFile& f, Reporter& r) {

@@ -60,7 +60,7 @@ std::vector<std::string> RuleNames();
 ///                       dangles after eviction.
 ///   monsoon-batch       (src/exec/)     no per-row Value boxing inside
 ///                       the body of a batch function (name containing
-///                       "Batch": ProcessBatch, ApplyResidualBatch, ...);
+///                       "Batch": ScanBatch, ProbeBatch, ...);
 ///                       batches carry typed columns — use FlatColumn /
 ///                       FlatView from exec/batch.h.
 ///   monsoon-include     (src/, tools/)  headers carry MONSOON_<PATH>_H_
