@@ -91,8 +91,8 @@ int main() {
       std::cout << "  cost of this transition: "
                 << FormatWithCommas(static_cast<uint64_t>(next->cost))
                 << " objects\n";
-      std::cout << "  hardened statistics now: " << next->state.stats.num_counts()
-                << " counts, " << next->state.stats.num_distincts()
+      std::cout << "  hardened statistics now: " << next->state.epoch->stats().num_counts()
+                << " counts, " << next->state.epoch->stats().num_distincts()
                 << " distinct entries\n";
     }
     state = std::move(next->state);

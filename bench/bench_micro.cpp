@@ -324,7 +324,7 @@ void BM_LegalActionsMidQuery(benchmark::State& state) {
     fixture.mdp->LegalActions(mid, &actions);
     benchmark::DoNotOptimize(actions.data());
   }
-  state.counters["executed"] = static_cast<double>(mid.executed.size());
+  state.counters["executed"] = static_cast<double>(mid.epoch->executed().size());
   state.counters["actions"] = static_cast<double>(actions.size());
   state.SetItemsProcessed(state.iterations());
 }
@@ -355,14 +355,20 @@ void BM_StatsStoreLookupDistinct(benchmark::State& state) {
 }
 BENCHMARK(BM_StatsStoreLookupDistinct);
 
+// Also reports one search's epochs (simulated EXECUTE outcomes) and
+// LegalActions calls: the calls between two EXECUTEs share an epoch.
 void BM_MctsIterationsImdbQ13(benchmark::State& state) {
   ImdbQ13Fixture fixture;
+  MctsSearch::SearchInfo info;
   for (auto _ : state) {
     MctsSearch::Options options;
     options.iterations = static_cast<int>(state.range(0));
     MctsSearch search(fixture.mdp.get(), options);
     benchmark::DoNotOptimize(search.SearchBestAction(fixture.root).ok());
+    info = search.last_info();
   }
+  state.counters["epochs"] = static_cast<double>(info.epochs);
+  state.counters["legal_action_calls"] = static_cast<double>(info.legal_action_calls);
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MctsIterationsImdbQ13)->Arg(300);

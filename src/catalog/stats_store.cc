@@ -122,20 +122,20 @@ bool StatsStore::HasDistinctInfo(int term_id, RelSet expr_rels) const {
   return false;
 }
 
-bool StatsStore::HasDistinctInfoForAll(uint64_t term_ids, RelSet expr_rels) const {
-  if ((term_ids & ~term_bits_) != 0) return false;
+int StatsStore::TermWithoutDistinctInfo(uint64_t term_ids, RelSet expr_rels) const {
+  if (uint64_t absent = term_ids & ~term_bits_; absent != 0) return __builtin_ctzll(absent);
   const uint64_t rels = expr_rels.mask();
   uint64_t pending = term_ids;
   for (const DistinctEntry& entry : distincts_) {
-    if (pending == 0) return true;
+    if (pending == 0) return -1;
     if (entry.term_id < 0) continue;
     if (entry.term_id >= 64) break;
     const uint64_t bit = uint64_t{1} << entry.term_id;
     // Entries come in term order: a pending term below this one has none.
-    if ((pending & (bit - 1)) != 0) return false;
+    if ((pending & (bit - 1)) != 0) return __builtin_ctzll(pending);
     if ((entry.expr.rels & ~rels) == 0) pending &= ~bit;
   }
-  return pending == 0;
+  return pending == 0 ? -1 : __builtin_ctzll(pending);
 }
 
 void StatsStore::SetDistinct(int term_id, const ExprSig& expr, const ExprSig& partner,

@@ -72,9 +72,10 @@ class StatsStore {
   /// i.e. the term's statistics are (transitively) known and a Σ pass over
   /// an expression with these relations would learn nothing new.
   bool HasDistinctInfo(int term_id, RelSet expr_rels) const;
-  /// HasDistinctInfo(t, expr_rels) for every term id t in `term_ids` (bit
-  /// t = term t, so ids below 64), in one forward pass over the entries.
-  bool HasDistinctInfoForAll(uint64_t term_ids, RelSet expr_rels) const;
+  /// A term id t in `term_ids` (bit t = term t, so ids below 64) for which
+  /// HasDistinctInfo(t, expr_rels) is false, or -1 when there is none; in
+  /// one forward pass over the entries.
+  int TermWithoutDistinctInfo(uint64_t term_ids, RelSet expr_rels) const;
 
   void SetDistinct(int term_id, const ExprSig& expr, const ExprSig& partner,
                    double count);

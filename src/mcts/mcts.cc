@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "fault/injector.h"
@@ -35,10 +36,14 @@ struct MctsSearch::Edge {
 };
 
 struct MctsSearch::Node {
-  Node(const MdpState& from, uint64_t child_key, MdpState::allocator_type alloc)
-      : state(from, alloc), untried(alloc), edges(alloc), key(child_key) {}
+  Node(const PlanForest& planned, std::shared_ptr<const MdpEpoch> epoch,
+       uint64_t child_key, MdpState::allocator_type alloc)
+      : state(planned, std::move(epoch), alloc),
+        untried(alloc),
+        edges(alloc),
+        key(child_key) {}
 
-  MdpState state;
+  MdpState state;  // its epoch is borrowed (see Borrow)
   bool terminal = false;
   std::pmr::vector<MdpAction> untried;
   std::pmr::vector<Edge> edges;
@@ -64,6 +69,14 @@ std::pmr::pool_options ScratchPoolOptions() {
   return options;
 }
 
+// A handle on `epoch` that does not own it (an aliasing shared_ptr with no
+// control block), so copying it touches no reference count. The tree and
+// scratch_ borrow epochs that the caller's root state, tree_arena_ or
+// scratch_epoch_ keep alive for the whole search.
+std::shared_ptr<const MdpEpoch> Borrow(const MdpEpoch* epoch) {
+  return std::shared_ptr<const MdpEpoch>(std::shared_ptr<const MdpEpoch>(), epoch);
+}
+
 }  // namespace
 
 MctsSearch::MctsSearch(const QueryMdp* mdp, Options options)
@@ -72,21 +85,38 @@ MctsSearch::MctsSearch(const QueryMdp* mdp, Options options)
       rng_(options.seed),
       tree_arena_(size_t{1} << 16),
       scratch_pool_(ScratchPoolOptions()),
-      scratch_(&scratch_pool_) {}
+      scratch_(&scratch_pool_),
+      scratch_epoch_(&scratch_pool_) {}
 
 MctsSearch::~MctsSearch() = default;
 
 // Nodes are never destroyed one by one: everything they own lives in
 // tree_arena_, whose release() frees it all at once.
-MctsSearch::Node* MctsSearch::NewNode(const MdpState& state, uint64_t key) {
+MctsSearch::Node* MctsSearch::NewNode(const PlanForest& planned, const MdpEpoch* epoch,
+                                      uint64_t key) {
   std::pmr::polymorphic_allocator<std::byte> alloc(&tree_arena_);
   ++tree_nodes_;
-  return alloc.new_object<Node>(state, key, alloc);
+  return alloc.new_object<Node>(planned, Borrow(epoch), key, alloc);
+}
+
+MctsSearch::Node* MctsSearch::NewExecuteChild(uint64_t key) {
+  mdp_->DeriveFacts(&scratch_epoch_);
+  std::pmr::polymorphic_allocator<std::byte> alloc(&tree_arena_);
+  const MdpEpoch* epoch = alloc.new_object<MdpEpoch>(scratch_epoch_);
+  return NewNode(PlanForest(), epoch, key);
+}
+
+StatusOr<double> MctsSearch::ExecuteIntoScratch(const PlanForest& planned,
+                                                const MdpEpoch& epoch) {
+  if (&epoch != &scratch_epoch_) scratch_epoch_ = epoch;
+  ++info_.epochs;
+  return mdp_->Execute(planned, &scratch_epoch_, rng_);
 }
 
 void MctsSearch::Expand(Node* node) {
   node->terminal = mdp_->IsTerminal(node->state);
   if (node->terminal) return;
+  ++info_.legal_action_calls;
   mdp_->LegalActions(node->state, &actions_);
   node->untried.assign(actions_.begin(), actions_.end());
   node->edges.reserve(actions_.size());  // edges never reallocate
@@ -118,6 +148,7 @@ StatusOr<double> MctsSearch::Rollout(const MdpState& from) {
   double cost = 0;
   for (int depth = 0; depth < options_.max_rollout_depth; ++depth) {
     if (mdp_->IsTerminal(scratch_)) return cost;
+    ++info_.legal_action_calls;
     mdp_->LegalActions(scratch_, &actions_);
     if (actions_.empty()) {
       return Status::Internal("rollout reached a dead-end non-terminal state");
@@ -133,7 +164,18 @@ StatusOr<double> MctsSearch::Rollout(const MdpState& from) {
         break;
       }
     }
-    MONSOON_ASSIGN_OR_RETURN(double step_cost, mdp_->Apply(*chosen, &scratch_, rng_));
+    double step_cost = 0;
+    if (chosen->IsExecute()) {
+      // The first EXECUTE copies the borrowed epoch into scratch_epoch_;
+      // later ones update it in place.
+      MONSOON_ASSIGN_OR_RETURN(step_cost,
+                               ExecuteIntoScratch(scratch_.planned, *scratch_.epoch));
+      scratch_.planned.clear();
+      scratch_.epoch = Borrow(&scratch_epoch_);
+      mdp_->DeriveFacts(&scratch_epoch_);
+    } else {
+      MONSOON_ASSIGN_OR_RETURN(step_cost, mdp_->Apply(*chosen, &scratch_, rng_));
+    }
     cost += step_cost;
   }
   // Depth exhausted: score as the worst return observed so far (a strong
@@ -206,11 +248,19 @@ Status MctsSearch::RunIteration(Node* root) {
       edge.action = action;
       path_.emplace_back(node, node->edges.size() - 1);
 
-      Node* child = NewNode(node->state, 0);
-      MONSOON_ASSIGN_OR_RETURN(double step_cost,
-                               mdp_->Apply(action, &child->state, rng_));
+      // A planning child shares its parent's epoch; an EXECUTE child owns
+      // the new one.
+      Node* child;
+      double step_cost = 0;
+      if (action.IsExecute()) {
+        MONSOON_ASSIGN_OR_RETURN(
+            step_cost, ExecuteIntoScratch(node->state.planned, *node->state.epoch));
+        child = NewExecuteChild(scratch_epoch_.stats().Fingerprint());
+      } else {
+        child = NewNode(node->state.planned, node->state.epoch.get(), 0);
+        MONSOON_ASSIGN_OR_RETURN(step_cost, mdp_->Apply(action, &child->state, rng_));
+      }
       path_cost += step_cost;
-      if (action.IsExecute()) child->key = child->state.stats.Fingerprint();
       Expand(child);
       edge.children = child;
 
@@ -239,15 +289,14 @@ Status MctsSearch::RunIteration(Node* root) {
     // and the outcome picks (or creates) the child.
     Node* child = edge.children;
     if (edge.action.IsExecute()) {
-      scratch_ = node->state;
-      MONSOON_ASSIGN_OR_RETURN(double step_cost,
-                               mdp_->Apply(edge.action, &scratch_, rng_));
+      MONSOON_ASSIGN_OR_RETURN(
+          double step_cost, ExecuteIntoScratch(node->state.planned, *node->state.epoch));
       path_cost += step_cost;
-      uint64_t key = scratch_.stats.Fingerprint();
+      uint64_t key = scratch_epoch_.stats().Fingerprint();
       child = edge.FindChild(key);
       if (child == nullptr) {
         // A chance outcome we have not seen before: expand it here.
-        child = NewNode(scratch_, key);
+        child = NewExecuteChild(key);
         Expand(child);
         child->next_sibling = edge.children;
         edge.children = child;
@@ -286,10 +335,11 @@ StatusOr<MdpAction> MctsSearch::SearchBestAction(const MdpState& root_state) {
   if (mdp_->IsTerminal(root_state)) {
     return Status::InvalidArgument("search from a terminal state");
   }
+  info_ = SearchInfo{};
   root_ = nullptr;
   tree_arena_.release();
   tree_nodes_ = 0;
-  root_ = NewNode(root_state, 0);
+  root_ = NewNode(root_state.planned, root_state.epoch.get(), 0);
   Expand(root_);
   if (root_->untried.empty()) {
     return Status::Internal("no legal action from the current state");
@@ -305,7 +355,6 @@ StatusOr<MdpAction> MctsSearch::SearchBestAction(const MdpState& root_state) {
   // lane's stream, so tracing never draws from rng_ and cannot perturb the
   // search.
   obs::TraceSpan tree_span("mcts", "tree");
-  info_ = SearchInfo{};
   bounds_init_ = false;
   for (iteration_ = 0; iteration_ < options_.iterations; ++iteration_) {
     if (options_.cancel_token != nullptr) {
@@ -341,7 +390,9 @@ StatusOr<MdpAction> MctsSearch::SearchBestAction(const MdpState& root_state) {
       .Arg("tree_nodes", static_cast<uint64_t>(info_.tree_nodes))
       .Arg("max_depth", info_.max_depth)
       .Arg("best_visits", info_.best_visits)
-      .Arg("best_mean", info_.best_mean_return);
+      .Arg("best_mean", info_.best_mean_return)
+      .Arg("epochs", info_.epochs)
+      .Arg("legal_action_calls", info_.legal_action_calls);
   return best->action;
 }
 

@@ -68,6 +68,11 @@ class MctsSearch {
     int max_depth = 0;
     double best_mean_return = 0;
     int best_visits = 0;
+    /// Simulated EXECUTE outcomes, each a new epoch (R_e, S and their
+    /// facts), and LegalActions calls; every call between two EXECUTEs
+    /// reads one epoch's facts, so their ratio is the reuse epochs buy.
+    uint64_t epochs = 0;
+    uint64_t legal_action_calls = 0;
     std::vector<RootEdgeInfo> root_edges;
   };
 
@@ -92,11 +97,17 @@ class MctsSearch {
   /// Plays random-but-biased actions from `from` to a terminal state, in
   /// scratch_; returns the total cost accumulated.
   StatusOr<double> Rollout(const MdpState& from);
+  /// Simulates EXECUTE of `planned` over `epoch` into scratch_epoch_
+  /// (which `epoch` may be); returns its cost. Leaves the facts stale.
+  StatusOr<double> ExecuteIntoScratch(const PlanForest& planned, const MdpEpoch& epoch);
   double NormalizeReturn(double ret) const;
   size_t SelectEdge(const Node& node);
-  /// A tree node in tree_arena_ holding a copy of `state`; call Expand
-  /// once the state is final.
-  Node* NewNode(const MdpState& state, uint64_t key);
+  /// A tree node in tree_arena_ holding a copy of `planned` over `epoch`,
+  /// which it borrows; call Expand once the state is final.
+  Node* NewNode(const PlanForest& planned, const MdpEpoch* epoch, uint64_t key);
+  /// The child for the EXECUTE outcome in scratch_epoch_: its facts are
+  /// derived and the epoch copied into tree_arena_ for the child to own.
+  Node* NewExecuteChild(uint64_t key);
   /// Marks `node` terminal or fills its untried actions.
   void Expand(Node* node);
 
@@ -109,13 +120,16 @@ class MctsSearch {
   double max_return_ = 0;
   bool bounds_init_ = false;
   int iteration_ = 0;
-  // Per-search memory (DESIGN.md §16). Tree nodes, their edges and states
-  // live in tree_arena_ and are dropped together when the next search
-  // starts. scratch_ is the one state that selection and rollouts
-  // transition in place; its pool recycles memory across iterations.
+  // Per-search memory (DESIGN.md §16). Tree nodes, their edges, forests
+  // and the epochs of EXECUTE children live in tree_arena_ and are dropped
+  // together when the next search starts. A planning child borrows its
+  // parent's epoch. scratch_ is the one state that rollouts transition in
+  // place, and scratch_epoch_ the one mutable epoch that simulated
+  // EXECUTEs write; their pool recycles memory across iterations.
   std::pmr::monotonic_buffer_resource tree_arena_;
   std::pmr::unsynchronized_pool_resource scratch_pool_;
   MdpState scratch_;
+  MdpEpoch scratch_epoch_;
   std::pmr::vector<MdpAction> actions_;  // legal actions, reused per step
   std::vector<std::pair<Node*, size_t>> path_;
   Node* root_ = nullptr;

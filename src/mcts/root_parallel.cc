@@ -86,6 +86,8 @@ StatusOr<MdpAction> RootParallelMcts::SearchBestAction(const MdpState& root) {
     const MctsSearch::SearchInfo& wi = searches[w]->last_info();
     info_.iterations_run += wi.iterations_run;
     info_.tree_nodes += wi.tree_nodes;
+    info_.epochs += wi.epochs;
+    info_.legal_action_calls += wi.legal_action_calls;
     info_.max_depth = std::max(info_.max_depth, wi.max_depth);
     for (const MctsSearch::RootEdgeInfo& edge : wi.root_edges) {
       // Visit-weighted return recombination is only meaningful for edges

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bitset>
+#include <memory>
 #include <sstream>
 
+#include "common/check.h"
 #include "cost/cardinality.h"
 #include "plan/logical_ops.h"
 
@@ -130,12 +132,13 @@ std::string MdpState::ToString(const QuerySpec& query) const {
   }
   out << "}  R_e = {";
   bool first = true;
-  for (const auto& [sig, count] : executed) {
+  for (const auto& [sig, count] : epoch->executed()) {
     if (!first) out << ", ";
     first = false;
     out << sig.ToString() << ":" << count;
   }
-  out << "}  |S| = " << stats.num_counts() << "+" << stats.num_distincts();
+  out << "}  |S| = " << epoch->stats().num_counts() << "+"
+      << epoch->stats().num_distincts();
   return out.str();
 }
 
@@ -174,17 +177,17 @@ QueryMdp::QueryMdp(const QuerySpec& query, const Prior* prior, Options options)
 
 MdpState QueryMdp::InitialState(const StatsStore& initial_stats,
                                 const std::map<ExprSig, double>& base_counts) const {
-  MdpState state;
-  state.stats = initial_stats;
+  auto epoch = std::make_shared<MdpEpoch>();
+  StatsStore& stats = epoch->mutable_stats();
+  stats = initial_stats;
   for (const auto& [sig, count] : base_counts) {
-    state.executed[sig] = count;
-    state.stats.SetCount(sig, count);
+    epoch->mutable_executed()[sig] = count;
+    stats.SetCount(sig, count);
   }
+  DeriveFacts(epoch.get());
+  MdpState state;
+  state.epoch = std::move(epoch);
   return state;
-}
-
-bool QueryMdp::IsTerminal(const MdpState& state) const {
-  return state.executed.count(goal_) > 0;
 }
 
 PlanNode::Ptr QueryMdp::LeafFor(const ExprSig& sig) const {
@@ -235,22 +238,21 @@ std::optional<uint64_t> QueryMdp::JoinPreds(const JoinSide& a, const JoinSide& b
   return std::nullopt;
 }
 
-// Does expression `rels` have an evaluable term with unknown statistics?
-// (Σ pruning.)
-bool QueryMdp::StatsUnknownFor(const StatsStore& stats, RelSet rels) const {
+// The Σ pruning: an evaluable term of `rels` with unknown statistics.
+int QueryMdp::UnknownTermFor(const StatsStore& stats, RelSet rels) const {
   if (term_ids_fit_mask_) {
     // Evaluable: every term, minus those over a relation outside `rels`.
     uint64_t evaluable = all_term_bits_;
     for (uint64_t m = goal_.rels & ~rels.mask(); m != 0; m &= m - 1) {
       evaluable &= ~term_bits_on_rel_[__builtin_ctzll(m)];
     }
-    return !stats.HasDistinctInfoForAll(evaluable, rels);
+    return stats.TermWithoutDistinctInfo(evaluable, rels);
   }
   for (const TermInfo& term : terms_) {
     if ((term.rels & ~rels.mask()) != 0) continue;
-    if (!stats.HasDistinctInfo(term.term_id, rels)) return true;
+    if (!stats.HasDistinctInfo(term.term_id, rels)) return term.term_id;
   }
-  return false;
+  return -1;
 }
 
 std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
@@ -259,37 +261,135 @@ std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
   return std::vector<MdpAction>(actions.begin(), actions.end());
 }
 
+void QueryMdp::DeriveFacts(MdpEpoch* epoch) const {
+  using Entry = MdpEpoch::Entry;
+  using Pair = MdpEpoch::Pair;
+  std::pmr::vector<Entry>& entries = epoch->entries_;
+  std::pmr::vector<Pair>& pairs = epoch->pairs_;
+  const ExecutedSet& executed = epoch->executed_;
+  const StatsStore& stats = epoch->stats_;
+  epoch->stale_ = false;
+  if (IsTerminal(*epoch)) {
+    entries.clear();
+    pairs.clear();
+    return;
+  }
+  // R_e and S only grow (EXECUTE adds to both, and a StatsStore never drops
+  // an entry), so the facts already derived for an entry still hold, but
+  // for two: S may have learnt an entry's unknown term, and a pair's join
+  // may have been executed since. Those two are re-tested, and the rest is
+  // derived only for entries new to R_e. Up to 64 entries are tracked this
+  // way; a larger R_e is derived from scratch.
+  const size_t n = executed.size();
+  const bool incremental = n <= 64;
+  if (!incremental) {
+    entries.clear();
+    pairs.clear();
+  }
+  uint64_t is_new = 0;    // bit i: entry i is new to R_e
+  uint8_t new_index[64];  // of each old entry
+  // Old entries move up to their new index, back to front, so none is
+  // overwritten before it is read.
+  size_t old_left = entries.size();
+  entries.resize(n);
+  for (size_t i = n; i-- > 0;) {
+    const ExprSig& sig = executed.begin()[static_cast<ptrdiff_t>(i)].first;
+    if (old_left > 0 && entries[old_left - 1].side.sig == sig) {
+      Entry entry = entries[--old_left];
+      // A term without statistics keeps the entry Σ-unknown until S learns
+      // it; only then is another one looked for.
+      if (entry.unknown_term >= 0 &&
+          stats.HasDistinctInfo(entry.unknown_term, RelSet(sig.rels))) {
+        entry.unknown_term = UnknownTermFor(stats, RelSet(sig.rels));
+      }
+      entries[i] = entry;
+      new_index[old_left] = static_cast<uint8_t>(i);
+    } else {
+      entries[i] = Entry{SideOf(sig), LeafSigFor(sig).preds,
+                         options_.enable_stats_actions
+                             ? UnknownTermFor(stats, RelSet(sig.rels))
+                             : -1};
+      if (incremental) is_new |= uint64_t{1} << i;
+    }
+  }
+  MONSOON_DCHECK(old_left == 0) << "R_e lost an entry since its facts were derived";
+  // An old pair's join can only have been executed by now if it is one of
+  // the new entries.
+  auto is_new_entry = [&](const ExprSig& sig) {
+    for (uint64_t m = is_new; m != 0; m &= m - 1) {
+      if (entries[__builtin_ctzll(m)].side.sig == sig) return true;
+    }
+    return false;
+  };
+  for (Pair& pair : pairs) {
+    pair.a = new_index[pair.a];
+    pair.b = new_index[pair.b];
+    pair.join_executed = pair.join_executed || is_new_entry(pair.join_sig);
+  }
+
+  // The pairs in (a, b) order go after the old ones, which are in that
+  // order too, and then replace them.
+  const size_t old_pairs = pairs.size();
+  size_t next_old = 0;
+  for (uint32_t a = 0; a < n; ++a) {
+    for (uint32_t b = a + 1; b < n; ++b) {
+      if (incremental && ((is_new >> a | is_new >> b) & 1) == 0) {
+        // Two old entries: an old pair, or rejected by JoinPreds before.
+        if (next_old < old_pairs && pairs[next_old].a == a && pairs[next_old].b == b) {
+          const Pair old = pairs[next_old++];
+          pairs.push_back(old);
+        }
+        continue;
+      }
+      std::optional<uint64_t> join_preds = JoinPreds(entries[a].side, entries[b].side);
+      if (!join_preds.has_value()) continue;
+      ExprSig join_sig{entries[a].side.sig.rels | entries[b].side.sig.rels,
+                       entries[a].leaf_preds | entries[b].leaf_preds | *join_preds};
+      pairs.push_back(Pair{a, b, join_sig, executed.count(join_sig) > 0});
+    }
+  }
+  MONSOON_DCHECK(next_old == old_pairs) << "an old pair was not met in order";
+  pairs.erase(pairs.begin(), pairs.begin() + static_cast<ptrdiff_t>(old_pairs));
+}
+
 void QueryMdp::LegalActions(const MdpState& state,
                             std::pmr::vector<MdpAction>* out) const {
   std::pmr::vector<MdpAction>& actions = *out;
   actions.clear();
-  if (IsTerminal(state)) return;
+  const MdpEpoch& epoch = *state.epoch;
+  if (IsTerminal(epoch)) return;
+  MONSOON_DCHECK(!epoch.stale()) << "LegalActions on an epoch with stale facts";
 
   const PlanForest& planned = state.planned;
-  const ExecutedSet& executed = state.executed;
+  const ExecutedSet& executed = epoch.executed();
+  std::span<const MdpEpoch::Entry> entries = epoch.entries();
   bool planned_full = static_cast<int>(planned.size()) >= options_.max_planned;
 
-  // Signatures already scheduled, to avoid duplicate plans.
-  auto planned_dup = [&](const ExprSig& out_sig) {
+  // A planned tree with this output signature (excluding tree `exclude_idx`).
+  auto planned_has = [&](const ExprSig& out_sig, int exclude_idx) {
     for (size_t i = 0; i < planned.size(); ++i) {
-      if (planned.root(i).output_sig() == out_sig) return true;
+      if (static_cast<int>(i) != exclude_idx && planned.root(i).output_sig() == out_sig) {
+        return true;
+      }
     }
-    return executed.count(out_sig) > 0;
+    return false;
   };
 
   // Two Σ-less planned trees with overlapping relation sets can never
   // both feed the final expression (joins require disjoint inputs), so
   // one of them would be wasted work. Join proposals whose result would
   // overlap another Σ-less planned tree are dominated and pruned.
-  // Σ-topped trees are exempt: they exist to gather statistics.
-  auto overlaps_planned = [&](uint64_t rels, int exclude_idx) {
+  // Σ-topped trees are exempt: they exist to gather statistics. These are
+  // the relations of the Σ-less trees but tree `exclude_idx`.
+  auto plain_rels_except = [&](int exclude_idx) {
+    uint64_t rels = 0;
     for (size_t i = 0; i < planned.size(); ++i) {
-      if (static_cast<int>(i) == exclude_idx) continue;
       const PlanForestNode& root = planned.root(i);
-      if (root.HasStatsCollect()) continue;
-      if ((root.output_sig().rels & rels) != 0) return true;
+      if (static_cast<int>(i) != exclude_idx && !root.HasStatsCollect()) {
+        rels |= root.output_sig().rels;
+      }
     }
-    return false;
+    return rels;
   };
 
   // A Σ plan creates statistics, not a new expression, so its duplicate
@@ -316,26 +416,12 @@ void QueryMdp::LegalActions(const MdpState& state,
   };
   const ExprSig none;
 
-  // Per R_e entry, once: its join side and its leaf's predicates. Up to 64
-  // entries live on the stack.
-  struct ExecutedInfo {
-    JoinSide side;
-    uint64_t leaf_preds;  // LeafSigFor(sig).preds
-  };
-  alignas(ExecutedInfo) std::byte info_buffer[64 * sizeof(ExecutedInfo)];
-  std::pmr::monotonic_buffer_resource info_arena(info_buffer, sizeof(info_buffer));
-  std::pmr::vector<ExecutedInfo> infos(&info_arena);
-  infos.reserve(executed.size());
-  for (const auto& [sig, count] : executed) {
-    infos.push_back(ExecutedInfo{SideOf(sig), LeafSigFor(sig).preds});
-  }
-
   // (1) Copy r ∈ R_e topped with Σ.
-  if (!planned_full && options_.enable_stats_actions) {
-    for (const ExecutedInfo& info : infos) {
-      const ExprSig& sig = info.side.sig;
-      if (!StatsUnknownFor(state.stats, RelSet(sig.rels))) continue;
-      if (sigma_dup(ExprSig{sig.rels, info.leaf_preds})) continue;
+  if (!planned_full) {
+    for (const MdpEpoch::Entry& entry : entries) {
+      if (entry.unknown_term < 0) continue;
+      const ExprSig& sig = entry.side.sig;
+      if (sigma_dup(ExprSig{sig.rels, entry.leaf_preds})) continue;
       push(MdpAction::Type::kAddStatsPlan, sig, none, -1, -1);
     }
   }
@@ -344,24 +430,18 @@ void QueryMdp::LegalActions(const MdpState& state,
   for (size_t i = 0; options_.enable_stats_actions && i < planned.size(); ++i) {
     const PlanForestNode& root = planned.root(i);
     if (root.HasStatsCollect()) continue;
-    if (!StatsUnknownFor(state.stats, RelSet(root.output_sig().rels))) continue;
+    if (UnknownTermFor(epoch.stats(), RelSet(root.output_sig().rels)) < 0) continue;
     push(MdpAction::Type::kTopWithStats, none, none, static_cast<int>(i), -1);
   }
 
   // (3) Join two materialized expressions.
   if (!planned_full) {
-    for (auto it_a = infos.begin(); it_a != infos.end(); ++it_a) {
-      for (auto it_b = std::next(it_a); it_b != infos.end(); ++it_b) {
-        const ExprSig& a = it_a->side.sig;
-        const ExprSig& b = it_b->side.sig;
-        std::optional<uint64_t> join_preds = JoinPreds(it_a->side, it_b->side);
-        if (!join_preds.has_value()) continue;
-        if (overlaps_planned(a.rels | b.rels, -1)) continue;
-        ExprSig join_sig{a.rels | b.rels,
-                         it_a->leaf_preds | it_b->leaf_preds | *join_preds};
-        if (planned_dup(join_sig)) continue;
-        push(MdpAction::Type::kJoinExecExec, a, b, -1, -1);
-      }
+    const uint64_t plain_rels = plain_rels_except(-1);
+    for (const MdpEpoch::Pair& pair : epoch.pairs()) {
+      if ((pair.join_sig.rels & plain_rels) != 0) continue;
+      if (pair.join_executed || planned_has(pair.join_sig, -1)) continue;
+      push(MdpAction::Type::kJoinExecExec, entries[pair.a].side.sig,
+           entries[pair.b].side.sig, -1, -1);
     }
   }
 
@@ -384,20 +464,17 @@ void QueryMdp::LegalActions(const MdpState& state,
     if (planned.root(j).HasStatsCollect()) continue;
     const JoinSide b_side = SideOf(planned.root(j).output_sig());
     const ExprSig& b = b_side.sig;
-    for (const ExecutedInfo& info : infos) {
-      const ExprSig& sig = info.side.sig;
-      ExprSig leaf_sig{sig.rels, info.leaf_preds};
+    const uint64_t other_plain_rels = plain_rels_except(static_cast<int>(j));
+    for (const MdpEpoch::Entry& entry : entries) {
+      const ExprSig& sig = entry.side.sig;
+      ExprSig leaf_sig{sig.rels, entry.leaf_preds};
       std::optional<uint64_t> join_preds =
-          JoinPreds(JoinSide{leaf_sig, info.side.touching, info.side.component}, b_side);
+          JoinPreds(JoinSide{leaf_sig, entry.side.touching, entry.side.component}, b_side);
       if (!join_preds.has_value()) continue;
-      if (overlaps_planned(sig.rels | b.rels, static_cast<int>(j))) continue;
+      if (((sig.rels | b.rels) & other_plain_rels) != 0) continue;
       ExprSig join_sig{leaf_sig.rels | b.rels, leaf_sig.preds | b.preds | *join_preds};
       if (executed.count(join_sig) > 0) continue;
-      bool dup = false;
-      for (size_t k = 0; k < planned.size(); ++k) {
-        if (k != j && planned.root(k).output_sig() == join_sig) dup = true;
-      }
-      if (dup) continue;
+      if (planned_has(join_sig, static_cast<int>(j))) continue;
       push(MdpAction::Type::kJoinExecPlan, sig, none, static_cast<int>(j), -1);
     }
   }
@@ -490,31 +567,42 @@ StatusOr<double> QueryMdp::Apply(const MdpAction& action, MdpState* state,
       return 0.0;
     }
     case MdpAction::Type::kExecute: {
-      if (planned.empty()) return Status::InvalidArgument("EXECUTE with empty R_p");
-      double cost = 0;
-      CardinalityModel::Options model_options;
-      model_options.missing_policy = MissingStatPolicy::kSampleFromPrior;
-      model_options.prior = prior_;
-      model_options.rng = &rng;
-      model_options.record_counts = true;
-      CardinalityModel model(query_, &state->stats, model_options);
-      for (size_t i = 0; i < planned.size(); ++i) {
-        MONSOON_ASSIGN_OR_RETURN(CardinalityModel::PlanEstimate est,
-                                 EstimateTree(planned, planned.root(i), &model));
-        cost += est.cost;
-        const PlanForestNode& root = planned.root(i);
-        ExprSig sig = root.output_sig();
-        state->executed[sig] = est.cardinality;
-        state->stats.SetCount(sig, est.cardinality);
-        if (root.kind() == PlanNode::Kind::kStatsCollect) {
-          SimulateStatsCollection(sig, est.cardinality, rng, &state->stats);
-        }
-      }
+      auto next = std::make_shared<MdpEpoch>(*state->epoch);
+      MONSOON_ASSIGN_OR_RETURN(double cost, Execute(planned, next.get(), rng));
+      DeriveFacts(next.get());
+      state->epoch = std::move(next);
       planned.clear();
       return cost;
     }
   }
   return Status::Internal("unknown action type");
+}
+
+StatusOr<double> QueryMdp::Execute(const PlanForest& planned, MdpEpoch* epoch,
+                                   Pcg32& rng) const {
+  if (planned.empty()) return Status::InvalidArgument("EXECUTE with empty R_p");
+  StatsStore& stats = epoch->mutable_stats();
+  ExecutedSet& executed = epoch->mutable_executed();
+  double cost = 0;
+  CardinalityModel::Options model_options;
+  model_options.missing_policy = MissingStatPolicy::kSampleFromPrior;
+  model_options.prior = prior_;
+  model_options.rng = &rng;
+  model_options.record_counts = true;
+  CardinalityModel model(query_, &stats, model_options);
+  for (size_t i = 0; i < planned.size(); ++i) {
+    const PlanForestNode& root = planned.root(i);
+    MONSOON_ASSIGN_OR_RETURN(CardinalityModel::PlanEstimate est,
+                             EstimateTree(planned, root, &model));
+    cost += est.cost;
+    ExprSig sig = root.output_sig();
+    executed[sig] = est.cardinality;
+    stats.SetCount(sig, est.cardinality);
+    if (root.kind() == PlanNode::Kind::kStatsCollect) {
+      SimulateStatsCollection(sig, est.cardinality, rng, &stats);
+    }
+  }
+  return cost;
 }
 
 // After a simulated Σ over `expr` (cardinality c_expr), harden a distinct

@@ -2,7 +2,9 @@
 #define MONSOON_MDP_MDP_H_
 
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <memory_resource>
 #include <optional>
 #include <span>
@@ -170,26 +172,103 @@ class ExecutedSet {
   std::pmr::vector<value_type> entries_;
 };
 
-/// The MDP state (Sec. 4.1): planned expressions R_p, executed and
-/// materialized expressions R_e (signature → known cardinality), and the
-/// statistics S. All three are flat and allocator-aware: MCTS keeps its
-/// states in per-search arenas and transitions them in place
-/// (QueryMdp::Apply); the copying transitions below serve callers that
-/// want a new state per step.
+/// An epoch of the MDP: R_e and S, which only EXECUTE changes (Sec. 4.3),
+/// and the facts LegalActions derives from them. Planning actions touch
+/// R_p alone, so every state between two EXECUTEs shares one epoch and
+/// reads these facts instead of re-deriving them at each step.
+///
+/// Shared epochs are immutable (MdpState holds them as `const`). A
+/// private copy may be changed through the mutable_ accessors, which mark
+/// the facts stale until QueryMdp::DeriveFacts rebuilds them; LegalActions
+/// checks that they are fresh. Changes may only add to R_e and S, as
+/// EXECUTE does: DeriveFacts keeps what it derived for the old entries.
+class MdpEpoch {
+ public:
+  using allocator_type = std::pmr::polymorphic_allocator<std::byte>;
+
+  /// What a join test (QueryMdp::JoinPreds) reads of one input.
+  struct JoinSide {
+    ExprSig sig;
+    uint64_t touching;   // QuerySpec::PredicatesTouching(sig.rels)
+    uint64_t component;  // QuerySpec::ComponentOf(sig.rels)
+  };
+  /// One R_e entry's facts, in R_e order.
+  struct Entry {
+    JoinSide side;        // of the entry's signature
+    uint64_t leaf_preds;  // QueryMdp::LeafSigFor(sig).preds
+    /// A term evaluable over the entry with no statistics yet, or -1. The
+    /// Σ pruning offers Σ over the entry only while there is one
+    /// (QueryMdp::UnknownTermFor).
+    int unknown_term;
+  };
+  /// Two R_e entries that JoinPreds lets join, `a` before `b` in R_e order.
+  struct Pair {
+    uint32_t a;
+    uint32_t b;
+    ExprSig join_sig;    // the join of their leaves
+    bool join_executed;  // join_sig is in R_e
+  };
+
+  MdpEpoch() = default;
+  explicit MdpEpoch(allocator_type alloc)
+      : executed_(alloc), stats_(alloc), entries_(alloc), pairs_(alloc) {}
+  MdpEpoch(const MdpEpoch& other, allocator_type alloc)
+      : executed_(other.executed_, alloc),
+        stats_(other.stats_, alloc),
+        entries_(other.entries_, alloc),
+        pairs_(other.pairs_, alloc),
+        stale_(other.stale_) {}
+
+  const ExecutedSet& executed() const { return executed_; }  // R_e with c(r)
+  const StatsStore& stats() const { return stats_; }         // S
+  ExecutedSet& mutable_executed() {
+    stale_ = true;
+    return executed_;
+  }
+  StatsStore& mutable_stats() {
+    stale_ = true;
+    return stats_;
+  }
+
+  std::span<const Entry> entries() const { return entries_; }
+  std::span<const Pair> pairs() const { return pairs_; }
+  /// R_e or S changed since the facts were derived.
+  bool stale() const { return stale_; }
+
+ private:
+  friend class QueryMdp;
+
+  ExecutedSet executed_;
+  StatsStore stats_;
+  std::pmr::vector<Entry> entries_;
+  std::pmr::vector<Pair> pairs_;
+  bool stale_ = true;
+};
+
+/// The MDP state (Sec. 4.1): the planned expressions R_p and the epoch
+/// (R_e, S and their derived facts). A planning action changes only
+/// `planned`; EXECUTE replaces `epoch`. Copying a state copies the flat
+/// forest and one pointer, and states between two EXECUTEs share their
+/// epoch. `planned` is allocator-aware, so MCTS keeps its states in
+/// per-search arenas and transitions them in place; the tree borrows its
+/// epochs (DESIGN.md §16).
 struct MdpState {
   using allocator_type = std::pmr::polymorphic_allocator<std::byte>;
 
   MdpState() = default;
-  explicit MdpState(allocator_type alloc)
-      : planned(alloc), executed(alloc), stats(alloc) {}
-  MdpState(const MdpState& other, allocator_type alloc)
-      : planned(other.planned, alloc),
-        executed(other.executed, alloc),
-        stats(other.stats, alloc) {}
+  explicit MdpState(allocator_type alloc) : planned(alloc) {}
+  /// A state of `forest` (copied into `alloc`) over `shared`.
+  MdpState(const PlanForest& forest, std::shared_ptr<const MdpEpoch> shared,
+           allocator_type alloc = {})
+      : planned(forest, alloc), epoch(std::move(shared)) {}
 
-  PlanForest planned;    // R_p
-  ExecutedSet executed;  // R_e with c(r)
-  StatsStore stats;      // S
+  PlanForest planned;  // R_p
+  /// R_e, S and their facts. Inside an MctsSearch this pointer may not own
+  /// its epoch: tree nodes and the scratch state borrow epochs that the
+  /// search's arenas, or the caller's root state, keep alive. A state taken
+  /// from the search's tree must not outlive that search (its next
+  /// SearchBestAction or its destruction); copy what it needs out first.
+  std::shared_ptr<const MdpEpoch> epoch;
 
   std::string ToString(const QuerySpec& query) const;
 };
@@ -198,7 +277,8 @@ struct MdpState {
 /// transitions, and the stochastic EXECUTE transition simulated by
 /// sampling unknown statistics from the prior (Sec. 4.3). This object is
 /// the "simulator" MCTS plans against; the Monsoon driver mirrors EXECUTE
-/// in the real world through the Executor.
+/// in the real world through the Executor and builds the next epoch from
+/// what it observed, through DeriveFacts like a simulated one.
 class QueryMdp {
  public:
   struct Options {
@@ -223,20 +303,37 @@ class QueryMdp {
 
   /// Terminal once R_e contains the full query result (every relation,
   /// every predicate applied).
-  bool IsTerminal(const MdpState& state) const;
+  bool IsTerminal(const MdpState& state) const { return IsTerminal(*state.epoch); }
+  bool IsTerminal(const MdpEpoch& epoch) const {
+    // No expression of the query sorts after the goal, which has every
+    // relation and every predicate, so R_e can hold it only last.
+    const ExecutedSet& executed = epoch.executed();
+    return !executed.empty() && std::prev(executed.end())->first == goal_;
+  }
 
   /// Legal actions with the pruning described in DESIGN.md (Σ only where
   /// statistics are still unknown, joins only between connected,
   /// non-overlapping expressions, no duplicate expressions). The first
-  /// form fills `out` (cleared first), reusing its capacity.
+  /// form fills `out` (cleared first), reusing its capacity. The epoch's
+  /// facts must be fresh.
   void LegalActions(const MdpState& state, std::pmr::vector<MdpAction>* out) const;
   std::vector<MdpAction> LegalActions(const MdpState& state) const;
 
   /// Applies any action to `state` in place and returns its cost:
-  /// planning actions cost 0; EXECUTE hardens statistics by sampling the
-  /// prior, computes the objects processed (Sec. 4.4) and moves R_p into
-  /// R_e. On error `state` may be partially updated.
+  /// planning actions change R_p and cost 0; EXECUTE gives the state a
+  /// new epoch (see Execute) and clears R_p. On error `state` may be
+  /// partially updated.
   StatusOr<double> Apply(const MdpAction& action, MdpState* state, Pcg32& rng) const;
+
+  /// Simulates EXECUTE of `planned` into `epoch`, in place: hardens
+  /// statistics by sampling the prior, computes the objects processed
+  /// (Sec. 4.4), which it returns, and adds R_p's roots to R_e. It leaves
+  /// the facts stale; call DeriveFacts before LegalActions reads them.
+  StatusOr<double> Execute(const PlanForest& planned, MdpEpoch* epoch, Pcg32& rng) const;
+
+  /// Rebuilds `epoch`'s facts from its R_e and S. A terminal epoch has no
+  /// legal actions, so its facts are left empty.
+  void DeriveFacts(MdpEpoch* epoch) const;
 
   /// Applies a deterministic planning action to a copy. Fails on kExecute.
   StatusOr<MdpState> ApplyPlanAction(const MdpState& state,
@@ -277,20 +374,16 @@ class QueryMdp {
     int slot;  // index in terms_ of the first term with this term_id
   };
 
-  // What JoinPreds reads of one join input. LegalActions builds one per
-  // R_e entry and planned root, not one per candidate pair.
-  struct JoinSide {
-    ExprSig sig;
-    uint64_t touching;   // QuerySpec::PredicatesTouching(sig.rels)
-    uint64_t component;  // QuerySpec::ComponentOf(sig.rels)
-  };
+  using JoinSide = MdpEpoch::JoinSide;
   JoinSide SideOf(const ExprSig& sig) const;
 
   /// The predicates a join of `a` and `b` would apply, or nullopt when the
   /// join is not proposed (overlapping inputs, or an avoidable cross
   /// product).
   std::optional<uint64_t> JoinPreds(const JoinSide& a, const JoinSide& b) const;
-  bool StatsUnknownFor(const StatsStore& stats, RelSet rels) const;
+  /// A UDF term evaluable over `rels` whose statistics S does not hold
+  /// (Σ over `rels` would learn it), or -1 when there is none.
+  int UnknownTermFor(const StatsStore& stats, RelSet rels) const;
   /// Adds LeafFor(sig) to `forest`; returns its node id.
   int32_t AddLeafFor(const ExprSig& sig, PlanForest* forest) const;
   void SimulateStatsCollection(const ExprSig& expr, double c_expr, Pcg32& rng,
@@ -304,7 +397,7 @@ class QueryMdp {
   std::vector<uint64_t> selection_masks_;  // per relation: selection pred ids
   std::vector<TermInfo> terms_;            // QuerySpec::AllTerms() order
   // When every term id is in [0, 64), the Σ pruning tests all evaluable
-  // terms in one StatsStore::HasDistinctInfoForAll pass, from the ids of
+  // terms in one StatsStore::TermWithoutDistinctInfo pass, from the ids of
   // all terms and, per relation, of the terms over it.
   bool term_ids_fit_mask_ = true;
   uint64_t all_term_bits_ = 0;

@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <map>
+#include <memory>
 
 #include "common/env.h"
 #include "fault/cancellation.h"
@@ -82,6 +83,11 @@ Status MonsoonOptimizer::RunImpl(const QuerySpec& query, RunResult* result) cons
     uint64_t objects_before = ctx.objects_processed();
     WallTimer exec_timer;
     double stats_before = ctx.stats_collect_seconds();
+    // The observed R_e and S form the next epoch, with its facts derived
+    // the way a simulated EXECUTE's are.
+    auto next = std::make_shared<MdpEpoch>(*state.epoch);
+    StatsStore& stats = next->mutable_stats();
+    ExecutedSet& executed = next->mutable_executed();
     for (const PlanNode::Ptr& tree : planned) {
       StatusOr<ExecResult> exec_or = executor.Execute(tree, &store, &ctx);
       if (!exec_or.ok()) {
@@ -108,17 +114,19 @@ Status MonsoonOptimizer::RunImpl(const QuerySpec& query, RunResult* result) cons
       // transition: every node cardinality, plus Σ distinct counts as
       // partner-independent observations.
       for (const auto& [sig, rows] : exec.observed_counts) {
-        state.stats.SetCount(sig, static_cast<double>(rows));
+        stats.SetCount(sig, static_cast<double>(rows));
       }
       for (const DistinctObservation& obs : exec.observed_distincts) {
-        state.stats.SetDistinctObserved(obs.term_id, obs.expr, obs.distinct_count);
+        stats.SetDistinctObserved(obs.term_id, obs.expr, obs.distinct_count);
         ++result->stats_collections;
       }
       ExprSig sig = tree->output_sig();
-      state.executed[sig] = static_cast<double>(exec.output.table->num_rows());
-      state.stats.SetCount(sig, static_cast<double>(exec.output.table->num_rows()));
+      executed[sig] = static_cast<double>(exec.output.table->num_rows());
+      stats.SetCount(sig, static_cast<double>(exec.output.table->num_rows()));
     }
     double elapsed = exec_timer.Seconds();
+    mdp.DeriveFacts(next.get());
+    state.epoch = std::move(next);
     double stats_delta = ctx.stats_collect_seconds() - stats_before;
     result->stats_seconds += stats_delta;
     result->exec_seconds += elapsed - stats_delta;
@@ -214,7 +222,7 @@ Status MonsoonOptimizer::RunImpl(const QuerySpec& query, RunResult* result) cons
   result->result_table = final_expr->table;
   CaptureAccounting(ctx, result);
   if (options_.learned_stats_out != nullptr) {
-    *options_.learned_stats_out = state.stats;
+    *options_.learned_stats_out = state.epoch->stats();
   }
   return Status::OK();
 }

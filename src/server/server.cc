@@ -122,6 +122,11 @@ Status QueryServer::Start() {
     // never merges stale buckets whose intervals span a stopped gap.
     telemetry_ring_.Clear();
     sampler_.Reset();
+    // Prime the baseline here, before the first connection is accepted:
+    // the loop's task can start after the first queries have finished (a
+    // busy pool), and a baseline primed then would leave them out of every
+    // window.
+    sampler_.SampleOnce();
     {
       MutexLock lock(telemetry_mu_);
       telemetry_running_ = true;

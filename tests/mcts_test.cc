@@ -48,8 +48,9 @@ class MctsTest : public ::testing::Test {
 TEST_F(MctsTest, RefusesTerminalOrDeadStates) {
   MctsSearch::Options options;
   MctsSearch search(mdp_.get(), options);
-  MdpState state = Initial();
-  state.executed[mdp_->GoalSig()] = 1;
+  std::map<ExprSig, double> counts = base_counts_;
+  counts[mdp_->GoalSig()] = 1;  // the full result is already materialized
+  MdpState state = mdp_->InitialState(StatsStore(), counts);
   EXPECT_FALSE(search.SearchBestAction(state).ok());
 }
 

@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "cost/cardinality.h"
+#include "mcts/mcts.h"
 #include "mdp/mdp.h"
+#include "workloads/imdb.h"
+#include "workloads/ott.h"
+#include "workloads/tpch.h"
+#include "workloads/udfbench.h"
 
 namespace monsoon {
 namespace {
@@ -55,8 +65,8 @@ class MdpTest : public ::testing::Test {
 TEST_F(MdpTest, InitialStateHasBaseRelationsAndCounts) {
   MdpState state = Initial();
   EXPECT_TRUE(state.planned.empty());
-  EXPECT_EQ(state.executed.size(), 3u);
-  EXPECT_DOUBLE_EQ(*state.stats.LookupCount(ExprSig::Of(RelSet::Single(0), 0)), 1e6);
+  EXPECT_EQ(state.epoch->executed().size(), 3u);
+  EXPECT_DOUBLE_EQ(*state.epoch->stats().LookupCount(ExprSig::Of(RelSet::Single(0), 0)), 1e6);
   EXPECT_FALSE(mdp_->IsTerminal(state));
 }
 
@@ -128,10 +138,10 @@ TEST_F(MdpTest, SimulateExecuteMaterializesAndCosts) {
   auto result = mdp_->SimulateExecute(*planned, rng);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->state.planned.empty());
-  EXPECT_EQ(result->state.executed.size(), 4u);
+  EXPECT_EQ(result->state.epoch->executed().size(), 4u);
   EXPECT_GT(result->cost, 0);
   // The new expression's cardinality is recorded in S.
-  EXPECT_TRUE(result->state.stats.LookupCount(tree->output_sig()).has_value());
+  EXPECT_TRUE(result->state.epoch->stats().LookupCount(tree->output_sig()).has_value());
 }
 
 TEST_F(MdpTest, SimulatedStatisticsStayConsistent) {
@@ -144,7 +154,7 @@ TEST_F(MdpTest, SimulatedStatisticsStayConsistent) {
   auto planned = mdp_->ApplyPlanAction(state, *join);
   auto exec1 = mdp_->SimulateExecute(*planned, rng);
   ASSERT_TRUE(exec1.ok());
-  double c_first = *exec1->state.stats.LookupCount(planned->planned[0]->output_sig());
+  double c_first = *exec1->state.epoch->stats().LookupCount(planned->planned[0]->output_sig());
 
   // Re-plan the same join in the post-execution state: the cardinality
   // model must return the recorded value, not a fresh sample.
@@ -153,7 +163,7 @@ TEST_F(MdpTest, SimulatedStatisticsStayConsistent) {
   options.prior = prior_.get();
   Pcg32 rng2(99);
   options.rng = &rng2;
-  StatsStore stats_copy = exec1->state.stats;
+  StatsStore stats_copy = exec1->state.epoch->stats();
   CardinalityModel model(query_, &stats_copy, options);
   auto estimate = model.EstimatePlan(planned->planned[0]);
   ASSERT_TRUE(estimate.ok());
@@ -182,7 +192,7 @@ TEST_F(MdpTest, StatsPlanCollectsPerPartnerSamples) {
   const Predicate& pred0 = query_.predicate(0);
   ExprSig s_sig = ExprSig::Of(RelSet::Single(1), 0);
   ExprSig r_sig = ExprSig::Of(RelSet::Single(0), 0);
-  EXPECT_TRUE(result->state.stats
+  EXPECT_TRUE(result->state.epoch->stats()
                   .LookupDistinct(pred0.right->term_id, s_sig, r_sig)
                   .has_value());
   // Σ costs two passes over S: scan + collect.
@@ -190,10 +200,11 @@ TEST_F(MdpTest, StatsPlanCollectsPerPartnerSamples) {
 }
 
 TEST_F(MdpTest, SigmaPrunedOnceStatisticsKnown) {
-  MdpState state = Initial();
   // Observe everything about S's term (F2, term id from pred 0 right).
-  state.stats.SetDistinctObserved(query_.predicate(0).right->term_id,
-                                  ExprSig::Of(RelSet::Single(1), 0), 123);
+  StatsStore observed;
+  observed.SetDistinctObserved(query_.predicate(0).right->term_id,
+                               ExprSig::Of(RelSet::Single(1), 0), 123);
+  MdpState state = mdp_->InitialState(observed, base_counts_);
   int sigma_s = 0;
   for (const MdpAction& action : mdp_->LegalActions(state)) {
     if (action.type == MdpAction::Type::kAddStatsPlan &&
@@ -310,6 +321,199 @@ TEST_F(MdpTest, DisconnectedRelationsGetForcedCrossProduct) {
   }
   EXPECT_TRUE(has_join);
 }
+
+// --------------------------------------------------------------------------
+// Epochs: states between two EXECUTEs share one immutable epoch, whose
+// facts are derived incrementally from the previous epoch's. Random walks
+// over every query of the four suites check both against a from-scratch
+// derivation, and that a shared epoch never changes under its sharers.
+// --------------------------------------------------------------------------
+
+StatusOr<Workload> SmallWorkload(const std::string& name) {
+  if (name == "imdb") {
+    ImdbOptions options;
+    options.scale = 0.05;
+    return MakeImdbWorkload(options);
+  }
+  if (name == "tpch") {
+    TpchOptions options;
+    options.scale = 0.1;
+    return MakeTpchWorkload(options);
+  }
+  if (name == "ott") {
+    OttOptions options;
+    options.rows_per_table = 400;
+    options.key_cardinality = 25;
+    return MakeOttWorkload(options);
+  }
+  UdfBenchOptions options;
+  options.scale = 0.1;
+  return MakeUdfBenchWorkload(options);
+}
+
+// `state` over a new epoch built from deep copies of its R_e and S, with
+// its facts derived from scratch.
+MdpState WithRebuiltEpoch(const QueryMdp& mdp, const MdpState& state) {
+  auto epoch = std::make_shared<MdpEpoch>();
+  epoch->mutable_executed() = state.epoch->executed();
+  epoch->mutable_stats() = state.epoch->stats();
+  mdp.DeriveFacts(epoch.get());
+  return MdpState(state.planned, std::move(epoch));
+}
+
+std::string ActionsString(const QuerySpec& query, const std::vector<MdpAction>& actions) {
+  std::string out;
+  for (const MdpAction& action : actions) out += action.ToString(query) + "; ";
+  return out;
+}
+
+// Everything an epoch holds, as text: R_e, S and every fact.
+std::string EpochString(const MdpEpoch& epoch) {
+  std::string out = epoch.stale() ? "stale\n" : "fresh\n";
+  for (const auto& [sig, count] : epoch.executed()) {
+    out += sig.ToString() + ":" + std::to_string(count) + " ";
+  }
+  out += "\n" + epoch.stats().ToString() + "\nfingerprint " +
+         std::to_string(epoch.stats().Fingerprint()) + "\n";
+  for (const MdpEpoch::Entry& entry : epoch.entries()) {
+    out += entry.side.sig.ToString() + " " + std::to_string(entry.side.touching) + " " +
+           std::to_string(entry.side.component) + " " + std::to_string(entry.leaf_preds) +
+           " " + std::to_string(entry.unknown_term) + "\n";
+  }
+  for (const MdpEpoch::Pair& pair : epoch.pairs()) {
+    out += std::to_string(pair.a) + "," + std::to_string(pair.b) + " " +
+           pair.join_sig.ToString() + " " + std::to_string(pair.join_executed) + "\n";
+  }
+  return out;
+}
+
+constexpr uint64_t kWalksPerQuery = 12;
+
+class EpochWalkTest : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+TEST_P(EpochWalkTest, SharedEpochsMatchRebuiltOnesAndNeverChange) {
+  const auto& [suite, stats_actions] = GetParam();
+  StatusOr<Workload> workload = SmallWorkload(suite);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  std::unique_ptr<Prior> prior = MakePrior(PriorKind::kSpikeAndSlab);
+  QueryMdp::Options options;
+  options.enable_stats_actions = stats_actions;
+  size_t checked_states = 0;
+  size_t executes = 0;
+  for (const BenchQuery& query : workload->queries) {
+    SCOPED_TRACE(query.name);
+    QueryMdp mdp(query.spec, prior.get(), options);
+    std::map<ExprSig, double> counts;
+    for (int i = 0; i < query.spec.num_relations(); ++i) {
+      StatusOr<uint64_t> rows =
+          workload->catalog->RowCount(query.spec.relation(i).table_name);
+      ASSERT_TRUE(rows.ok());
+      counts[ExprSig::Of(RelSet::Single(i), 0)] = static_cast<double>(*rows);
+    }
+    for (uint64_t walk = 0; walk < kWalksPerQuery; ++walk) {
+      MdpState state = mdp.InitialState(StatsStore(), counts);
+      Pcg32 rng(walk);
+      for (int step = 0; step < 200 && !mdp.IsTerminal(state); ++step) {
+        std::vector<MdpAction> actions = mdp.LegalActions(state);
+        std::vector<MdpAction> rebuilt = mdp.LegalActions(WithRebuiltEpoch(mdp, state));
+        ASSERT_EQ(actions, rebuilt) << "step " << step << "\nshared:  "
+                                    << ActionsString(query.spec, actions)
+                                    << "\nrebuilt: " << ActionsString(query.spec, rebuilt);
+        ASSERT_FALSE(actions.empty()) << "step " << step;
+        ++checked_states;
+
+        // Children that share this state's epoch, an EXECUTE below them and a
+        // short search from here must all leave it as it was.
+        const std::string before = EpochString(*state.epoch);
+        std::shared_ptr<const MdpEpoch> shared = state.epoch;
+        MdpState child = state;
+        Pcg32 child_rng(step);
+        for (int depth = 0; depth < 4 && !mdp.IsTerminal(child); ++depth) {
+          std::vector<MdpAction> child_actions = mdp.LegalActions(child);
+          const MdpAction& pick = child_actions[child_rng.NextBounded(
+              static_cast<uint32_t>(child_actions.size()))];
+          ASSERT_TRUE(mdp.Apply(pick, &child, child_rng).ok());
+        }
+        if (step % 8 == 0 && actions.size() >= 2) {
+          MctsSearch::Options search_options;
+          search_options.iterations = 12;
+          search_options.seed = step;
+          MctsSearch search(&mdp, search_options);
+          ASSERT_TRUE(search.SearchBestAction(state).ok());
+        }
+        ASSERT_EQ(state.epoch, shared);
+        ASSERT_EQ(EpochString(*state.epoch), before) << "step " << step;
+
+        const MdpAction action =
+            actions[rng.NextBounded(static_cast<uint32_t>(actions.size()))];
+        if (action.IsExecute()) ++executes;
+        ASSERT_TRUE(mdp.Apply(action, &state, rng).ok()) << "step " << step;
+        EXPECT_EQ(state.epoch == shared, !action.IsExecute())
+            << "planning actions share the epoch, EXECUTE replaces it";
+      }
+    }
+  }
+  EXPECT_GT(checked_states, kWalksPerQuery * workload->queries.size());
+  EXPECT_GT(executes, 0u);
+}
+
+// DeriveFacts carries an R_e of up to 64 entries over from the previous
+// epoch and derives a larger one from scratch. Grow one epoch in place past
+// that size, learning a term's statistics between steps, and compare its
+// facts and actions with a rebuilt epoch's at each size.
+TEST(EpochTest, GrowingPastSixtyFourEntriesMatchesRebuilt) {
+  StatusOr<Workload> workload = SmallWorkload("imdb");
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const BenchQuery* widest = &workload->queries.front();
+  for (const BenchQuery& query : workload->queries) {
+    if (query.spec.num_relations() > widest->spec.num_relations()) widest = &query;
+  }
+  const QuerySpec& spec = widest->spec;
+  ASSERT_GE(spec.num_relations(), 7) << "too few relation sets for 90 entries";
+  std::unique_ptr<Prior> prior = MakePrior(PriorKind::kSpikeAndSlab);
+  QueryMdp mdp(spec, prior.get(), QueryMdp::Options());
+
+  // Every relation set but the empty and the full one, in a seeded order.
+  std::vector<ExprSig> sigs;
+  for (uint64_t rels = 1; rels < spec.AllRelations().mask(); ++rels) {
+    sigs.push_back(ExprSig::Of(RelSet(rels), 0));
+  }
+  Pcg32 rng(7);
+  for (size_t i = sigs.size(); i > 1; --i) {
+    std::swap(sigs[i - 1], sigs[rng.NextBounded(static_cast<uint32_t>(i))]);
+  }
+  const std::vector<const UdfTerm*> terms = spec.AllTerms();
+  ASSERT_FALSE(terms.empty());
+
+  auto epoch = std::make_shared<MdpEpoch>();
+  size_t added = 0;
+  for (size_t size : {40, 70, 90}) {
+    SCOPED_TRACE(size);
+    for (; added < size; ++added) {
+      epoch->mutable_executed()[sigs[added]] = static_cast<double>(100 + added);
+      epoch->mutable_stats().SetCount(sigs[added], static_cast<double>(100 + added));
+    }
+    const UdfTerm& learnt = *terms[size % terms.size()];
+    epoch->mutable_stats().SetDistinct(learnt.term_id, ExprSig::Of(learnt.rels, 0),
+                                       ExprSig::Any(), 10);
+    mdp.DeriveFacts(epoch.get());
+    ASSERT_EQ(epoch->entries().size(), size);
+    const MdpState grown(PlanForest(), epoch);
+    const MdpState rebuilt = WithRebuiltEpoch(mdp, grown);
+    EXPECT_EQ(EpochString(*epoch), EpochString(*rebuilt.epoch));
+    const std::vector<MdpAction> actions = mdp.LegalActions(grown);
+    EXPECT_EQ(actions, mdp.LegalActions(rebuilt))
+        << ActionsString(spec, actions);
+    EXPECT_FALSE(epoch->pairs().empty());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSuites, EpochWalkTest,
+    ::testing::Combine(::testing::Values("imdb", "tpch", "ott", "udf"), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, bool>>& info) {
+      return std::get<0>(info.param) + (std::get<1>(info.param) ? "_sigma" : "_no_sigma");
+    });
 
 }  // namespace
 }  // namespace monsoon

@@ -542,14 +542,26 @@ TEST_F(ServerTest, MetricsExpositionMatchesWindowGroundTruth) {
     EXPECT_EQ(Str(client.RoundTrip(small_sql_), "status"), "ok");
   }
   // Wait until the sampler has recorded the finished queries' latencies.
+  // A session is counted when its query starts but its latency only when
+  // it ends, so a tick can hold all three sessions and two latencies: wait
+  // for the latency samples themselves.
+  const std::string kLatency = "monsoon.server.latency_us";
   WaitUntil([&] {
-    return query_server.TelemetryWindow(3600.0)
-               .CounterDelta("monsoon.server.sessions") >= 3;
+    obs::WindowSummary window = query_server.TelemetryWindow(3600.0);
+    const obs::HistogramSnapshot* latency = window.Histogram(kLatency);
+    return latency != nullptr && latency->count >= 3;
   });
 
   // The sampler keeps ticking, so sandwich the .metrics call between two
   // ground-truth reads and only require equality when the window was
-  // stable across the read; queries have stopped, so it stabilizes.
+  // stable across the read, in every value compared below; queries have
+  // stopped, so it stabilizes.
+  auto window_values = [&](const obs::WindowSummary& window) {
+    return std::vector<double>{window.Percentile(kLatency, 0.50),
+                               window.Percentile(kLatency, 0.95),
+                               window.Percentile(kLatency, 0.99),
+                               window.Rate("monsoon.server.sessions")};
+  };
   bool compared = false;
   for (int attempt = 0; attempt < 50 && !compared; ++attempt) {
     obs::WindowSummary before = query_server.TelemetryWindow(
@@ -562,10 +574,7 @@ TEST_F(ServerTest, MetricsExpositionMatchesWindowGroundTruth) {
     ASSERT_TRUE(valid.ok()) << valid.ToString() << "\n" << body;
     obs::WindowSummary after = query_server.TelemetryWindow(
         options.telemetry_window_seconds);
-    const std::string kLatency = "monsoon.server.latency_us";
-    if (before.Percentile(kLatency, 0.50) != after.Percentile(kLatency, 0.50) ||
-        before.Rate("monsoon.server.sessions") !=
-            after.Rate("monsoon.server.sessions")) {
+    if (window_values(before) != window_values(after)) {
       continue;  // a sampler tick landed mid-read; try again
     }
     for (auto [gauge, q] :

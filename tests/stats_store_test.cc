@@ -237,8 +237,13 @@ TEST(StatsStoreTest, HasDistinctInfoForAllMatchesPerTermCalls) {
       for (uint64_t m = terms; m != 0; m &= m - 1) {
         expected &= store.HasDistinctInfo(__builtin_ctzll(m), RelSet(rels));
       }
-      EXPECT_EQ(store.HasDistinctInfoForAll(terms, RelSet(rels)), expected)
-          << rels << " " << terms;
+      // The term it names, if any, is one of `terms` without statistics.
+      int missing = store.TermWithoutDistinctInfo(terms, RelSet(rels));
+      EXPECT_EQ(missing < 0, expected) << rels << " " << terms;
+      if (missing >= 0) {
+        EXPECT_NE(terms & (uint64_t{1} << missing), 0u) << rels << " " << terms;
+        EXPECT_FALSE(store.HasDistinctInfo(missing, RelSet(rels))) << rels << " " << terms;
+      }
     }
   }
 }
