@@ -24,16 +24,6 @@ StatsStore::DistinctIter StatsStore::DistinctLowerBound(int term_id, const ExprS
       });
 }
 
-const StatsStore::DistinctEntry* StatsStore::FindDistinct(int term_id, const ExprSig& expr,
-                                                         const ExprSig& partner) const {
-  auto it = DistinctLowerBound(term_id, expr, partner);
-  if (it == distincts_.end() || it->term_id != term_id || it->expr != expr ||
-      it->partner != partner) {
-    return nullptr;
-  }
-  return &*it;
-}
-
 std::optional<double> StatsStore::LookupCount(const ExprSig& expr) const {
   auto it = CountLowerBound(expr);
   if (it == counts_.end() || it->sig != expr) return std::nullopt;
@@ -43,13 +33,10 @@ std::optional<double> StatsStore::LookupCount(const ExprSig& expr) const {
 void StatsStore::SetCount(const ExprSig& expr, double count) {
   auto pos = CountLowerBound(expr);
   if (pos != counts_.end() && pos->sig == expr) {
-    auto it = counts_.begin() + (pos - counts_.cbegin());
-    fingerprint_ ^= CountEntryHash(expr, it->count);
-    it->count = count;
+    counts_[static_cast<size_t>(pos - counts_.cbegin())].count = count;
   } else {
     counts_.insert(pos, CountEntry{expr, count});
   }
-  fingerprint_ ^= CountEntryHash(expr, count);
 }
 
 std::optional<double> StatsStore::LookupCountByRels(RelSet rels) const {
@@ -70,21 +57,18 @@ std::optional<double> StatsStore::LookupDistinct(int term_id, const ExprSig& exp
                                                  const ExprSig& partner) const {
   if (HasNoEntries(term_id)) return std::nullopt;
   ExprSig norm_partner = NormalizePartner(partner);
-  // 1. Exact key.
-  if (const DistinctEntry* entry = FindDistinct(term_id, expr, norm_partner)) {
-    return entry->count;
-  }
-  // 2. Wildcard partner (a true observation).
-  if (!norm_partner.IsAny()) {
-    if (const DistinctEntry* entry = FindDistinct(term_id, expr, ExprSig::Any())) {
-      return entry->count;
-    }
-  }
-  // 3/4. Containment: entries over a sub-expression, preferring an exact
-  // partner match, then wildcard observations; within a tier, the entry
-  // over the largest (most specific) relation set, and among those the
-  // first in sorted order (the smallest signature). A subset's mask is
-  // never larger than the set's, so the scan stops past expr.rels.
+  // One pass over the term's entries over expr.rels or a subset (a
+  // subset's mask is never larger than the set's, so the pass stops past
+  // expr.rels). Among them are the exact key and the wildcard key of
+  // `expr`, next to each other (the wildcard partner sorts first), and
+  // every containment candidate:
+  //   1. the exact key;
+  //   2. the wildcard partner (a true observation);
+  //   3/4. entries over a sub-expression, preferring an exact partner
+  //   match, then wildcard observations; within a tier, the entry over the
+  //   largest (most specific) relation set, and among those the first in
+  //   sorted order (the smallest signature).
+  std::optional<double> wildcard;
   std::optional<double> best;
   int best_tier = -1;  // 1 = exact partner, 0 = wildcard
   int best_rels = -1;
@@ -92,6 +76,12 @@ std::optional<double> StatsStore::LookupDistinct(int term_id, const ExprSig& exp
   for (auto it = DistinctLowerBound(term_id, ExprSig::Any(), ExprSig::Any());
        it != distincts_.end() && it->term_id == term_id && it->expr.rels <= expr.rels;
        ++it) {
+    if (it->expr == expr) {
+      if (it->partner == norm_partner) return it->count;
+      if (it->partner.IsAny()) wildcard = it->count;
+      continue;
+    }
+    if (wildcard.has_value()) return wildcard;  // past expr's entries
     RelSet entry_rels(it->expr.rels);
     if (!expr_rels.ContainsAll(entry_rels)) continue;
     int tier;
@@ -109,7 +99,7 @@ std::optional<double> StatsStore::LookupDistinct(int term_id, const ExprSig& exp
       best = it->count;
     }
   }
-  return best;
+  return wildcard.has_value() ? wildcard : best;
 }
 
 bool StatsStore::HasDistinctInfo(int term_id, RelSet expr_rels) const {
@@ -144,18 +134,22 @@ void StatsStore::SetDistinct(int term_id, const ExprSig& expr, const ExprSig& pa
   auto pos = DistinctLowerBound(term_id, expr, entry.partner);
   if (pos != distincts_.end() && pos->term_id == term_id && pos->expr == expr &&
       pos->partner == entry.partner) {
-    auto it = distincts_.begin() + (pos - distincts_.cbegin());
-    fingerprint_ ^= DistinctEntryHash(*it);
-    it->count = count;
+    distincts_[static_cast<size_t>(pos - distincts_.cbegin())].count = count;
   } else {
     distincts_.insert(pos, entry);
     if (term_id >= 0 && term_id < 64) term_bits_ |= uint64_t{1} << term_id;
   }
-  fingerprint_ ^= DistinctEntryHash(entry);
 }
 
-// Zobrist-style: the fingerprint is the XOR of these per-entry hashes, so
-// a Set* swaps one entry's term in and out instead of rehashing the store.
+uint64_t StatsStore::Fingerprint() const {
+  uint64_t fingerprint = kEmptyFingerprint;
+  for (const CountEntry& entry : counts_) fingerprint ^= CountEntryHash(entry.sig, entry.count);
+  for (const DistinctEntry& entry : distincts_) fingerprint ^= DistinctEntryHash(entry);
+  return fingerprint;
+}
+
+// The fingerprint is the XOR of these per-entry hashes, so it depends on
+// the contents alone, not on the order they were set in.
 uint64_t StatsStore::CountEntryHash(const ExprSig& sig, double count) {
   return Mix64(
       HashCombine(sig.Hash(), Mix64(static_cast<uint64_t>(std::llround(count)))));

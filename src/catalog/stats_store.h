@@ -43,7 +43,6 @@ namespace monsoon {
 ///
 /// Allocator-aware: the planner keeps its stores in per-search arenas
 /// (DESIGN.md §16); default construction and plain copies use the heap.
-/// The fingerprint is maintained incrementally by every Set*.
 class StatsStore {
  public:
   using allocator_type = std::pmr::polymorphic_allocator<std::byte>;
@@ -53,8 +52,7 @@ class StatsStore {
   StatsStore(const StatsStore& other, allocator_type alloc)
       : counts_(other.counts_, alloc),
         distincts_(other.distincts_, alloc),
-        term_bits_(other.term_bits_),
-        fingerprint_(other.fingerprint_) {}
+        term_bits_(other.term_bits_) {}
 
   // --- object counts ------------------------------------------------------
   std::optional<double> LookupCount(const ExprSig& expr) const;
@@ -89,8 +87,10 @@ class StatsStore {
 
   /// Order-independent fingerprint of the full contents (an XOR of
   /// per-entry hashes, counts quantized with llround); used to key MCTS
-  /// chance-node outcomes of the EXECUTE action.
-  uint64_t Fingerprint() const { return fingerprint_; }
+  /// chance-node outcomes of the EXECUTE action. Computed on each call, in
+  /// one pass over the entries: the Set* calls, most of which no
+  /// fingerprint ever reads, do not maintain it.
+  uint64_t Fingerprint() const;
 
   std::string ToString() const;
 
@@ -118,9 +118,6 @@ class StatsStore {
   /// First distinct entry not ordered before (term_id, expr, partner).
   DistinctIter DistinctLowerBound(int term_id, const ExprSig& expr,
                                   const ExprSig& partner) const;
-  /// The entry with exactly this key, or null.
-  const DistinctEntry* FindDistinct(int term_id, const ExprSig& expr,
-                                    const ExprSig& partner) const;
   /// True when term_id (below 64) has no distinct entry at all.
   bool HasNoEntries(int term_id) const {
     return term_id >= 0 && term_id < 64 && (term_bits_ & (uint64_t{1} << term_id)) == 0;
@@ -135,7 +132,6 @@ class StatsStore {
   // Bit t set when some distinct entry has term id t (ids 0..63): a term
   // with no entries is answered without a search.
   uint64_t term_bits_ = 0;
-  uint64_t fingerprint_ = kEmptyFingerprint;
 };
 
 }  // namespace monsoon

@@ -44,7 +44,12 @@ StatusOr<double> CardinalityModel::LeafCardinality(
   if (!c_source.has_value()) {
     return Status::NotFound("no count for source expression " + source.ToString());
   }
-  double card = *c_source;
+  return SelectionCardinality(source, *c_source, selection_preds);
+}
+
+StatusOr<double> CardinalityModel::SelectionCardinality(
+    const ExprSig& source, double c_source, std::span<const int> selection_preds) {
+  double card = c_source;
   for (int pred_id : selection_preds) {
     const Predicate& pred = query_.predicate(pred_id);
     if (pred.kind != Predicate::Kind::kSelection) {
@@ -53,7 +58,7 @@ StatusOr<double> CardinalityModel::LeafCardinality(
     }
     // Classical formula: selectivity of F(r) = const is 1/d(F, r).
     MONSOON_ASSIGN_OR_RETURN(
-        double d, ResolveDistinct(pred.left, source, *c_source, source, *c_source));
+        double d, ResolveDistinct(pred.left, source, c_source, source, c_source));
     card /= std::max(d, 1.0);
   }
   return card;
@@ -116,10 +121,12 @@ StatusOr<CardinalityModel::PlanEstimate> CardinalityModel::EstimateLeaf(
   }
   // "If the count c(r) is already in S, return" (Sec. 4.3, step 1).
   double card;
-  if (auto known = stats_->LookupCount(output)) {
+  if (output == source) {
+    card = *c_source;
+  } else if (auto known = stats_->LookupCount(output)) {
     card = *known;
   } else {
-    MONSOON_ASSIGN_OR_RETURN(card, LeafCardinality(source, preds));
+    MONSOON_ASSIGN_OR_RETURN(card, SelectionCardinality(source, *c_source, preds));
     if (options_.record_counts) stats_->SetCount(output, card);
   }
   // Scanning the materialized input processes c(source) objects.

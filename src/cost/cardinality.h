@@ -119,6 +119,9 @@ class CardinalityModel {
  private:
   using NodeEstimate = PlanEstimate;
   StatusOr<NodeEstimate> EstimateNode(const PlanNode::Ptr& node);
+  /// LeafCardinality with c(source) already looked up.
+  StatusOr<double> SelectionCardinality(const ExprSig& source, double c_source,
+                                        std::span<const int> selection_preds);
 
   const QuerySpec& query_;
   StatsStore* stats_;

@@ -130,7 +130,9 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuildRange(
   }
   // Morsels write disjoint index ranges of the presized vectors; the fill
   // is the only parallel section and is never charged to the work/object
-  // counters (the cache is invisible to the paper's cost model).
+  // counters (the cache is invisible to the paper's cost model). Each
+  // morsel also adds up its strings' heap bytes for the column's size.
+  std::atomic<size_t> string_bytes{0};
   MONSOON_RETURN_IF_ERROR(parallel::ParallelFor(
       pool, n, morsel_size == 0 ? 1 : morsel_size, token,
       [&](size_t, size_t slot_begin, size_t slot_end) -> Status {
@@ -138,6 +140,7 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuildRange(
         // with the neighbouring morsel.
         MONSOON_DCHECK(slot_begin <= slot_end && slot_end <= n)
             << "morsel out of bounds";
+        size_t morsel_bytes = 0;
         for (size_t slot = slot_begin; slot < slot_end; ++slot) {
           // UDF evaluation dominates each iteration, so a per-row poll is
           // noise here — and a slow UDF is exactly when cancellation
@@ -167,9 +170,11 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuildRange(
             case ValueType::kString:
               column->strings_[slot] = v.AsString();
               column->hashes_[slot] = HashString(column->strings_[slot]);
+              morsel_bytes += column->strings_[slot].capacity();
               break;
           }
         }
+        string_bytes.fetch_add(morsel_bytes, std::memory_order_relaxed);
         return Status::OK();
       }));
 
@@ -182,8 +187,8 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuildRange(
       bytes += n * sizeof(double);
       break;
     case ValueType::kString:
-      bytes += n * (sizeof(std::string) + sizeof(uint64_t));
-      for (const std::string& s : column->strings_) bytes += s.capacity();
+      bytes += n * (sizeof(std::string) + sizeof(uint64_t)) +
+               string_bytes.load(std::memory_order_relaxed);
       break;
   }
   column->bytes_ = bytes;

@@ -46,7 +46,7 @@ Mutex& InstallMutex() {
 }
 
 std::atomic<const FaultConfig*> g_config{nullptr};
-std::atomic<bool> g_enabled{false};
+using internal::g_enabled;
 
 bool Matches(const std::string& pattern, const char* name) {
   if (!pattern.empty() && pattern.back() == '*') {
@@ -195,8 +195,6 @@ void Clear() {
   g_enabled.store(false, std::memory_order_release);
   g_config.store(nullptr, std::memory_order_release);
 }
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 const FaultConfig* InstalledConfig() {
   return g_config.load(std::memory_order_acquire);

@@ -1,6 +1,7 @@
 #ifndef MONSOON_FAULT_INJECTOR_H_
 #define MONSOON_FAULT_INJECTOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,9 +64,15 @@ Status InstallSpec(const std::string& spec, const FaultConfig& base);
 /// relaxed load + not-taken branch.
 void Clear();
 
-/// True when a non-empty fault config is installed. Single relaxed load —
-/// this is the only cost on the disabled path.
-bool Enabled();
+namespace internal {
+/// Set while a non-empty fault config is installed; written only by
+/// InstallSpec and Clear.
+inline std::atomic<bool> g_enabled{false};
+}  // namespace internal
+
+/// True when a non-empty fault config is installed. Inline, a single
+/// relaxed load — this is the only cost on the disabled path.
+inline bool Enabled() { return internal::g_enabled.load(std::memory_order_relaxed); }
 
 /// Returns the installed config, or nullptr when disabled.
 const FaultConfig* InstalledConfig();

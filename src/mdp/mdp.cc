@@ -328,24 +328,37 @@ void QueryMdp::DeriveFacts(MdpEpoch* epoch) const {
   }
 
   // The pairs in (a, b) order go after the old ones, which are in that
-  // order too, and then replace them.
+  // order too, and then replace them. A pair of two old entries is an old
+  // pair or was rejected by JoinPreds before, so only pairs with a new
+  // entry are tested: for a new `a`, every b after it; for an old `a`, the
+  // new b's after it, merged by b with a's old pairs.
   const size_t old_pairs = pairs.size();
   size_t next_old = 0;
+  auto add_pair = [&](uint32_t a, uint32_t b) {
+    std::optional<uint64_t> join_preds = JoinPreds(entries[a].side, entries[b].side);
+    if (!join_preds.has_value()) return;
+    ExprSig join_sig{entries[a].side.sig.rels | entries[b].side.sig.rels,
+                     entries[a].leaf_preds | entries[b].leaf_preds | *join_preds};
+    pairs.push_back(Pair{a, b, join_sig, executed.count(join_sig) > 0});
+  };
   for (uint32_t a = 0; a < n; ++a) {
-    for (uint32_t b = a + 1; b < n; ++b) {
-      if (incremental && ((is_new >> a | is_new >> b) & 1) == 0) {
-        // Two old entries: an old pair, or rejected by JoinPreds before.
-        if (next_old < old_pairs && pairs[next_old].a == a && pairs[next_old].b == b) {
-          const Pair old = pairs[next_old++];
-          pairs.push_back(old);
-        }
-        continue;
+    if (!incremental || ((is_new >> a) & 1) != 0) {
+      for (uint32_t b = a + 1; b < n; ++b) add_pair(a, b);
+      continue;
+    }
+    uint64_t new_after = is_new & ~((uint64_t{2} << a) - 1);
+    for (;;) {
+      const bool old_next = next_old < old_pairs && pairs[next_old].a == a;
+      if (old_next && (new_after == 0 ||
+                       pairs[next_old].b < static_cast<uint32_t>(__builtin_ctzll(new_after)))) {
+        const Pair old = pairs[next_old++];
+        pairs.push_back(old);
+      } else if (new_after != 0) {
+        add_pair(a, static_cast<uint32_t>(__builtin_ctzll(new_after)));
+        new_after &= new_after - 1;
+      } else {
+        break;
       }
-      std::optional<uint64_t> join_preds = JoinPreds(entries[a].side, entries[b].side);
-      if (!join_preds.has_value()) continue;
-      ExprSig join_sig{entries[a].side.sig.rels | entries[b].side.sig.rels,
-                       entries[a].leaf_preds | entries[b].leaf_preds | *join_preds};
-      pairs.push_back(Pair{a, b, join_sig, executed.count(join_sig) > 0});
     }
   }
   MONSOON_DCHECK(next_old == old_pairs) << "an old pair was not met in order";
@@ -597,7 +610,8 @@ StatusOr<double> QueryMdp::Execute(const PlanForest& planned, MdpEpoch* epoch,
     cost += est.cost;
     ExprSig sig = root.output_sig();
     executed[sig] = est.cardinality;
-    stats.SetCount(sig, est.cardinality);
+    // The estimate found c(sig) in S or recorded it there (record_counts).
+    MONSOON_DCHECK(stats.LookupCount(sig) == est.cardinality);
     if (root.kind() == PlanNode::Kind::kStatsCollect) {
       SimulateStatsCollection(sig, est.cardinality, rng, &stats);
     }

@@ -148,7 +148,13 @@ void Table::BindLayout(const Table& left, const Table* right) {
 
 void Table::PresizeGather(size_t rows, const Table& left, const Table* right) {
   BindLayout(left, right);
-  for (Group& group : groups_) group.ids.resize(rows);
+  for (Group& group : groups_) {
+    group.ids.resize(rows);
+    if (MONSOON_DCHECKS_ENABLED && rows > num_rows_) {
+      std::fill(group.ids.begin() + static_cast<ptrdiff_t>(num_rows_), group.ids.end(),
+                kUnwrittenId);
+    }
+  }
   num_rows_ = rows;
   Rebind();
 }

@@ -4,9 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -92,8 +95,9 @@ class Table {
 
   /// Pre-size step of the window gathers: binds the table to the layout of
   /// `left` (⧺ `right` when non-null) — adopting it when the table is
-  /// empty — and sets the row count to `rows`. New rows read the sources'
-  /// row 0 until a window gather writes them; surplus rows are dropped.
+  /// empty — and sets the row count to `rows`; surplus rows are dropped.
+  /// New rows are not initialized: each must be written by a window gather
+  /// before it is read (DCHECK builds mark them, and a read of one fails).
   /// The executor sizes a pass's output once with this, then fills it
   /// through GatherAt / GatherConcatAt with the same sources.
   void PresizeGather(size_t rows, const Table& left, const Table* right = nullptr);
@@ -152,10 +156,35 @@ class Table {
     std::vector<Column> columns;
   };
 
+  /// std::allocator, but growing a vector with resize() leaves the new
+  /// elements default-initialized (for ids: unwritten) instead of zeroed.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+    template <typename U>
+    void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+      std::uninitialized_default_construct_n(p, 1);
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      std::construct_at(p, std::forward<Args>(args)...);
+    }
+  };
+  using IdVector = std::vector<uint32_t, DefaultInitAllocator<uint32_t>>;
+  /// What DCHECK builds write into ids PresizeGather adds; no store has
+  /// this many rows.
+  static constexpr uint32_t kUnwrittenId = ~uint32_t{0};
+
   /// A store and, in a gathered table, the store row of each table row.
   struct Group {
     std::shared_ptr<Store> store;
-    std::vector<uint32_t> ids;
+    IdVector ids;
   };
 
   /// Where a table column's cells are: its group and store column, plus
@@ -172,6 +201,8 @@ class Table {
   template <typename T>
   const T& Cell(size_t col, size_t row) const {
     const ColumnRef& ref = cols_[col];
+    MONSOON_DCHECK(ref.ids == nullptr || ref.ids[row] != kUnwrittenId)
+        << "row " << row << " was pre-sized but never gathered";
     return static_cast<const T*>(ref.cells)[ref.ids != nullptr ? ref.ids[row] : row];
   }
 

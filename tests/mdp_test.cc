@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -506,6 +507,76 @@ TEST(EpochTest, GrowingPastSixtyFourEntriesMatchesRebuilt) {
         << ActionsString(spec, actions);
     EXPECT_FALSE(epoch->pairs().empty());
   }
+}
+
+// One EXECUTE may add several entries to R_e, sorting before, between and
+// after the old ones, among them the joins of old pairs. DeriveFacts
+// merges the old pairs with the new entries' pairs: the pairs, their order
+// and join_executed must be those of an epoch derived from scratch. Run
+// over every IMDB query of five or more relations; between them they must
+// produce each kind of merged pair.
+TEST(EpochTest, ExecuteAddingEntriesAroundOldOnesMatchesRebuilt) {
+  StatusOr<Workload> workload = SmallWorkload("imdb");
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  std::unique_ptr<Prior> prior = MakePrior(PriorKind::kSpikeAndSlab);
+  size_t new_before_old = 0;  // pairs (new a, old b)
+  size_t old_before_new = 0;  // pairs (old a, new b)
+  size_t executed_joins = 0;  // old pairs whose join became executed
+  for (const BenchQuery& query : workload->queries) {
+    const QuerySpec& spec = query.spec;
+    const int n = spec.num_relations();
+    if (n < 5) continue;
+    SCOPED_TRACE(query.name);
+    QueryMdp mdp(spec, prior.get(), QueryMdp::Options());
+
+    // Old entries: every relation but the first and the last.
+    auto epoch = std::make_shared<MdpEpoch>();
+    auto add = [&](const ExprSig& sig, double count) {
+      epoch->mutable_executed()[sig] = count;
+      epoch->mutable_stats().SetCount(sig, count);
+    };
+    for (int i = 1; i < n - 1; ++i) add(ExprSig::Of(RelSet::Single(i), 0), 1000 + i);
+    mdp.DeriveFacts(epoch.get());
+    const std::vector<MdpEpoch::Pair> old_pairs(epoch->pairs().begin(),
+                                                epoch->pairs().end());
+    if (old_pairs.empty()) continue;
+    std::vector<ExprSig> old_sigs;
+    for (const auto& [sig, count] : epoch->executed()) old_sigs.push_back(sig);
+
+    // The EXECUTE: the first relation (before every old entry), the joins
+    // of the first and last old pairs (between old entries) and the last
+    // relation (after them all).
+    const ExprSig first_join = old_pairs.front().join_sig;
+    const ExprSig last_join = old_pairs.back().join_sig;
+    add(ExprSig::Of(RelSet::Single(0), 0), 1000);
+    add(first_join, 50);
+    add(last_join, 60);
+    add(ExprSig::Of(RelSet::Single(n - 1), 0), 2000);
+    ASSERT_EQ(epoch->executed().begin()->first, ExprSig::Of(RelSet::Single(0), 0));
+    ASSERT_EQ(std::prev(epoch->executed().end())->first,
+              ExprSig::Of(RelSet::Single(n - 1), 0));
+    mdp.DeriveFacts(epoch.get());
+
+    const MdpState grown(PlanForest(), epoch);
+    const MdpState rebuilt = WithRebuiltEpoch(mdp, grown);
+    EXPECT_EQ(EpochString(*epoch), EpochString(*rebuilt.epoch));
+    EXPECT_EQ(mdp.LegalActions(grown), mdp.LegalActions(rebuilt));
+    auto is_old = [&](uint32_t index) {
+      const ExprSig& sig = epoch->entries()[index].side.sig;
+      return std::find(old_sigs.begin(), old_sigs.end(), sig) != old_sigs.end();
+    };
+    for (const MdpEpoch::Pair& pair : epoch->pairs()) {
+      if (!is_old(pair.a) && is_old(pair.b)) ++new_before_old;
+      if (is_old(pair.a) && !is_old(pair.b)) ++old_before_new;
+      if (pair.join_sig == first_join || pair.join_sig == last_join) {
+        EXPECT_TRUE(pair.join_executed) << pair.join_sig.ToString();
+        ++executed_joins;
+      }
+    }
+  }
+  EXPECT_GT(new_before_old, 0u);
+  EXPECT_GT(old_before_new, 0u);
+  EXPECT_GT(executed_joins, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <memory_resource>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "catalog/stats_store.h"
+#include "common/hash.h"
+#include "common/random.h"
 
 namespace monsoon {
 namespace {
@@ -142,6 +149,103 @@ TEST(StatsStoreTest, FingerprintOrderIndependent) {
   b.SetCount(kS, 2);
   b.SetCount(kR, 1);
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+}
+
+// The fingerprint StatsStore documents, computed here from a plain list of
+// the contents: the XOR of one hash per entry, counts rounded with llround,
+// over a fixed start value.
+using CountKey = ExprSig;
+using DistinctKey = std::tuple<int, ExprSig, ExprSig>;  // term, expr, partner
+
+uint64_t ExpectedFingerprint(const std::map<CountKey, double>& counts,
+                             const std::map<DistinctKey, double>& distincts) {
+  uint64_t fingerprint = 0x12345678abcdef01ULL;
+  for (const auto& [sig, count] : counts) {
+    fingerprint ^= Mix64(
+        HashCombine(sig.Hash(), Mix64(static_cast<uint64_t>(std::llround(count)))));
+  }
+  for (const auto& [key, count] : distincts) {
+    const auto& [term, expr, partner] = key;
+    // Partners are stored by their relation set only.
+    const ExprSig stored = partner.IsAny() ? partner : ExprSig{partner.rels, 0};
+    uint64_t hash = HashCombine(
+        HashCombine(Mix64(static_cast<uint64_t>(term)), expr.Hash()), stored.Hash());
+    fingerprint ^= Mix64(
+        HashCombine(hash, Mix64(static_cast<uint64_t>(std::llround(count)))) ^ 0x5bd1e995u);
+  }
+  return fingerprint;
+}
+
+// Runs of inserts and value replacements in different orders that end with
+// the same contents give the fingerprint of a store filled once, in key
+// order, and the independently computed XOR.
+TEST(StatsStoreTest, FingerprintOfAnyHistoryMatchesContents) {
+  const std::vector<ExprSig> sigs = {kR, kS, kT, kSFiltered, kRS, ExprSig{0b111, 0b11}};
+  const std::vector<ExprSig> partners = {ExprSig::Any(), kR, kT};
+  Pcg32 rng(42);
+  std::map<CountKey, double> counts;
+  std::map<DistinctKey, double> distincts;
+  for (const ExprSig& sig : sigs) counts[sig] = rng.NextBounded(1000);
+  for (int term = 0; term < 3; ++term) {
+    for (size_t e = 0; e < sigs.size(); e += 2) {
+      for (const ExprSig& partner : partners) {
+        distincts[{term, sigs[e], partner}] = rng.NextBounded(500) + 0.25;
+      }
+    }
+  }
+  const uint64_t expected = ExpectedFingerprint(counts, distincts);
+
+  StatsStore fresh;
+  for (const auto& [sig, count] : counts) fresh.SetCount(sig, count);
+  for (const auto& [key, count] : distincts) {
+    fresh.SetDistinct(std::get<0>(key), std::get<1>(key), std::get<2>(key), count);
+  }
+  EXPECT_EQ(fresh.Fingerprint(), expected);
+  EXPECT_NE(fresh.Fingerprint(), StatsStore().Fingerprint());
+
+  for (uint64_t order = 0; order < 8; ++order) {
+    SCOPED_TRACE(order);
+    Pcg32 order_rng(order);
+    auto pick = [&order_rng](size_t n) {
+      return order_rng.NextBounded(static_cast<uint32_t>(n));
+    };
+    std::vector<std::pair<CountKey, double>> count_list(counts.begin(), counts.end());
+    std::vector<std::pair<DistinctKey, double>> distinct_list(distincts.begin(),
+                                                              distincts.end());
+    StatsStore store;
+    // Interim values first, each key a random number of times, the two
+    // kinds interleaved; then the final values in a shuffled order.
+    for (int step = 0; step < 120; ++step) {
+      if (pick(2) == 0) {
+        store.SetCount(count_list[pick(count_list.size())].first, pick(5000));
+      } else {
+        const auto& [term, expr, partner] = distinct_list[pick(distinct_list.size())].first;
+        // A partner is keyed by its relations: {R, σ} writes the key of R.
+        const ExprSig written = partner == kR && pick(2) == 0 ? ExprSig{0b001, 0b1} : partner;
+        store.SetDistinct(term, expr, written, pick(5000) * 0.5);
+      }
+    }
+    for (size_t i = count_list.size(); i > 1; --i) {
+      std::swap(count_list[i - 1], count_list[pick(i)]);
+    }
+    for (size_t i = distinct_list.size(); i > 1; --i) {
+      std::swap(distinct_list[i - 1], distinct_list[pick(i)]);
+    }
+    size_t c = 0;
+    size_t d = 0;
+    while (c < count_list.size() || d < distinct_list.size()) {
+      if (d == distinct_list.size() || (c < count_list.size() && pick(2) == 0)) {
+        store.SetCount(count_list[c].first, count_list[c].second);
+        ++c;
+      } else {
+        const auto& [key, count] = distinct_list[d++];
+        store.SetDistinct(std::get<0>(key), std::get<1>(key), std::get<2>(key), count);
+      }
+    }
+    ASSERT_EQ(store.ToString(), fresh.ToString());
+    EXPECT_EQ(store.Fingerprint(), fresh.Fingerprint());
+    EXPECT_EQ(store.Fingerprint(), expected);
+  }
 }
 
 // Containment ties: d(F, r⋈s | t) and d(F, r⋈u | t) both answer
