@@ -84,7 +84,7 @@ StatusOr<RunResultDigest> RunConfig(const BenchConfig& config,
     store.udf_cache()->set_byte_budget(size_t{256} << 20);
     Executor executor(query->spec, &UdfRegistry::Global());
     ExecContext ctx;
-    ctx.SetParallel(pool, parallel::DefaultConfig().morsel_size);
+    ctx.SetParallel(pool, kMorselRows);
     for (int round = 0; round < rounds; ++round) {
       MONSOON_ASSIGN_OR_RETURN(ExecResult exec,
                                executor.Execute(plan, &store, &ctx));

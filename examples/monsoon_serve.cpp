@@ -10,21 +10,25 @@
 // Usage:
 //   ./build/examples/monsoon-serve [--workload=tpch|imdb|ott|udf]
 //       [--port=N] [--max-sessions=N] [--queue-depth=N] [--threads=N]
-//       [--batch-size=N] [--shards=N] [--deadline-ms=N] [--work-budget=N]
+//       [--shards=N] [--deadline-ms=N] [--work-budget=N]
 //       [--iterations=N] [--trace-out=FILE] [--no-shared-state]
 //       [--telemetry-ms=N] [--trace-tail-ms=N] [--trace-tail-dir=DIR]
 //       [--slow-log=FILE] [--slow-ms=N] [--faults=SPEC]
 //
 // Every knob follows flag > MONSOON_SERVER_* env > default precedence
-// (see the README knob table). Drive it with tools/monsoon-client,
+// (see the README knob table). A numeric flag whose value is not a whole
+// base-10 integer in its range exits with code 2 before the workload
+// loads. Drive it with tools/monsoon-client,
 // `sql_shell --connect=127.0.0.1:PORT`, or watch it live with
 // tools/top/monsoon-top. --trace-out (whole-process trace) and
 // --trace-tail-ms (per-query tail sampling) are mutually exclusive.
 
+#include <charconv>
 #include <csignal>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -71,6 +75,19 @@ bool FlagValue(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
+/// Parses all of `value` as a base-10 integer in [lo, hi].
+bool ParseIntInRange(const std::string& value, int64_t lo, int64_t hi,
+                     int64_t* out) {
+  const char* end = value.data() + value.size();
+  int64_t parsed = 0;
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc() || stop != end || parsed < lo || parsed > hi) {
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -82,44 +99,59 @@ int main(int argc, char** argv) {
   bool tail_requested = false;
   std::string faults;
   int threads = 0;
-  int batch_size = 0;
   int shards = 0;
   std::string value;
+  int64_t number = 0;
+  bool bad_number = false;
+  constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+  // Wide knobs stay below INT64_MAX / 1000 so --trace-tail-ms can scale to
+  // microseconds without overflow.
+  constexpr int64_t kMaxWide = std::numeric_limits<int64_t>::max() / 1000;
   for (int i = 1; i < argc; ++i) {
+    // True when argv[i] is `name`; a value that is not an integer in
+    // [lo, hi] is reported and sets bad_number instead of `number`.
+    auto numeric = [&](const char* name, int64_t lo, int64_t hi) {
+      if (!FlagValue(argv[i], name, &value)) return false;
+      if (!ParseIntInRange(value, lo, hi, &number)) {
+        std::cerr << std::string(name, std::strlen(name) - 1)
+                  << " expects an integer in [" << lo << ", " << hi
+                  << "], got '" << value << "'\n";
+        bad_number = true;
+      }
+      return true;
+    };
     if (FlagValue(argv[i], "--workload=", &value)) {
       workload_name = value;
-    } else if (FlagValue(argv[i], "--port=", &value)) {
-      options.port = static_cast<uint16_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (FlagValue(argv[i], "--max-sessions=", &value)) {
-      options.max_sessions = std::atoi(value.c_str());
-    } else if (FlagValue(argv[i], "--queue-depth=", &value)) {
-      options.queue_depth = std::atoi(value.c_str());
-    } else if (FlagValue(argv[i], "--threads=", &value)) {
-      threads = std::atoi(value.c_str());
-    } else if (FlagValue(argv[i], "--batch-size=", &value)) {
-      batch_size = std::atoi(value.c_str());
-    } else if (FlagValue(argv[i], "--shards=", &value)) {
-      shards = std::atoi(value.c_str());
-    } else if (FlagValue(argv[i], "--deadline-ms=", &value)) {
-      options.optimizer.deadline_ms = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (FlagValue(argv[i], "--work-budget=", &value)) {
-      options.optimizer.work_budget = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (FlagValue(argv[i], "--iterations=", &value)) {
-      options.optimizer.mcts.iterations = std::atoi(value.c_str());
+    } else if (numeric("--port=", 0, 65535)) {
+      options.port = static_cast<uint16_t>(number);
+    } else if (numeric("--max-sessions=", 1, kMaxInt)) {
+      options.max_sessions = static_cast<int>(number);
+    } else if (numeric("--queue-depth=", 0, kMaxInt)) {
+      options.queue_depth = static_cast<int>(number);
+    } else if (numeric("--threads=", 1, 1024)) {
+      threads = static_cast<int>(number);
+    } else if (numeric("--shards=", 1, 1024)) {
+      shards = static_cast<int>(number);
+    } else if (numeric("--deadline-ms=", 0, kMaxWide)) {
+      options.optimizer.deadline_ms = static_cast<uint64_t>(number);
+    } else if (numeric("--work-budget=", 0, kMaxWide)) {
+      options.optimizer.work_budget = static_cast<uint64_t>(number);
+    } else if (numeric("--iterations=", 1, kMaxInt)) {
+      options.optimizer.mcts.iterations = static_cast<int>(number);
     } else if (FlagValue(argv[i], "--trace-out=", &value)) {
       trace_out = value;
-    } else if (FlagValue(argv[i], "--telemetry-ms=", &value)) {
-      options.telemetry_interval_ms = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (FlagValue(argv[i], "--trace-tail-ms=", &value)) {
-      tail.slow_us = std::strtoull(value.c_str(), nullptr, 10) * 1000;
+    } else if (numeric("--telemetry-ms=", 0, kMaxWide)) {
+      options.telemetry_interval_ms = static_cast<uint64_t>(number);
+    } else if (numeric("--trace-tail-ms=", 0, kMaxWide)) {
+      tail.slow_us = static_cast<uint64_t>(number) * 1000;
       tail_requested = true;
     } else if (FlagValue(argv[i], "--trace-tail-dir=", &value)) {
       tail.dir = value;
       tail_requested = true;
     } else if (FlagValue(argv[i], "--slow-log=", &value)) {
       options.slow_log_path = value;
-    } else if (FlagValue(argv[i], "--slow-ms=", &value)) {
-      options.slow_query_ms = std::strtoull(value.c_str(), nullptr, 10);
+    } else if (numeric("--slow-ms=", 0, kMaxWide)) {
+      options.slow_query_ms = static_cast<uint64_t>(number);
     } else if (FlagValue(argv[i], "--faults=", &value)) {
       faults = value;
     } else if (std::strcmp(argv[i], "--no-shared-state") == 0) {
@@ -128,14 +160,14 @@ int main(int argc, char** argv) {
       std::cerr << "unknown flag '" << argv[i] << "'\n";
       return 2;
     }
+    if (bad_number) return 2;
   }
 
-  if (threads > 0 || batch_size > 0) {
-    // Explicit flags win over MONSOON_THREADS / MONSOON_BATCH_SIZE
-    // (common/env.h rule); unset flags keep the env-derived defaults.
-    parallel::Config config = parallel::DefaultConfig();
-    if (threads > 0) config.num_threads = threads;
-    if (batch_size > 0) config.batch_size = static_cast<size_t>(batch_size);
+  if (threads > 0) {
+    // Explicit flag wins over MONSOON_THREADS (common/env.h rule); without
+    // it the shared pool keeps the size MONSOON_THREADS gave it.
+    parallel::Config config;
+    config.num_threads = threads;
     parallel::SetDefaultConfig(config);
   }
   if (shards > 0) {

@@ -2,19 +2,18 @@
 // are obscured by UDFs, and let the Monsoon optimizer interleave
 // statistics collection with execution.
 //
-// Run:  ./build/examples/quickstart [--threads=N] [--batch-size=N]
-//                                   [--shards=N] [--udf-cache-bytes=B]
+// Run:  ./build/examples/quickstart [--threads=N] [--shards=N]
+//                                   [--udf-cache-bytes=B]
 //                                   [--trace-out=F] [--report-out=F]
 //
 // --threads=N runs the morsel-driven executor and root-parallel MCTS on
-// N threads (default 1 = fully serial). --batch-size=N sets the rows per
-// vectorized executor batch (1 = row-at-a-time; flag wins over
-// MONSOON_BATCH_SIZE). --shards=N splits every materialized table into N
-// hash-range shards executed as independently supervised tasks (1 = the
-// unsharded layout; flag wins over MONSOON_SHARDS). --udf-cache-bytes=B
-// sets the evaluate-once UDF column cache budget (0 disables it; the
-// default also honors MONSOON_UDF_CACHE). The result rows and Mobjects
-// are the same either way; only wall-clock time changes.
+// N threads (default 1 = fully serial; flag wins over MONSOON_THREADS).
+// --shards=N splits every materialized table into N hash-range shards
+// executed as independently supervised tasks (1 = the unsharded layout;
+// flag wins over MONSOON_SHARDS). --udf-cache-bytes=B sets the
+// evaluate-once UDF column cache budget (0 disables it; the default also
+// honors MONSOON_UDF_CACHE). The result rows and Mobjects are the same
+// either way; only wall-clock time changes.
 //
 // --trace-out=F writes a Chrome trace_event JSON to F: open it in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing to see every MDP step,
@@ -258,20 +257,10 @@ int main(int argc, char** argv) {
         std::cerr << "--threads expects a positive integer\n";
         return 1;
       }
-      parallel::Config config = parallel::DefaultConfig();
+      parallel::Config config;
       config.num_threads = threads;
       parallel::SetDefaultConfig(config);
       std::cout << "Running with " << threads << " thread(s)\n";
-    } else if (std::strncmp(argv[i], "--batch-size=", 13) == 0) {
-      int batch_size = std::atoi(argv[i] + 13);
-      if (batch_size < 1) {
-        std::cerr << "--batch-size expects a positive integer (1 = row-at-a-time)\n";
-        return 1;
-      }
-      // Explicit flag wins over MONSOON_BATCH_SIZE (common/env.h rule).
-      parallel::Config config = parallel::DefaultConfig();
-      config.batch_size = static_cast<size_t>(batch_size);
-      parallel::SetDefaultConfig(config);
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       int shards = std::atoi(argv[i] + 9);
       if (shards < 1) {
@@ -295,7 +284,7 @@ int main(int argc, char** argv) {
       workload = argv[i] + 11;
     } else {
       std::cerr << "unknown flag: " << argv[i]
-                << " (supported: --threads=N, --batch-size=N, --shards=N, "
+                << " (supported: --threads=N, --shards=N, "
                    "--udf-cache-bytes=B, --trace-out=F, --report-out=F, "
                    "--faults=SPEC, --deadline-ms=N, "
                    "--workload=tpch|imdb|ott|udf)\n";

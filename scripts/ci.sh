@@ -19,8 +19,8 @@
 #            retried or degraded, never crash), a traced faulty run through
 #            monsoon-trace-check, and the bench_fault_overhead
 #            disabled-path gate (BENCH_fault_overhead.json)
-#   server   query-server smoke: monsoon-serve + concurrent monsoon-client
-#            runs — two sessions held mid-query, one more rejected past the
+#   server   query-server smoke: an out-of-range --port must exit 2, then
+#            monsoon-serve + concurrent monsoon-client runs — two sessions held mid-query, one more rejected past the
 #            admission limit (kUnavailable), one cancelled by client
 #            disconnect — then SIGINT drain (pool pending must reach 0)
 #            and monsoon-trace-check over the traced run
@@ -81,8 +81,8 @@ tsan_stage() {
   # suite, the cancellation stress tests, the concurrent-session
   # query-server suite, the planner goldens run through root-parallel
   # MCTS workers, and the executor-order goldens (every generator's plans
-  # over shards {1, 4} x a 4-thread pool x batch {1, 1024}: concurrent id
-  # gathers reading shared column stores). Every tsan-labelled suite must
+  # over shards {1, 4} x {serial, a 4-thread pool}: concurrent id gathers
+  # reading shared column stores). Every tsan-labelled suite must
   # be a build target here: an unbuilt one registers as an unlabelled
   # *_NOT_BUILT test, which `ctest -L tsan` skips without a word.
   ctest --test-dir build-ci-tsan --output-on-failure -L tsan
@@ -113,15 +113,6 @@ asan_stage() {
   # sorted in-place inserts and arena copies of its flat stores. As above,
   # every asan-labelled suite must be built.
   ctest --test-dir build-ci-asan --output-on-failure -L asan
-  # Vectorized-execution smoke: the batch/row sweep must keep rows and
-  # accounting bit-identical and hold its speed gates (>= 2x on filtered
-  # scans, <= 5% loss on UDF-heavy plans at threads=1). Timing gates need
-  # an optimized binary, so this runs from the release build.
-  cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DMONSOON_WERROR=ON
-  cmake --build build-ci-release -j "${JOBS}" --target bench_exec_batch
-  local batch_dir="build-ci-release/batch-smoke"
-  mkdir -p "${batch_dir}"
-  (cd "${batch_dir}" && ../../build-ci-release/bench/bench_exec_batch)
 }
 
 ubsan_stage() {
@@ -275,6 +266,16 @@ server_stage() {
   mkdir -p "${server_dir}"
   local serve="./build-ci-release/examples/monsoon-serve"
   local client="./build-ci-release/tools/client/monsoon-client"
+  # A numeric flag out of range is rejected with exit code 2 before the
+  # workload loads, never wrapped (70000 used to listen on port 4464).
+  local bad_port_status=0
+  timeout 60 "${serve}" --port=70000 > "${server_dir}/bad-port.log" 2>&1 ||
+    bad_port_status=$?
+  if [ "${bad_port_status}" -ne 2 ]; then
+    echo "FAIL: monsoon-serve --port=70000 exited ${bad_port_status}, want 2" >&2
+    cat "${server_dir}/bad-port.log" >&2
+    exit 1
+  fi
   # 200k MCTS iterations stretch each session to multiple seconds, giving
   # the overflow / disconnect clients a wide deterministic window while
   # both admission slots are provably occupied. Shared state is off so the

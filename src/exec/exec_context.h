@@ -2,6 +2,7 @@
 #define MONSOON_EXEC_EXEC_CONTEXT_H_
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/status.h"
@@ -12,6 +13,18 @@
 #include "shard/shard.h"
 
 namespace monsoon {
+
+/// Rows per executor batch (ForEachBatch in exec/executor.cc, DESIGN.md
+/// §12). Accounting is charged per logical row, so the width changes no
+/// result and no cost; it only sets how many rows one *Batch call sees.
+inline constexpr size_t kBatchRows = 1024;
+
+/// Rows per morsel for morsel-driven operators. Keeps a morsel's working
+/// set (a few thousand values plus output rows) inside L2 while leaving
+/// enough morsels for stealing to balance skew; see DESIGN.md §6. Morsel
+/// boundaries are always batch boundaries: batches chunk within a morsel
+/// and the final short batch ends at the morsel edge.
+inline constexpr size_t kMorselRows = 2048;
 
 /// Per-query execution accounting and resource limits.
 ///
@@ -24,9 +37,9 @@ namespace monsoon {
 ///    trip on work_units so a cross product cannot grind forever while
 ///    producing few output objects.
 ///
-/// The context also carries the query's parallel runtime (snapshotted from
-/// parallel::DefaultConfig() at construction): a pool handle and morsel
-/// size the executor's morsel-driven operators use. The counters above are
+/// The context also carries the query's parallel runtime: the shared pool
+/// (snapshotted from parallel::SharedPool() at construction), which the
+/// executor's morsel-driven operators use. The counters above are
 /// NOT thread-safe — every operator's ranges (run inline, over morsels or
 /// over shards) accumulate work in range-local tallies, and DriveRanges
 /// charges the context once at the barrier from one thread, so the totals
@@ -84,10 +97,11 @@ class ExecContext {
 
   /// Pool for morsel-driven operators; nullptr = run serially inline.
   parallel::ThreadPool* pool() const { return pool_; }
+  /// kMorselRows unless a test narrowed it through SetParallel.
   size_t morsel_size() const { return morsel_size_; }
 
-  /// Overrides the snapshotted runtime (tests pin serial/parallel modes;
-  /// pool may be nullptr to force the serial path).
+  /// Test seam: overrides the snapshotted pool (nullptr forces the serial
+  /// path) and the morsel width, so tiny tables still split into morsels.
   void SetParallel(parallel::ThreadPool* pool, size_t morsel_size) {
     pool_ = pool;
     morsel_size_ = morsel_size == 0 ? 1 : morsel_size;
@@ -115,10 +129,8 @@ class ExecContext {
     shard_recoveries_.Add(stats.recoveries);
   }
 
-  /// Rows per executor batch (ForEachBatch in exec/executor.cc). 1 = the
-  /// legacy row-at-a-time strategy; snapshotted from the process default
-  /// (MONSOON_BATCH_SIZE / --batch-size) at construction. Tests pin
-  /// batch-on/off configurations with the setter.
+  /// Rows per executor batch: kBatchRows. Test seam: SetBatchSize narrows
+  /// it so small inputs cross batch boundaries.
   size_t batch_size() const { return batch_size_; }
   void SetBatchSize(size_t batch_size) {
     batch_size_ = batch_size == 0 ? 1 : batch_size;
@@ -161,8 +173,8 @@ class ExecContext {
   obs::LocalCounter shard_failures_;
   obs::LocalCounter shard_recoveries_;
   parallel::ThreadPool* pool_ = parallel::SharedPool();
-  size_t morsel_size_ = parallel::DefaultConfig().morsel_size;
-  size_t batch_size_ = parallel::DefaultConfig().batch_size;
+  size_t morsel_size_ = kMorselRows;
+  size_t batch_size_ = kBatchRows;
   size_t num_shards_ = static_cast<size_t>(shard::DefaultShardCount());
   fault::CancellationToken* cancel_token_ = nullptr;
 };

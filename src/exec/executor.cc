@@ -409,10 +409,8 @@ class FlatHashIndex {
 
 // ---------------------------------------------------------------------------
 // Batch functions (DESIGN.md §12). A range body hands its rows to
-// ForEachBatch, which calls one *Batch function per ctx->batch_size() rows.
-// batch_size == 1 runs the same functions on one-row batches, which
-// reproduces the row-at-a-time seed executor exactly — there is no
-// separate legacy code path to diverge from.
+// ForEachBatch, which calls one *Batch function per ctx->batch_size() rows
+// (kBatchRows outside tests).
 // ---------------------------------------------------------------------------
 
 /// Calls fn(table, b, e) for consecutive batches [b, e) of the rows
@@ -423,17 +421,10 @@ class FlatHashIndex {
 template <typename Fn>
 Status ForEachBatch(ExecContext* ctx, const Table& table, size_t begin,
                     size_t end, Fn&& fn) {
-  static obs::Histogram* const batch_rows_metric =
-      obs::Registry::Global().GetHistogram("exec.batch_rows");
-  const size_t batch_size = std::max<size_t>(1, ctx->batch_size());
+  const size_t batch_size = ctx->batch_size();
   for (size_t b = begin; b < end; b += batch_size) {
     MONSOON_RETURN_IF_ERROR(ctx->CheckCancelled());
-    const size_t e = std::min(end, b + batch_size);
-    // The histogram records genuine vectorized batches; row-at-a-time
-    // drives (batch_size == 1) would only log a constant while taxing the
-    // legacy path with an atomic add per row.
-    if (batch_size > 1) batch_rows_metric->Observe(static_cast<double>(e - b));
-    MONSOON_RETURN_IF_ERROR(fn(table, b, e));
+    MONSOON_RETURN_IF_ERROR(fn(table, b, std::min(end, b + batch_size)));
   }
   return Status::OK();
 }
@@ -672,7 +663,7 @@ struct ProbeRange {
   const std::vector<FlatView>& build_views;
   const std::vector<FlatView>& probe_views;  // cached keys only
   const FlatHashIndex& index;
-  const JoinBloomFilter* bloom;  // null when batching is off
+  const JoinBloomFilter& bloom;
   const std::vector<BoundResidual>& residual;
   const RangeTask& task;
   Table candidates;  // residual staging
@@ -727,19 +718,15 @@ Status ProbeBatch(ProbeRange* p, const Table& probe, size_t begin, size_t end) {
 
   p->match_build.clear();
   p->match_probe.clear();
-  uint64_t bloom_checked = 0;
   uint64_t bloom_rejected = 0;
   for (size_t i = 0; i < n; ++i) {
     const size_t row = begin + i;
     MONSOON_FAULT_POINT("exec.udf_eval.join_probe", row);
     ++*p->task.work_tally;
     const uint64_t h = p->hashes[i];
-    if (p->bloom != nullptr) {
-      ++bloom_checked;
-      if (!p->bloom->MayContain(h)) {
-        ++bloom_rejected;
-        continue;
-      }
+    if (!p->bloom.MayContain(h)) {
+      ++bloom_rejected;
+      continue;
     }
     p->index.ForEachCandidate(h, [&](uint32_t build_row) {
       ++*p->task.work_tally;
@@ -753,10 +740,8 @@ Status ProbeBatch(ProbeRange* p, const Table& probe, size_t begin, size_t end) {
       p->match_probe.push_back(static_cast<uint32_t>(row));
     });
   }
-  if (bloom_checked != 0) {
-    bloom_checks_metric->Add(bloom_checked);
-    bloom_rejects_metric->Add(bloom_rejected);
-  }
+  bloom_checks_metric->Add(n);
+  bloom_rejects_metric->Add(bloom_rejected);
   MONSOON_RETURN_IF_ERROR(p->task.CheckWork());
 
   const size_t nmatch = p->match_probe.size();
@@ -1127,15 +1112,11 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     // The index and the Bloom filter are functions of the build hashes
     // alone, so they are identical in every mode.
     const FlatHashIndex index(build_hashes);
-    // Build-side Bloom filter (vectorized mode only): pre-screens probe
-    // hashes so misses never walk a chain. It stores exactly the hashes in
-    // the index, so a reject implies no candidate — the cost model cannot
-    // observe the difference.
-    std::unique_ptr<JoinBloomFilter> bloom;
-    if (ctx->batch_size() > 1) {
-      bloom = std::make_unique<JoinBloomFilter>(build.num_rows());
-      for (uint64_t h : build_hashes) bloom->AddHash(h);
-    }
+    // Build-side Bloom filter: pre-screens probe hashes so misses never
+    // walk a chain. It stores exactly the hashes in the index, so a reject
+    // implies no candidate — the cost model cannot observe the difference.
+    JoinBloomFilter bloom(build.num_rows());
+    for (uint64_t h : build_hashes) bloom.AddHash(h);
     MONSOON_RETURN_IF_ERROR(ctx->ChargeWork(build.num_rows()));
     build_span.Arg("rows", static_cast<uint64_t>(build.num_rows()));
     build_span.End();
@@ -1159,7 +1140,7 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
                        .build_views = build_views,
                        .probe_views = probe_views,
                        .index = index,
-                       .bloom = bloom.get(),
+                       .bloom = bloom,
                        .residual = residual,
                        .task = task,
                        .candidates = Table(out_schema)};

@@ -42,11 +42,9 @@ Status BenchRunner::RunAll(const Workload& workload) {
         std::make_unique<obs::SlowQueryLog>(slow_log_path, slow_ms * 1000);
     MONSOON_RETURN_IF_ERROR(slow_log->Open());
   }
-  int threads = options_.threads;
-  if (threads <= 0) threads = EnvInt("MONSOON_THREADS", 0);
-  if (threads > 0) {
-    parallel::Config config = parallel::DefaultConfig();
-    config.num_threads = threads;
+  if (options_.threads > 0) {
+    parallel::Config config;
+    config.num_threads = options_.threads;
     parallel::SetDefaultConfig(config);
   }
   // Fault injection: MONSOON_FAULTS is the ambient knob; unset leaves the

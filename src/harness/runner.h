@@ -26,10 +26,10 @@ struct HarnessOptions {
   /// Threads per query. > 0 installs that level as the process-wide
   /// parallel::DefaultConfig() before running, so Monsoon AND every
   /// baseline execute (and Monsoon plans) at the same concurrency; 0
-  /// honors the MONSOON_THREADS environment knob, or leaves the current
-  /// config untouched when that is unset too. Batch size, shard count and
+  /// leaves the current config untouched, which starts out from the
+  /// MONSOON_THREADS environment knob (parallel/runtime.h). Shard count and
   /// the UDF cache budget come from the process defaults, which honor
-  /// MONSOON_BATCH_SIZE, MONSOON_SHARDS and MONSOON_UDF_CACHE.
+  /// MONSOON_SHARDS and MONSOON_UDF_CACHE.
   int threads = 0;
   /// When non-empty, RunAll writes the per-query JSON run report
   /// (obs::WriteRunReport) here after the last record. Empty honors the

@@ -17,8 +17,10 @@ struct Runtime {
   std::unique_ptr<ThreadPool> pool GUARDED_BY(mu);
 
   Runtime() {
-    config.batch_size = std::max<uint64_t>(
-        1, EnvUint64("MONSOON_BATCH_SIZE", config.batch_size));
+    config.num_threads = std::max(1, EnvInt("MONSOON_THREADS", 1));
+    if (config.num_threads > 1) {
+      pool = std::make_unique<ThreadPool>(config.num_threads);
+    }
   }
 };
 
@@ -38,10 +40,7 @@ Config DefaultConfig() {
 void SetDefaultConfig(const Config& config) {
   Runtime& rt = GlobalRuntime();
   MutexLock lock(rt.mu);
-  rt.config = config;
   rt.config.num_threads = std::max(1, config.num_threads);
-  rt.config.morsel_size = std::max<size_t>(1, config.morsel_size);
-  rt.config.batch_size = std::max<size_t>(1, config.batch_size);
   // Rebuild eagerly so the old pool's workers wind down now rather than
   // under a later query.
   if (rt.config.num_threads <= 1) {

@@ -1,9 +1,11 @@
 // Vectorized-execution tests: scan selection edge cases, the per-batch
-// cancellation poll, the join Bloom filter, and batch/row equivalence.
-// Batching is a pure execution-speed change — rows, observed counts, Σ
-// distincts, work_units and objects_processed are bit-identical to the
-// row-at-a-time path (batch_size=1) at every thread count and cache
-// setting, because accounting is charged per logical row, never per batch.
+// cancellation poll, the join Bloom filter, and batch-width equivalence.
+// The batch width is invisible to results — rows, observed counts, Σ
+// distincts, work_units and objects_processed are bit-identical at any
+// width, thread count and cache setting, because accounting is charged per
+// logical row, never per batch. Narrow widths (4, 7) come through the
+// ExecContext::SetBatchSize test seam and put batch boundaries inside
+// small inputs.
 
 #include <gtest/gtest.h>
 
@@ -82,8 +84,8 @@ TEST(JoinBloomFilterTest, SizesRoundToPowerOfTwoWords) {
 // Leaf-filter selection edge cases. A 10-row table scanned with
 // batch_size=4 splits into batches [0,4) [4,8) [8,10); the fixtures place
 // survivors to hit empty, full, single-survivor, and boundary-straddling
-// selections, and every run must match the row-at-a-time (batch_size=1)
-// execution on rows AND accounting.
+// selections, and every run must match the default-width execution (one
+// batch) on rows AND accounting.
 // ---------------------------------------------------------------------------
 
 class BatchExecTest : public ::testing::Test {
@@ -124,7 +126,7 @@ class BatchExecTest : public ::testing::Test {
   };
 
   RunStats Run(const QuerySpec& query, const PlanNode::Ptr& plan,
-               size_t batch_size) {
+               size_t batch_size = kBatchRows) {
     auto store = MaterializedStore::ForQuery(catalog_, query);
     EXPECT_TRUE(store.ok());
     Executor executor(query, &UdfRegistry::Global());
@@ -148,23 +150,20 @@ class BatchExecTest : public ::testing::Test {
     return stats;
   }
 
-  // Runs the leaf plan at batch sizes 1 (row-at-a-time reference), 4
-  // (several small batches over 10 rows), and 1024 (one batch) and demands
-  // identical rows and accounting everywhere.
+  // Runs the leaf plan at the default width (one batch over 10 rows) and
+  // at batch_size=4 (three batches) and demands identical rows and
+  // accounting.
   void ExpectLeafRows(const std::string& sql, uint64_t expect_rows) {
     auto query = Parse(sql);
     ASSERT_TRUE(query.ok());
     PlanNode::Ptr plan = MakeLeaf(*query, 0);
-    RunStats reference = Run(*query, plan, 1);
+    RunStats reference = Run(*query, plan);
     EXPECT_EQ(reference.rows, expect_rows);
-    for (size_t batch_size : {size_t{4}, size_t{1024}}) {
-      SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
-      RunStats run = Run(*query, plan, batch_size);
-      EXPECT_EQ(run.rows, reference.rows);
-      EXPECT_EQ(run.fingerprints, reference.fingerprints);
-      EXPECT_EQ(run.work_units, reference.work_units);
-      EXPECT_EQ(run.objects, reference.objects);
-    }
+    RunStats run = Run(*query, plan, 4);
+    EXPECT_EQ(run.rows, reference.rows);
+    EXPECT_EQ(run.fingerprints, reference.fingerprints);
+    EXPECT_EQ(run.work_units, reference.work_units);
+    EXPECT_EQ(run.objects, reference.objects);
   }
 
   Catalog catalog_;
@@ -264,9 +263,10 @@ TEST_F(BatchExecTest, CancelledScanStopsAtTheNextBatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Bloom-filtered hash join: batched probes must reject build-side misses
-// (counter moves) without changing rows or accounting relative to the
-// unfiltered row-at-a-time probe.
+// Bloom-filtered hash join: probes must reject build-side misses (counter
+// moves) without changing rows or accounting. The pinned rows, work units
+// and objects are those of the same plans probed without a filter, so a
+// filter that ever skipped a charged unit (or charged one) fails here.
 // ---------------------------------------------------------------------------
 
 TEST_F(BatchExecTest, BloomRejectsProbeMissesWithoutChangingResults) {
@@ -283,32 +283,25 @@ TEST_F(BatchExecTest, BloomRejectsProbeMissesWithoutChangingResults) {
   obs::Counter* checks = obs::Registry::Global().GetCounter("exec.bloom_checks");
   obs::Counter* rejects = obs::Registry::Global().GetCounter("exec.bloom_rejects");
 
-  // Row-at-a-time reference: the bloom filter is disabled at batch_size=1,
-  // so the counters must not move.
+  // Every probe row is checked; orders of customers outside city1
+  // (45 - 12 = 33 rows) miss the 3-key build side and most are rejected
+  // before the hash table (some may slip through as bloom false positives
+  // and fall through to an empty candidate chain — also correct).
   uint64_t checks_before = checks->Value();
-  RunStats reference = Run(*query, plan, 1);
-  EXPECT_EQ(reference.rows, 12u);  // customers 1,4,7 -> 1 + 4 + 7 orders
-  EXPECT_EQ(checks->Value(), checks_before);
-
-  // Batched probe: every probe row is checked; orders of customers outside
-  // city1 (45 - 12 = 33 rows) miss the 3-key build side and most are
-  // rejected before the hash table (some may slip through as bloom false
-  // positives and fall through to an empty equal_range — also correct).
-  checks_before = checks->Value();
   uint64_t rejects_before = rejects->Value();
-  RunStats batched = Run(*query, plan, 1024);
+  RunStats run = Run(*query, plan);
   EXPECT_EQ(checks->Value() - checks_before, 45u);
   uint64_t rejected = rejects->Value() - rejects_before;
   EXPECT_GT(rejected, 0u);
   EXPECT_LE(rejected, 33u);
 
   // The filter is invisible to results and to the cost model: a reject
-  // means equal_range would have found nothing, so zero candidates are
-  // charged either way.
-  EXPECT_EQ(batched.rows, reference.rows);
-  EXPECT_EQ(batched.fingerprints, reference.fingerprints);
-  EXPECT_EQ(batched.work_units, reference.work_units);
-  EXPECT_EQ(batched.objects, reference.objects);
+  // means the chain walk would have found nothing, so zero candidates are
+  // charged either way. Unfiltered: 10 + 45 scanned objects plus 12
+  // joined; 127 work units.
+  EXPECT_EQ(run.rows, 12u);  // customers 1,4,7 -> 1 + 4 + 7 orders
+  EXPECT_EQ(run.work_units, 127u);
+  EXPECT_EQ(run.objects, 67u);
 }
 
 TEST_F(BatchExecTest, AllProbeKeysPresentMeansNoRejects) {
@@ -319,20 +312,19 @@ TEST_F(BatchExecTest, AllProbeKeysPresentMeansNoRejects) {
       PlanNode::Join(MakeLeaf(*query, 0), MakeLeaf(*query, 1), {0});
   obs::Counter* rejects = obs::Registry::Global().GetCounter("exec.bloom_rejects");
   uint64_t rejects_before = rejects->Value();
-  RunStats reference = Run(*query, plan, 1);
-  RunStats batched = Run(*query, plan, 1024);
+  RunStats run = Run(*query, plan);
   EXPECT_EQ(rejects->Value(), rejects_before)
       << "every order's key is in the build side; nothing may be rejected";
-  EXPECT_EQ(batched.rows, reference.rows);
-  EXPECT_EQ(batched.rows, 45u);
-  EXPECT_EQ(batched.work_units, reference.work_units);
-  EXPECT_EQ(batched.objects, reference.objects);
+  // Unfiltered: 10 + 45 scanned objects plus 45 joined; 200 work units.
+  EXPECT_EQ(run.rows, 45u);
+  EXPECT_EQ(run.work_units, 200u);
+  EXPECT_EQ(run.objects, 100u);
 }
 
 // ---------------------------------------------------------------------------
-// Workload-level equivalence: batch on/off × serial/parallel × cache
-// on/off over every generator, pinning the full observable surface against
-// the row-at-a-time serial cache-off reference.
+// Workload-level equivalence: serial/parallel × cache on/off, plus a
+// narrow batch width, over every generator, pinning the full observable
+// surface against the default-width serial cache-off reference.
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> RowFingerprints(const Table& table) {
@@ -414,10 +406,9 @@ void ExpectBatchEquivalence(const Workload& workload, size_t max_queries) {
     // Σ on top so the batched stats-collection pass is exercised too.
     plan = PlanNode::StatsCollect(plan);
 
-    // Reference: row-at-a-time, serial, cache off — the seed's original
-    // execution path, with the batch machinery driven at width 1.
+    // Reference: default batch width, serial, cache off.
     auto reference =
-        RunPlan(workload, query, plan, nullptr, kMorsel, 1, false);
+        RunPlan(workload, query, plan, nullptr, kMorsel, kBatchRows, false);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
     struct Config {
@@ -427,10 +418,9 @@ void ExpectBatchEquivalence(const Workload& workload, size_t max_queries) {
       bool cache_on;
     };
     for (const Config& config :
-         {Config{"batch=1024 serial", nullptr, 1024, false},
-          Config{"batch=1024 serial cache", nullptr, 1024, true},
-          Config{"batch=1024 parallel", &pool, 1024, false},
-          Config{"batch=1024 parallel cache", &pool, 1024, true},
+         {Config{"serial cache", nullptr, kBatchRows, true},
+          Config{"parallel", &pool, kBatchRows, false},
+          Config{"parallel cache", &pool, kBatchRows, true},
           Config{"batch=7 serial", nullptr, 7, false}}) {
       SCOPED_TRACE(config.name);
       auto run = RunPlan(workload, query, plan, config.pool, kMorsel,
@@ -439,8 +429,9 @@ void ExpectBatchEquivalence(const Workload& workload, size_t max_queries) {
 
       EXPECT_EQ(reference->rows, run->rows);
       EXPECT_EQ(reference->fingerprints, run->fingerprints);
-      // Batching is invisible to the cost model: accounting is charged per
-      // logical row, so totals are bit-identical, not merely close.
+      // The batch width is invisible to the cost model: accounting is
+      // charged per logical row, so totals are bit-identical, not merely
+      // close.
       EXPECT_EQ(reference->work_units, run->work_units);
       EXPECT_EQ(reference->objects, run->objects);
       ASSERT_EQ(reference->counts.size(), run->counts.size());

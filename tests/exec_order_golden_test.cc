@@ -1,18 +1,19 @@
 // Golden executor row order: every query of the IMDB, TPC-H, OTT and UDF
 // generators (small scale) runs one fixed plan through the executor under
-// {shards 1/4} x {no pool / 4 threads} x {batch 1/1024}, and the output
-// rows are hashed IN ORDER. The digest, row count, objects and work units
-// are checked against tests/golden/exec_order_golden.txt.
+// {shards 1/4} x {no pool / 4 threads}, and the output rows are hashed IN
+// ORDER. The digest, row count, objects and work units are checked against
+// tests/golden/exec_order_golden.txt.
 //
 // DifferentialTest and the equivalence suites compare rows as multisets,
 // so an executor change that reorders its output would pass them; this
 // file pins the order itself across builds. The order may differ between
 // shard counts (sharded base tables are stored shard by shard), but not
-// between thread counts or batch sizes.
+// between thread counts.
 //
 // Each golden line is
 //   workload <TAB> query <TAB> s<shards>.t<threads>.b<batch> <TAB> status
 //   <TAB> rows=<n> <TAB> objects=<n> <TAB> work=<n> <TAB> digest=<hex>
+// where <batch> is the executor's fixed batch width, kBatchRows.
 // A mismatch prints the actual line prefixed with "GOLDEN ", which is the
 // format of the file: to re-capture, run the binary and keep those lines,
 //   ./exec_order_golden_test | sed -n 's/^GOLDEN //p'
@@ -117,10 +118,11 @@ PlanNode::Ptr ConnectedLeftDeepPlan(const QuerySpec& query) {
 
 std::string ActualLine(const std::string& workload, const Catalog& catalog,
                        const BenchQuery& query, int shards,
-                       parallel::ThreadPool* pool, size_t batch) {
+                       parallel::ThreadPool* pool) {
   std::ostringstream line;
   line << workload << "\t" << query.name << "\ts" << shards << ".t"
-       << (pool == nullptr ? 1 : pool->num_threads()) << ".b" << batch << "\t";
+       << (pool == nullptr ? 1 : pool->num_threads()) << ".b" << kBatchRows
+       << "\t";
   // ForQuery partitions base tables through the process default shard
   // count; restore the unsharded default whatever happens.
   shard::SetDefaultShardCount(shards);
@@ -131,7 +133,6 @@ std::string ActualLine(const std::string& workload, const Catalog& catalog,
   Executor executor(query.spec, &UdfRegistry::Global());
   ExecContext ctx(kWorkBudget);
   ctx.SetParallel(pool, /*morsel_size=*/64);
-  ctx.SetBatchSize(batch);
   ctx.SetShards(static_cast<size_t>(shards));
   StatusOr<ExecResult> exec =
       executor.Execute(ConnectedLeftDeepPlan(query.spec), &*store, &ctx);
@@ -177,18 +178,16 @@ TEST_P(ExecOrderGoldenTest, OrderedRowsMatchGolden) {
     for (int shards : {1, 4}) {
       for (parallel::ThreadPool* threads :
            {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
-        for (size_t batch : {size_t{1}, size_t{1024}}) {
-          std::string actual = ActualLine(workload_name, *workload->catalog, query,
-                                          shards, threads, batch);
-          std::string key = actual.substr(
-              0, actual.find('\t', actual.find('\t', actual.find('\t') + 1) + 1));
-          auto it = goldens.find(key);
-          if (it == goldens.end()) {
-            ADD_FAILURE() << "no golden for " << key << "\nGOLDEN " << actual;
-          } else if (it->second != actual) {
-            ADD_FAILURE() << "executor output changed for " << key
-                          << "\nexpected: " << it->second << "\nGOLDEN " << actual;
-          }
+        std::string actual =
+            ActualLine(workload_name, *workload->catalog, query, shards, threads);
+        std::string key = actual.substr(
+            0, actual.find('\t', actual.find('\t', actual.find('\t') + 1) + 1));
+        auto it = goldens.find(key);
+        if (it == goldens.end()) {
+          ADD_FAILURE() << "no golden for " << key << "\nGOLDEN " << actual;
+        } else if (it->second != actual) {
+          ADD_FAILURE() << "executor output changed for " << key
+                        << "\nexpected: " << it->second << "\nGOLDEN " << actual;
         }
       }
     }

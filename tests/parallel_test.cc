@@ -2,12 +2,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "parallel/parallel_for.h"
 #include "parallel/runtime.h"
 #include "parallel/thread_pool.h"
@@ -168,15 +172,26 @@ TEST(ParallelForTest, SerialFallbackShortCircuits) {
   EXPECT_EQ(ran, 3);
 }
 
+// The process default starts from MONSOON_THREADS. tests/CMakeLists.txt
+// runs this case in a process of its own with MONSOON_THREADS=3; the suite
+// itself runs without the variable, where the case skips.
+TEST(RuntimeTest, ThreadsComeFromTheEnvironment) {
+  const std::optional<std::string> env = EnvString("MONSOON_THREADS");
+  if (!env.has_value()) GTEST_SKIP() << "MONSOON_THREADS is unset";
+  const int expected = std::atoi(env->c_str());
+  if (expected <= 1) GTEST_SKIP() << "MONSOON_THREADS=" << *env << " is serial";
+  EXPECT_EQ(DefaultConfig().num_threads, expected);
+  ASSERT_NE(SharedPool(), nullptr);
+  EXPECT_EQ(SharedPool()->num_threads(), expected);
+}
+
 TEST(RuntimeTest, ConfigRoundTripsAndSizesThePool) {
   Config original = DefaultConfig();
 
   Config config;
   config.num_threads = 3;
-  config.morsel_size = 123;
   SetDefaultConfig(config);
   EXPECT_EQ(DefaultConfig().num_threads, 3);
-  EXPECT_EQ(DefaultConfig().morsel_size, 123u);
   ASSERT_NE(SharedPool(), nullptr);
   EXPECT_EQ(SharedPool()->num_threads(), 3);
   EXPECT_EQ(EffectiveMctsWorkers(), 3);

@@ -4,7 +4,7 @@
 //   2. the engine with Defaults / Greedy plans (hash joins, pushdown),
 //   3. the full Monsoon optimizer (MCTS, Σ passes, re-optimization) —
 // must all report exactly the same result cardinality. A fixed left-deep
-// plan additionally runs through the executor under every batch / thread /
+// plan additionally runs through the executor under every thread /
 // shard / UDF-cache configuration, which must agree on the full rows and
 // on every accounting counter, not just on the cardinality.
 
@@ -220,7 +220,7 @@ struct ConfigRun {
 };
 
 StatusOr<ConfigRun> RunFixedPlan(const Catalog& catalog, const QuerySpec& query,
-                                 const PlanNode::Ptr& plan, size_t batch_size,
+                                 const PlanNode::Ptr& plan,
                                  parallel::ThreadPool* pool, int shards,
                                  bool cache_on) {
   // ForQuery partitions base tables through the process default shard
@@ -234,7 +234,6 @@ StatusOr<ConfigRun> RunFixedPlan(const Catalog& catalog, const QuerySpec& query,
   ExecContext ctx;
   // Tables hold 3..20 rows: a 2-row morsel makes every pass morsel-driven.
   ctx.SetParallel(pool, /*morsel_size=*/2);
-  ctx.SetBatchSize(batch_size);
   ctx.SetShards(static_cast<size_t>(shards));
   MONSOON_ASSIGN_OR_RETURN(ExecResult exec, executor.Execute(plan, &*store, &ctx));
   ConfigRun run;
@@ -258,37 +257,33 @@ StatusOr<ConfigRun> RunFixedPlan(const Catalog& catalog, const QuerySpec& query,
   return run;
 }
 
-// Runs the fixed plan under {batch 1/1024} x {threads 1/4} x {shards 1/4}
-// x {UDF cache on/off}; every configuration must match the first.
+// Runs the fixed plan under {threads 1/4} x {shards 1/4} x {UDF cache
+// on/off}; every configuration must match the first.
 void ExpectExecutorConfigsAgree(const Catalog& catalog, const QuerySpec& query,
                                 uint64_t expected_rows) {
   PlanNode::Ptr plan = FixedLeftDeepPlan(query);
   parallel::ThreadPool pool(4);
   bool have_reference = false;
   ConfigRun reference;
-  for (size_t batch_size : {size_t{1}, size_t{1024}}) {
-    for (parallel::ThreadPool* threads : {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
-      for (int shards : {1, 4}) {
-        for (bool cache_on : {false, true}) {
-          SCOPED_TRACE("batch=" + std::to_string(batch_size) +
-                       " threads=" + (threads == nullptr ? "1" : "4") +
-                       " shards=" + std::to_string(shards) +
-                       " cache=" + (cache_on ? "on" : "off"));
-          auto run = RunFixedPlan(catalog, query, plan, batch_size, threads,
-                                  shards, cache_on);
-          ASSERT_TRUE(run.ok()) << run.status().ToString() << "\n"
-                                << plan->ToString(query);
-          if (!have_reference) {
-            EXPECT_EQ(run->rows.size(), expected_rows) << plan->ToString(query);
-            reference = std::move(*run);
-            have_reference = true;
-            continue;
-          }
-          EXPECT_EQ(run->rows, reference.rows);
-          EXPECT_EQ(run->objects, reference.objects);
-          EXPECT_EQ(run->work_units, reference.work_units);
-          EXPECT_EQ(run->distincts, reference.distincts);
+  for (parallel::ThreadPool* threads : {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
+    for (int shards : {1, 4}) {
+      for (bool cache_on : {false, true}) {
+        SCOPED_TRACE(std::string("threads=") + (threads == nullptr ? "1" : "4") +
+                     " shards=" + std::to_string(shards) +
+                     " cache=" + (cache_on ? "on" : "off"));
+        auto run = RunFixedPlan(catalog, query, plan, threads, shards, cache_on);
+        ASSERT_TRUE(run.ok()) << run.status().ToString() << "\n"
+                              << plan->ToString(query);
+        if (!have_reference) {
+          EXPECT_EQ(run->rows.size(), expected_rows) << plan->ToString(query);
+          reference = std::move(*run);
+          have_reference = true;
+          continue;
         }
+        EXPECT_EQ(run->rows, reference.rows);
+        EXPECT_EQ(run->objects, reference.objects);
+        EXPECT_EQ(run->work_units, reference.work_units);
+        EXPECT_EQ(run->distincts, reference.distincts);
       }
     }
   }

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -412,11 +414,26 @@ std::vector<obs::JsonValue> SpansOf(const std::string& path) {
   return spans;
 }
 
+/// An empty directory of the running test case's own. ctest runs every
+/// case in a process of its own and tail files are numbered from 1 in each
+/// process, so cases writing into one shared directory under `ctest -j`
+/// overwrote each other's `tail-000001-*.json`.
+std::string FreshTestDir() {
+  const testing::TestInfo* info =
+      testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "." + info->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  std::string dir = TempPath(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
 /// Tail sampling that keeps no query as slow: only the reason passed to
 /// EndQueryTrace decides.
 obs::TailSamplingOptions NeverSlowTail() {
   obs::TailSamplingOptions tail;
-  tail.dir = testing::TempDir();
+  tail.dir = FreshTestDir();
   tail.slow_us = 3600ull * 1000 * 1000;
   return tail;
 }
@@ -563,9 +580,11 @@ std::string RunCsv(bool telemetry, int threads, const std::string& tag) {
   auto workload = MakeTpchWorkload(tpch);
   EXPECT_TRUE(workload.ok()) << workload.status().ToString();
 
+  std::string dir;
   if (telemetry) {
+    dir = FreshTestDir();
     obs::TailSamplingOptions tail;
-    tail.dir = testing::TempDir();
+    tail.dir = dir;
     tail.slow_us = 1;  // keep every query's trace: maximum telemetry load
     Status started = obs::StartTailSampling(tail);
     EXPECT_TRUE(started.ok()) << started.ToString();
@@ -573,7 +592,7 @@ std::string RunCsv(bool telemetry, int threads, const std::string& tag) {
   HarnessOptions options;
   options.threads = threads;
   if (telemetry) {
-    options.slow_log = TempPath("csv_slow_" + tag + ".jsonl");
+    options.slow_log = dir + "/csv_slow_" + tag + ".jsonl";
     options.slow_ms = 1;  // log effectively every query too
   }
   BenchRunner runner(options);
