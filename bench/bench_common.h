@@ -2,8 +2,10 @@
 #define MONSOON_BENCH_BENCH_COMMON_H_
 
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "baselines/baselines.h"
 #include "common/env.h"
@@ -18,16 +20,38 @@ namespace monsoon::bench {
 ///   MONSOON_BENCH_SCALE  — multiplies workload sizes (default 1.0)
 ///   MONSOON_BENCH_BUDGET — per-query work budget (default per bench)
 ///   MONSOON_BENCH_ITERS  — MCTS iterations per decision (default 300)
+inline constexpr Range<double> kBenchScaleRange{0.001, 1000.0};
+
 inline double BenchScale(double fallback = 1.0) {
-  return EnvDouble("MONSOON_BENCH_SCALE", fallback);
+  return EnvNumber("MONSOON_BENCH_SCALE", fallback, kBenchScaleRange);
 }
 
 inline uint64_t BenchBudget(uint64_t fallback) {
-  return EnvUint64("MONSOON_BENCH_BUDGET", fallback);
+  return EnvNumber("MONSOON_BENCH_BUDGET", fallback, kWideRange);
 }
 
 inline int BenchIters(int fallback = 300) {
-  return EnvInt("MONSOON_BENCH_ITERS", fallback);
+  return EnvNumber("MONSOON_BENCH_ITERS", fallback, kPositiveIntRange);
+}
+
+/// The comma-separated counts in `name`, each in kCountRange; `fallback`
+/// when the variable is unset or empty. A bad entry is reported and the
+/// whole variable ignored, as EnvNumber does for one number.
+inline std::vector<int> BenchCounts(const char* name,
+                                    std::vector<int> fallback) {
+  const std::string text = EnvString(name).value_or("");
+  if (text.empty()) return fallback;
+  std::vector<int> counts;
+  for (const std::string& token : SplitString(text, ',')) {
+    std::optional<int> count = ParseNumber(token, kCountRange);
+    if (!count.has_value()) {
+      std::cerr << "ignoring " << name << "='" << text
+                << "': expects integers in [1, 1024] joined by ','\n";
+      return fallback;
+    }
+    counts.push_back(*count);
+  }
+  return counts;
 }
 
 /// Writes `key` with `value` at `digits` decimals, the precision the

@@ -16,7 +16,6 @@
 // meaningful on hardware with as many cores as the largest thread count.
 
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -27,18 +26,6 @@
 using namespace monsoon;
 
 namespace {
-
-std::vector<int> ThreadCounts() {
-  std::vector<int> counts;
-  std::stringstream stream(EnvString("MONSOON_SCALING_THREADS").value_or("1,2,4,8"));
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    int threads = std::atoi(token.c_str());
-    if (threads > 0) counts.push_back(threads);
-  }
-  if (counts.empty()) counts = {1, 2, 4, 8};
-  return counts;
-}
 
 struct SweepPoint {
   int threads = 0;
@@ -64,7 +51,8 @@ int main() {
   }
 
   std::vector<SweepPoint> sweep;
-  for (int threads : ThreadCounts()) {
+  for (int threads :
+       bench::BenchCounts("MONSOON_SCALING_THREADS", {1, 2, 4, 8})) {
     std::cout << "[sweep] " << threads << " thread(s)...\n";
     HarnessOptions harness;
     harness.work_budget = budget;

@@ -29,7 +29,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -43,18 +42,6 @@
 using namespace monsoon;
 
 namespace {
-
-std::vector<int> ClientCounts() {
-  std::vector<int> counts;
-  std::stringstream stream(EnvString("MONSOON_SERVER_CLIENTS").value_or("1,4,16,64"));
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    int clients = std::atoi(token.c_str());
-    if (clients > 0) counts.push_back(clients);
-  }
-  if (counts.empty()) counts = {1, 4, 16, 64};
-  return counts;
-}
 
 StatusOr<Catalog> MakeCatalog() {
   Catalog catalog;
@@ -191,7 +178,8 @@ StatusOr<SweepPoint> RunAbArm(Catalog* catalog, const std::string& sql,
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_server.json";
-  const int total_requests = std::max(1, EnvInt("MONSOON_SERVER_REQUESTS", 96));
+  const int total_requests =
+      EnvNumber("MONSOON_SERVER_REQUESTS", 96, kPositiveIntRange);
   const std::string sql = "SELECT * FROM fact f, dim d WHERE f.x = d.k";
 
   std::cout << "\n==========================================================\n"
@@ -233,7 +221,8 @@ int main(int argc, char** argv) {
   }
 
   std::vector<SweepPoint> sweep;
-  for (int clients : ClientCounts()) {
+  for (int clients :
+       bench::BenchCounts("MONSOON_SERVER_CLIENTS", {1, 4, 16, 64})) {
     int per_client = std::max(1, total_requests / clients);
     std::cout << "[sweep] " << clients << " client(s) x " << per_client
               << " request(s)...\n";
@@ -274,8 +263,9 @@ int main(int argc, char** argv) {
   // instrumented arm must keep >= 50% of baseline qps — catching a
   // catastrophic regression like a lock on the hot path, not a percent);
   // tighten with MONSOON_OBS_AB_MAX_DROP_PCT on quiet hardware.
+  constexpr Range<double> kDropPctRange{0, 100};
   const double max_drop_pct =
-      EnvDouble("MONSOON_OBS_AB_MAX_DROP_PCT", 50);
+      EnvNumber("MONSOON_OBS_AB_MAX_DROP_PCT", 50, kDropPctRange);
   const int ab_clients = 16;
   const int ab_per_client = std::max(1, total_requests / ab_clients);
   std::cout << "[a/b]   " << ab_clients << " client(s) x " << ab_per_client

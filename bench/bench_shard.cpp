@@ -162,7 +162,7 @@ int main() {
             << "==========================================================\n";
 
   const double scale = bench::BenchScale(1.0);
-  const int rounds = EnvInt("MONSOON_SHARD_ROUNDS", 8);
+  const int rounds = EnvNumber("MONSOON_SHARD_ROUNDS", 8, kPositiveIntRange);
   const double kill_prob = 0.4;
   const uint64_t kill_seed = FindKillOnceSeed(4, kill_prob);
   if (kill_seed == 0) {

@@ -110,8 +110,9 @@ int main() {
 
   UdfBenchOptions options;
   options.scale = bench::BenchScale(1.0);
-  const int rounds = EnvInt("MONSOON_UDF_ROUNDS", 10);
-  const int max_queries = EnvInt("MONSOON_UDF_QUERIES", 4);
+  const int rounds = EnvNumber("MONSOON_UDF_ROUNDS", 10, kPositiveIntRange);
+  const int max_queries =
+      EnvNumber("MONSOON_UDF_QUERIES", 4, kPositiveIntRange);
   auto workload = MakeUdfBenchWorkload(options);
   if (!workload.ok()) {
     std::cerr << "generator failed: " << workload.status().ToString() << "\n";

@@ -18,17 +18,15 @@
 // Every knob follows flag > MONSOON_SERVER_* env > default precedence
 // (see the README knob table). A numeric flag whose value is not a whole
 // base-10 integer in its range exits with code 2 before the workload
-// loads. Drive it with tools/monsoon-client,
+// loads (common/env.h). Drive it with tools/monsoon-client,
 // `sql_shell --connect=127.0.0.1:PORT`, or watch it live with
 // tools/top/monsoon-top. --trace-out (whole-process trace) and
 // --trace-tail-ms (per-query tail sampling) are mutually exclusive.
 
-#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <thread>
 
@@ -68,26 +66,6 @@ StatusOr<Workload> LoadWorkload(const std::string& name) {
                                  "' (expected tpch|imdb|ott|udf)");
 }
 
-bool FlagValue(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  *value = arg + len;
-  return true;
-}
-
-/// Parses all of `value` as a base-10 integer in [lo, hi].
-bool ParseIntInRange(const std::string& value, int64_t lo, int64_t hi,
-                     int64_t* out) {
-  const char* end = value.data() + value.size();
-  int64_t parsed = 0;
-  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
-  if (error != std::errc() || stop != end || parsed < lo || parsed > hi) {
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -100,67 +78,42 @@ int main(int argc, char** argv) {
   std::string faults;
   int threads = 0;
   int shards = 0;
-  std::string value;
-  int64_t number = 0;
-  bool bad_number = false;
-  constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
-  // Wide knobs stay below INT64_MAX / 1000 so --trace-tail-ms can scale to
-  // microseconds without overflow.
-  constexpr int64_t kMaxWide = std::numeric_limits<int64_t>::max() / 1000;
+  uint64_t tail_ms = 0;
   for (int i = 1; i < argc; ++i) {
-    // True when argv[i] is `name`; a value that is not an integer in
-    // [lo, hi] is reported and sets bad_number instead of `number`.
-    auto numeric = [&](const char* name, int64_t lo, int64_t hi) {
-      if (!FlagValue(argv[i], name, &value)) return false;
-      if (!ParseIntInRange(value, lo, hi, &number)) {
-        std::cerr << std::string(name, std::strlen(name) - 1)
-                  << " expects an integer in [" << lo << ", " << hi
-                  << "], got '" << value << "'\n";
-        bad_number = true;
-      }
-      return true;
-    };
-    if (FlagValue(argv[i], "--workload=", &value)) {
-      workload_name = value;
-    } else if (numeric("--port=", 0, 65535)) {
-      options.port = static_cast<uint16_t>(number);
-    } else if (numeric("--max-sessions=", 1, kMaxInt)) {
-      options.max_sessions = static_cast<int>(number);
-    } else if (numeric("--queue-depth=", 0, kMaxInt)) {
-      options.queue_depth = static_cast<int>(number);
-    } else if (numeric("--threads=", 1, 1024)) {
-      threads = static_cast<int>(number);
-    } else if (numeric("--shards=", 1, 1024)) {
-      shards = static_cast<int>(number);
-    } else if (numeric("--deadline-ms=", 0, kMaxWide)) {
-      options.optimizer.deadline_ms = static_cast<uint64_t>(number);
-    } else if (numeric("--work-budget=", 0, kMaxWide)) {
-      options.optimizer.work_budget = static_cast<uint64_t>(number);
-    } else if (numeric("--iterations=", 1, kMaxInt)) {
-      options.optimizer.mcts.iterations = static_cast<int>(number);
-    } else if (FlagValue(argv[i], "--trace-out=", &value)) {
-      trace_out = value;
-    } else if (numeric("--telemetry-ms=", 0, kMaxWide)) {
-      options.telemetry_interval_ms = static_cast<uint64_t>(number);
-    } else if (numeric("--trace-tail-ms=", 0, kMaxWide)) {
-      tail.slow_us = static_cast<uint64_t>(number) * 1000;
+    if (FlagValue(argv[i], "--workload=", &workload_name) ||
+        FlagValue(argv[i], "--trace-out=", &trace_out) ||
+        FlagValue(argv[i], "--slow-log=", &options.slow_log_path) ||
+        FlagValue(argv[i], "--faults=", &faults) ||
+        NumericFlag(argv[i], "--port=", kListenPortRange, &options.port) ||
+        NumericFlag(argv[i], "--max-sessions=", kCountRange,
+                    &options.max_sessions) ||
+        NumericFlag(argv[i], "--queue-depth=", kNonNegativeIntRange,
+                    &options.queue_depth) ||
+        NumericFlag(argv[i], "--threads=", kCountRange, &threads) ||
+        NumericFlag(argv[i], "--shards=", kCountRange, &shards) ||
+        NumericFlag(argv[i], "--deadline-ms=", kWideRange,
+                    &options.optimizer.deadline_ms) ||
+        NumericFlag(argv[i], "--work-budget=", kWideRange,
+                    &options.optimizer.work_budget) ||
+        NumericFlag(argv[i], "--iterations=", kPositiveIntRange,
+                    &options.optimizer.mcts.iterations) ||
+        NumericFlag(argv[i], "--telemetry-ms=", kWideRange,
+                    &options.telemetry_interval_ms) ||
+        NumericFlag(argv[i], "--slow-ms=", kWideRange,
+                    &options.slow_query_ms)) {
+      // The helper stored the value.
+    } else if (NumericFlag(argv[i], "--trace-tail-ms=", kWideRange,
+                           &tail_ms)) {
+      tail.slow_us = tail_ms * 1000;
       tail_requested = true;
-    } else if (FlagValue(argv[i], "--trace-tail-dir=", &value)) {
-      tail.dir = value;
+    } else if (FlagValue(argv[i], "--trace-tail-dir=", &tail.dir)) {
       tail_requested = true;
-    } else if (FlagValue(argv[i], "--slow-log=", &value)) {
-      options.slow_log_path = value;
-    } else if (numeric("--slow-ms=", 0, kMaxWide)) {
-      options.slow_query_ms = static_cast<uint64_t>(number);
-    } else if (FlagValue(argv[i], "--faults=", &value)) {
-      faults = value;
     } else if (std::strcmp(argv[i], "--no-shared-state") == 0) {
       options.share_state = false;
     } else {
       std::cerr << "unknown flag '" << argv[i] << "'\n";
       return 2;
     }
-    if (bad_number) return 2;
   }
 
   if (threads > 0) {

@@ -13,7 +13,8 @@
 // flag wins over MONSOON_SHARDS). --udf-cache-bytes=B sets the
 // evaluate-once UDF column cache budget (0 disables it; the default also
 // honors MONSOON_UDF_CACHE). The result rows and Mobjects are the same
-// either way; only wall-clock time changes.
+// either way; only wall-clock time changes. An unknown flag, or a numeric
+// one outside its range, exits with code 2 before any work (common/env.h).
 //
 // --trace-out=F writes a Chrome trace_event JSON to F: open it in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing to see every MDP step,
@@ -33,14 +34,13 @@
 // must finish, retried or degraded, never crashed.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "baselines/baselines.h"
+#include "common/env.h"
 #include "exec/udf_cache.h"
 #include "fault/injector.h"
 #include "harness/runner.h"
@@ -250,47 +250,39 @@ int main(int argc, char** argv) {
   std::string faults;
   std::string workload;
   uint64_t deadline_ms = 0;
+  int threads = 0;
+  int shards = 0;
+  uint64_t udf_cache_bytes = DefaultUdfCacheBytes();
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      int threads = std::atoi(argv[i] + 10);
-      if (threads < 1) {
-        std::cerr << "--threads expects a positive integer\n";
-        return 1;
-      }
-      parallel::Config config;
-      config.num_threads = threads;
-      parallel::SetDefaultConfig(config);
-      std::cout << "Running with " << threads << " thread(s)\n";
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      int shards = std::atoi(argv[i] + 9);
-      if (shards < 1) {
-        std::cerr << "--shards expects a positive integer (1 = unsharded)\n";
-        return 1;
-      }
-      // Explicit flag wins over MONSOON_SHARDS (common/env.h rule).
-      shard::SetDefaultShardCount(shards);
-    } else if (std::strncmp(argv[i], "--udf-cache-bytes=", 18) == 0) {
-      SetDefaultUdfCacheBytes(
-          static_cast<size_t>(std::strtoull(argv[i] + 18, nullptr, 10)));
-    } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      trace_out = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--report-out=", 13) == 0) {
-      report_out = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--faults=", 9) == 0) {
-      faults = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--deadline-ms=", 14) == 0) {
-      deadline_ms = std::strtoull(argv[i] + 14, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--workload=", 11) == 0) {
-      workload = argv[i] + 11;
-    } else {
+    const bool known =
+        NumericFlag(argv[i], "--threads=", kCountRange, &threads) ||
+        NumericFlag(argv[i], "--shards=", kCountRange, &shards) ||
+        NumericFlag(argv[i], "--deadline-ms=", kWideRange, &deadline_ms) ||
+        NumericFlag(argv[i], "--udf-cache-bytes=", kUint64Range,
+                    &udf_cache_bytes) ||
+        FlagValue(argv[i], "--trace-out=", &trace_out) ||
+        FlagValue(argv[i], "--report-out=", &report_out) ||
+        FlagValue(argv[i], "--faults=", &faults) ||
+        FlagValue(argv[i], "--workload=", &workload);
+    if (!known) {
       std::cerr << "unknown flag: " << argv[i]
                 << " (supported: --threads=N, --shards=N, "
                    "--udf-cache-bytes=B, --trace-out=F, --report-out=F, "
                    "--faults=SPEC, --deadline-ms=N, "
                    "--workload=tpch|imdb|ott|udf)\n";
-      return 1;
+      return 2;
     }
   }
+  // Explicit flags win over MONSOON_THREADS, MONSOON_SHARDS and
+  // MONSOON_UDF_CACHE (common/env.h rule).
+  if (threads > 0) {
+    parallel::Config config;
+    config.num_threads = threads;
+    parallel::SetDefaultConfig(config);
+    std::cout << "Running with " << threads << " thread(s)\n";
+  }
+  if (shards > 0) shard::SetDefaultShardCount(shards);
+  SetDefaultUdfCacheBytes(udf_cache_bytes);
   if (!faults.empty()) {
     fault::FaultConfig base = fault::BaseConfigFromEnv();
     Status installed = fault::InstallSpec(faults, base);

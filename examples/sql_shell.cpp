@@ -19,12 +19,12 @@
 
 #include <unistd.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 
 #include "baselines/baselines.h"
+#include "common/env.h"
 #include "common/string_util.h"
 #include "exec/executor.h"
 #include "exec/projection.h"
@@ -117,14 +117,18 @@ void RunQuery(const Catalog& catalog, const std::string& strategy_name,
 /// prints the JSON response lines. Returns the process exit code.
 int RunConnected(const std::string& endpoint) {
   size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos) {
-    std::cerr << "--connect expects host:port, got '" << endpoint << "'\n";
+  std::optional<uint16_t> port;
+  if (colon != std::string::npos) {
+    port = ParseNumber(std::string_view(endpoint).substr(colon + 1),
+                       kConnectPortRange);
+  }
+  if (!port.has_value()) {
+    std::cerr << "--connect expects host:port with a port in [1, 65535], got '"
+              << endpoint << "'\n";
     return 2;
   }
   std::string host = endpoint.substr(0, colon);
-  uint16_t port = static_cast<uint16_t>(
-      std::strtoul(endpoint.c_str() + colon + 1, nullptr, 10));
-  auto fd_or = server::ConnectTo(host, port);
+  auto fd_or = server::ConnectTo(host, *port);
   if (!fd_or.ok()) {
     std::cerr << fd_or.status().ToString() << "\n";
     return 1;
@@ -133,7 +137,7 @@ int RunConnected(const std::string& endpoint) {
   server::LineReader reader(fd);
   bool interactive = isatty(0);
   if (interactive) {
-    std::cout << "Monsoon SQL shell — connected to " << host << ":" << port
+    std::cout << "Monsoon SQL shell — connected to " << host << ":" << *port
               << ". Lines are sent verbatim; responses are JSON. "
                  ".ping, .stats, .quit\n";
   }

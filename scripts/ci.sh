@@ -11,7 +11,8 @@
 #            CFG passes (must-poll, lock-scope, status-flow, accounting);
 #            findings are CI-blocking, plus a self-check that injects one
 #            violation per pass and expects the analyzer to catch it
-#   obs      observability smoke: quickstart with --trace-out/--report-out,
+#   obs      observability smoke: quickstart --threads=2x must exit 2,
+#            quickstart with --trace-out/--report-out,
 #            monsoon-trace-check over both artifacts, and the
 #            bench_obs_overhead disabled-path gate (BENCH_obs_overhead.json)
 #   fault    fault-injection soak under ASan: quickstart over all four
@@ -19,7 +20,8 @@
 #            retried or degraded, never crash), a traced faulty run through
 #            monsoon-trace-check, and the bench_fault_overhead
 #            disabled-path gate (BENCH_fault_overhead.json)
-#   server   query-server smoke: an out-of-range --port must exit 2, then
+#   server   query-server smoke: an out-of-range --port must make
+#            monsoon-serve, monsoon-client and monsoon-top exit 2, then
 #            monsoon-serve + concurrent monsoon-client runs — two sessions held mid-query, one more rejected past the
 #            admission limit (kUnavailable), one cancelled by client
 #            disconnect — then SIGINT drain (pool pending must reach 0)
@@ -57,6 +59,20 @@ else
   JOBS="${JOBS:-2}"
 fi
 STAGE="${1:-all}"
+
+# Runs a command that must fail as a usage error: exit code 2, before it
+# does any work (common/env.h). Its output goes to the log file $1.
+expect_usage_error() {
+  local log="$1"
+  shift
+  local status=0
+  timeout 60 "$@" > "${log}" 2>&1 || status=$?
+  if [ "${status}" -ne 2 ]; then
+    echo "FAIL: $* exited ${status}, want 2" >&2
+    cat "${log}" >&2
+    exit 1
+  fi
+}
 
 release_stage() {
   echo "=== [1/12] Release build (-Werror) + full test suite ==="
@@ -208,6 +224,10 @@ obs_stage() {
     --target quickstart monsoon-trace-check bench_obs_overhead
   local obs_dir="build-ci-release/obs-smoke"
   mkdir -p "${obs_dir}"
+  # A numeric flag that is not a whole integer in range is rejected, never
+  # read by its prefix (--threads=2x used to run at 2 threads).
+  expect_usage_error "${obs_dir}/bad-threads.log" \
+    ./build-ci-release/examples/quickstart --threads=2x
   # --threads=2 exercises the pool lanes so the trace must contain all four
   # span categories (mdp, mcts, exec, pool).
   ./build-ci-release/examples/quickstart --threads=2 \
@@ -261,21 +281,19 @@ server_stage() {
   echo "=== [9/12] Query-server smoke: admission, cancellation, drain ==="
   cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DMONSOON_WERROR=ON
   cmake --build build-ci-release -j "${JOBS}" \
-    --target monsoon-serve monsoon-client monsoon-trace-check
+    --target monsoon-serve monsoon-client monsoon-top monsoon-trace-check
   local server_dir="build-ci-release/server-smoke"
   mkdir -p "${server_dir}"
   local serve="./build-ci-release/examples/monsoon-serve"
   local client="./build-ci-release/tools/client/monsoon-client"
-  # A numeric flag out of range is rejected with exit code 2 before the
-  # workload loads, never wrapped (70000 used to listen on port 4464).
-  local bad_port_status=0
-  timeout 60 "${serve}" --port=70000 > "${server_dir}/bad-port.log" 2>&1 ||
-    bad_port_status=$?
-  if [ "${bad_port_status}" -ne 2 ]; then
-    echo "FAIL: monsoon-serve --port=70000 exited ${bad_port_status}, want 2" >&2
-    cat "${server_dir}/bad-port.log" >&2
-    exit 1
-  fi
+  local top="./build-ci-release/tools/top/monsoon-top"
+  # A port out of range is rejected with exit code 2 before the workload
+  # loads or a connection is tried, never wrapped (70000 used to mean 4464).
+  expect_usage_error "${server_dir}/bad-port.log" "${serve}" --port=70000
+  expect_usage_error "${server_dir}/bad-client-port.log" \
+    "${client}" --port=70000 --ping
+  expect_usage_error "${server_dir}/bad-top-port.log" \
+    "${top}" --port=70000 --once
   # 200k MCTS iterations stretch each session to multiple seconds, giving
   # the overflow / disconnect clients a wide deterministic window while
   # both admission slots are provably occupied. Shared state is off so the

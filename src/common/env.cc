@@ -1,8 +1,28 @@
 #include "common/env.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <iostream>
 
 namespace monsoon {
+
+/// What a rejected value should have been, before its range.
+template <typename T>
+constexpr const char* kKind = std::is_integral_v<T> ? "an integer" : "a number";
+
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text, Range<T> range) {
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  // Written so a NaN fails the range test.
+  if (error != std::errc() || stop != end ||
+      !(value >= range.lo && value <= range.hi)) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 std::optional<std::string> EnvString(const char* name) {
   const char* value = std::getenv(name);
@@ -10,33 +30,49 @@ std::optional<std::string> EnvString(const char* name) {
   return std::string(value);
 }
 
-bool HasEnv(const char* name) { return std::getenv(name) != nullptr; }
-
-uint64_t EnvUint64(const char* name, uint64_t fallback) {
+template <typename T>
+T EnvNumber(const char* name, std::type_identity_t<T> fallback,
+            Range<T> range) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  uint64_t parsed = std::strtoull(value, &end, 10);
-  if (end == value) return fallback;
-  return parsed;
+  if (std::optional<T> parsed = ParseNumber(value, range)) return *parsed;
+  std::cerr << "ignoring " << name << "='" << value << "': expects "
+            << kKind<T> << " in [" << range.lo << ", " << range.hi
+            << "]; using " << fallback << "\n";
+  return fallback;
 }
 
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  long parsed = std::strtol(value, &end, 10);
-  if (end == value) return fallback;
-  return static_cast<int>(parsed);
+bool FlagValue(const char* arg, const char* name, std::string* value) {
+  size_t len = std::strlen(name);
+  if (std::strncmp(arg, name, len) != 0) return false;
+  *value = arg + len;
+  return true;
 }
 
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(value, &end);
-  if (end == value) return fallback;
-  return parsed;
+template <typename T>
+bool NumericFlag(const char* arg, const char* name, Range<T> range, T* out) {
+  std::string value;
+  if (!FlagValue(arg, name, &value)) return false;
+  std::optional<T> parsed = ParseNumber(value, range);
+  if (!parsed.has_value()) {
+    // `name` ends in '='.
+    std::cerr << std::string_view(name, std::strlen(name) - 1) << " expects "
+              << kKind<T> << " in [" << range.lo << ", " << range.hi
+              << "], got '" << value << "'\n";
+    std::exit(2);
+  }
+  *out = *parsed;
+  return true;
 }
+
+#define MONSOON_ENV_INSTANTIATE(T)                                      \
+  template std::optional<T> ParseNumber(std::string_view, Range<T>); \
+  template T EnvNumber<T>(const char*, T, Range<T>);                 \
+  template bool NumericFlag(const char*, const char*, Range<T>, T*);
+MONSOON_ENV_INSTANTIATE(int)
+MONSOON_ENV_INSTANTIATE(uint16_t)
+MONSOON_ENV_INSTANTIATE(uint64_t)
+MONSOON_ENV_INSTANTIATE(double)
+#undef MONSOON_ENV_INSTANTIATE
 
 }  // namespace monsoon

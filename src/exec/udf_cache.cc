@@ -15,8 +15,8 @@ namespace {
 constexpr size_t kDefaultUdfCacheBytes = size_t{256} << 20;  // 256 MiB
 
 std::atomic<size_t>& DefaultBytesHolder() {
-  static std::atomic<size_t> holder = static_cast<size_t>(
-      EnvUint64("MONSOON_UDF_CACHE", kDefaultUdfCacheBytes));
+  static std::atomic<size_t> holder =
+      EnvNumber("MONSOON_UDF_CACHE", kDefaultUdfCacheBytes, kUint64Range);
   return holder;
 }
 

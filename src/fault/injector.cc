@@ -17,6 +17,8 @@ namespace monsoon::fault {
 
 namespace {
 
+constexpr Range<double> kProbabilityRange{0.0, 1.0};
+
 // FNV-1a over the point name: stable across platforms, cheap for the short
 // dotted names used at fault points.
 uint64_t HashName(const char* s) {
@@ -123,13 +125,13 @@ Status ParseFaultSpec(const std::string& spec, std::vector<PointSpec>* out) {
         kind_str = tail;
       }
     }
-    char* parse_end = nullptr;
-    point.probability = std::strtod(prob_str.c_str(), &parse_end);
-    if (parse_end == prob_str.c_str() || *parse_end != '\0' ||
-        point.probability < 0.0 || point.probability > 1.0) {
+    std::optional<double> probability =
+        ParseNumber(prob_str, kProbabilityRange);
+    if (!probability.has_value()) {
       return Status::InvalidArgument("fault spec entry '" + entry +
                                      "': probability must be in [0,1]");
     }
+    point.probability = *probability;
     if (kind_str.empty() || kind_str == "transient") {
       point.kind = FaultKind::kTransient;
     } else if (kind_str == "permanent") {
@@ -143,13 +145,12 @@ Status ParseFaultSpec(const std::string& spec, std::vector<PointSpec>* out) {
                                      "': unknown kind '" + kind_str + "'");
     }
     if (!param_str.empty()) {
-      char* param_end = nullptr;
-      point.param_ms =
-          static_cast<uint64_t>(std::strtoull(param_str.c_str(), &param_end, 10));
-      if (param_end == param_str.c_str() || *param_end != '\0') {
+      std::optional<uint64_t> param_ms = ParseNumber(param_str, kWideRange);
+      if (!param_ms.has_value()) {
         return Status::InvalidArgument("fault spec entry '" + entry +
                                        "': bad param '" + param_str + "'");
       }
+      point.param_ms = *param_ms;
     }
     out->push_back(std::move(point));
   }
@@ -168,8 +169,9 @@ std::vector<std::unique_ptr<FaultConfig>>& RetiredConfigs() {
 
 FaultConfig BaseConfigFromEnv() {
   FaultConfig base;
-  base.seed = EnvUint64("MONSOON_FAULT_SEED", base.seed);
-  base.udf_timeout_ms = EnvUint64("MONSOON_UDF_TIMEOUT_MS", base.udf_timeout_ms);
+  base.seed = EnvNumber("MONSOON_FAULT_SEED", base.seed, kUint64Range);
+  base.udf_timeout_ms =
+      EnvNumber("MONSOON_UDF_TIMEOUT_MS", base.udf_timeout_ms, kWideRange);
   return base;
 }
 

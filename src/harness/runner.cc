@@ -37,7 +37,7 @@ Status BenchRunner::RunAll(const Workload& workload) {
   std::unique_ptr<obs::SlowQueryLog> slow_log;
   if (!slow_log_path.empty()) {
     uint64_t slow_ms = options_.slow_ms;
-    if (slow_ms == 0) slow_ms = EnvUint64("MONSOON_SLOW_MS", 0);
+    if (slow_ms == 0) slow_ms = EnvNumber("MONSOON_SLOW_MS", 0, kWideRange);
     slow_log =
         std::make_unique<obs::SlowQueryLog>(slow_log_path, slow_ms * 1000);
     MONSOON_RETURN_IF_ERROR(slow_log->Open());

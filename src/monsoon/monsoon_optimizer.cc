@@ -16,7 +16,10 @@ namespace monsoon {
 MonsoonOptimizer::MonsoonOptimizer(const Catalog* catalog, Options options)
     : catalog_(catalog), options_(options) {
   if (options_.deadline_ms == 0) {
-    options_.deadline_ms = EnvUint64("MONSOON_DEADLINE_MS", 0);
+    // Read once per process, so a bad value is reported once.
+    static const uint64_t env_deadline_ms =
+        EnvNumber("MONSOON_DEADLINE_MS", 0, kWideRange);
+    options_.deadline_ms = env_deadline_ms;
   }
 }
 

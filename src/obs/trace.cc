@@ -362,7 +362,8 @@ bool MaybeStartTracingFromEnv() {
   if (TracingEnabled()) return false;
   std::string path = EnvString("MONSOON_TRACE").value_or("");
   if (path.empty()) return false;
-  return StartTracing(path, EnvUint64("MONSOON_TRACE_SEED", kDefaultTraceSeed))
+  return StartTracing(path, EnvNumber("MONSOON_TRACE_SEED", kDefaultTraceSeed,
+                                      kUint64Range))
       .ok();
 }
 
@@ -392,13 +393,14 @@ Status StopTailSampling() {
 
 bool MaybeStartTailSamplingFromEnv() {
   if (TracingEnabled() || TailSamplingActive()) return false;
-  if (!HasEnv("MONSOON_TRACE_TAIL_MS")) return false;
+  if (!EnvString("MONSOON_TRACE_TAIL_MS").has_value()) return false;
   TailSamplingOptions options;
-  options.slow_us = EnvUint64("MONSOON_TRACE_TAIL_MS", 0) * 1000;
+  options.slow_us = EnvNumber("MONSOON_TRACE_TAIL_MS", 0, kWideRange) * 1000;
   options.dir = EnvString("MONSOON_TRACE_TAIL_DIR").value_or(".");
-  options.seed = EnvUint64("MONSOON_TRACE_SEED", kDefaultTraceSeed);
-  options.byte_budget = EnvUint64("MONSOON_TRACE_TAIL_BUDGET",
-                                  TailSamplingOptions().byte_budget);
+  options.seed =
+      EnvNumber("MONSOON_TRACE_SEED", kDefaultTraceSeed, kUint64Range);
+  options.byte_budget = EnvNumber("MONSOON_TRACE_TAIL_BUDGET",
+                                  options.byte_budget, kUint64Range);
   return StartTailSampling(options).ok();
 }
 

@@ -17,7 +17,7 @@ struct Runtime {
   std::unique_ptr<ThreadPool> pool GUARDED_BY(mu);
 
   Runtime() {
-    config.num_threads = std::max(1, EnvInt("MONSOON_THREADS", 1));
+    config.num_threads = EnvNumber("MONSOON_THREADS", 1, kCountRange);
     if (config.num_threads > 1) {
       pool = std::make_unique<ThreadPool>(config.num_threads);
     }

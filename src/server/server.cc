@@ -60,30 +60,20 @@ ServerMetrics& Metrics() {
 
 }  // namespace
 
-ServerOptions ServerOptions::FromEnv() { return FromEnv(ServerOptions()); }
-
-ServerOptions ServerOptions::FromEnv(ServerOptions base) {
-  ServerOptions defaults;
-  if (base.port == defaults.port) {
-    base.port = static_cast<uint16_t>(EnvUint64("MONSOON_SERVER_PORT", 0));
-  }
-  if (base.max_sessions == defaults.max_sessions) {
-    base.max_sessions = EnvInt("MONSOON_SERVER_MAX_SESSIONS", defaults.max_sessions);
-  }
-  if (base.queue_depth == defaults.queue_depth) {
-    base.queue_depth = EnvInt("MONSOON_SERVER_QUEUE_DEPTH", defaults.queue_depth);
-  }
-  if (base.telemetry_interval_ms == defaults.telemetry_interval_ms) {
-    base.telemetry_interval_ms =
-        EnvUint64("MONSOON_SERVER_TELEMETRY_MS", defaults.telemetry_interval_ms);
-  }
-  if (base.slow_log_path == defaults.slow_log_path) {
-    base.slow_log_path = EnvString("MONSOON_SLOW_LOG").value_or("");
-  }
-  if (base.slow_query_ms == defaults.slow_query_ms) {
-    base.slow_query_ms = EnvUint64("MONSOON_SLOW_MS", defaults.slow_query_ms);
-  }
-  return base;
+ServerOptions ServerOptions::FromEnv() {
+  ServerOptions options;
+  options.port =
+      EnvNumber("MONSOON_SERVER_PORT", options.port, kListenPortRange);
+  options.max_sessions = EnvNumber("MONSOON_SERVER_MAX_SESSIONS",
+                                   options.max_sessions, kCountRange);
+  options.queue_depth = EnvNumber("MONSOON_SERVER_QUEUE_DEPTH",
+                                  options.queue_depth, kNonNegativeIntRange);
+  options.telemetry_interval_ms = EnvNumber(
+      "MONSOON_SERVER_TELEMETRY_MS", options.telemetry_interval_ms, kWideRange);
+  options.slow_log_path = EnvString("MONSOON_SLOW_LOG").value_or("");
+  options.slow_query_ms =
+      EnvNumber("MONSOON_SLOW_MS", options.slow_query_ms, kWideRange);
+  return options;
 }
 
 QueryServer::QueryServer(const Catalog* catalog, ServerOptions options)

@@ -62,10 +62,8 @@ struct ServerOptions {
   /// degraded / cancelled / failed queries. Env: MONSOON_SLOW_MS.
   uint64_t slow_query_ms = 0;
 
-  /// `base` with port / max_sessions / queue_depth / telemetry and
-  /// slow-log knobs filled from the environment where the corresponding
-  /// field still holds its default.
-  static ServerOptions FromEnv(ServerOptions base);
+  /// The defaults above with each knob's environment variable applied;
+  /// a variable outside its flag's range is reported and ignored.
   static ServerOptions FromEnv();
 };
 

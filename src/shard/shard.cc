@@ -43,10 +43,7 @@ ShardMetrics& Metrics() {
 }
 
 std::atomic<int>& ShardCountHolder() {
-  static std::atomic<int> holder = [] {
-    int v = EnvInt("MONSOON_SHARDS", 1);
-    return v < 1 ? 1 : v;
-  }();
+  static std::atomic<int> holder = EnvNumber("MONSOON_SHARDS", 1, kCountRange);
   return holder;
 }
 

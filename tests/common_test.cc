@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstdlib>
 #include <set>
 
+#include "common/env.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -217,6 +220,115 @@ TEST(StringUtilTest, FormatWithCommas) {
 TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 1.234), "1.23");
+}
+
+constexpr Range<int> kAnyInt{INT_MIN, INT_MAX};
+
+TEST(ParseIntTest, ReadsTheWholeStringAsBase10) {
+  EXPECT_EQ(ParseNumber("42", kAnyInt), 42);
+  EXPECT_EQ(ParseNumber("-5", kAnyInt), -5);
+  EXPECT_EQ(ParseNumber("010", kAnyInt), 10);
+  for (const char* bad :
+       {"", "-", "3x", "x3", "+5", " 5", "5 ", "\t5", "0x10", "1.5", "1e3"}) {
+    EXPECT_FALSE(ParseNumber(bad, kAnyInt).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(ParseIntTest, UnsignedTakesNoSign) {
+  EXPECT_EQ(ParseNumber("0", kUint64Range), 0u);
+  EXPECT_EQ(ParseNumber("7", kUint64Range), 7u);
+  EXPECT_FALSE(ParseNumber("-1", kUint64Range).has_value());
+  EXPECT_FALSE(ParseNumber("+1", kUint64Range).has_value());
+  EXPECT_FALSE(ParseNumber("-1", kListenPortRange).has_value());
+}
+
+TEST(ParseIntTest, BothBoundsAreInclusive) {
+  EXPECT_EQ(ParseNumber("1", kCountRange), 1);
+  EXPECT_EQ(ParseNumber("1024", kCountRange), 1024);
+  EXPECT_FALSE(ParseNumber("0", kCountRange).has_value());
+  EXPECT_FALSE(ParseNumber("1025", kCountRange).has_value());
+  EXPECT_EQ(ParseNumber("0", kListenPortRange), 0);
+  EXPECT_EQ(ParseNumber("65535", kListenPortRange), 65535);
+  EXPECT_FALSE(ParseNumber("65536", kListenPortRange).has_value());
+  EXPECT_FALSE(ParseNumber("70000", kListenPortRange).has_value());
+  EXPECT_FALSE(ParseNumber("0", kConnectPortRange).has_value());
+  EXPECT_EQ(ParseNumber("9223372036854775", kWideRange), 9223372036854775u);
+  EXPECT_FALSE(ParseNumber("9223372036854776", kWideRange).has_value());
+}
+
+TEST(ParseIntTest, OverflowIsOutOfRange) {
+  EXPECT_EQ(ParseNumber("2147483647", kAnyInt), INT_MAX);
+  EXPECT_EQ(ParseNumber("-2147483648", kAnyInt), INT_MIN);
+  EXPECT_FALSE(ParseNumber("2147483648", kAnyInt).has_value());
+  EXPECT_FALSE(ParseNumber("-2147483649", kAnyInt).has_value());
+  EXPECT_FALSE(ParseNumber("9223372036854775807", kAnyInt).has_value());
+  EXPECT_FALSE(ParseNumber("9223372036854775808", kAnyInt).has_value());
+  EXPECT_FALSE(ParseNumber("-9223372036854775809", kAnyInt).has_value());
+  EXPECT_EQ(ParseNumber("18446744073709551615", kUint64Range), UINT64_MAX);
+  EXPECT_FALSE(ParseNumber("18446744073709551616", kUint64Range).has_value());
+  EXPECT_FALSE(ParseNumber("99999999999999999999", kUint64Range).has_value());
+}
+
+TEST(ParseIntTest, DoublesReadDecimals) {
+  constexpr Range<double> kUnit{0.0, 1.0};
+  EXPECT_EQ(ParseNumber("0.25", kUnit), 0.25);
+  EXPECT_EQ(ParseNumber("1", kUnit), 1.0);
+  EXPECT_EQ(ParseNumber("0", kUnit), 0.0);
+  for (const char* bad :
+       {"", "1.5", "-0.1", "+0.5", " 0.5", "0.5x", "nan", "inf", "1e400"}) {
+    EXPECT_FALSE(ParseNumber(bad, kUnit).has_value()) << "'" << bad << "'";
+  }
+}
+
+// common_test is single-threaded, so the cases may set variables.
+constexpr const char* kTestVar = "MONSOON_COMMON_TEST_VALUE";
+
+TEST(EnvTest, UnsetVariableGivesTheDefault) {
+  unsetenv(kTestVar);
+  EXPECT_EQ(EnvNumber(kTestVar, 7, kCountRange), 7);
+  EXPECT_FALSE(EnvString(kTestVar).has_value());
+  setenv(kTestVar, "", 1);
+  EXPECT_EQ(EnvNumber(kTestVar, 7, kCountRange), 7);
+  unsetenv(kTestVar);
+}
+
+TEST(EnvTest, InvalidValuesGiveTheDefault) {
+  setenv(kTestVar, "3x", 1);
+  EXPECT_EQ(EnvNumber(kTestVar, 7, kUint64Range), 7u);
+  EXPECT_EQ(EnvNumber(kTestVar, 7, kCountRange), 7);
+  setenv(kTestVar, "-1", 1);
+  EXPECT_EQ(EnvNumber(kTestVar, 7, kUint64Range), 7u);
+  setenv(kTestVar, "99999999999", 1);
+  EXPECT_EQ(EnvNumber(kTestVar, 1, kCountRange), 1);
+  setenv(kTestVar, "70000", 1);
+  EXPECT_EQ(EnvNumber(kTestVar, 0, kListenPortRange), 0);
+  unsetenv(kTestVar);
+}
+
+TEST(EnvTest, InRangeValueIsRead) {
+  setenv(kTestVar, "12", 1);
+  EXPECT_EQ(EnvNumber(kTestVar, 7, kCountRange), 12);
+  EXPECT_EQ(EnvNumber(kTestVar, 7, kUint64Range), 12u);
+  EXPECT_EQ(EnvNumber(kTestVar, 0.5, Range<double>{0, 100}), 12.0);
+  unsetenv(kTestVar);
+}
+
+TEST(FlagTest, NumericFlagStoresAMatchingValue) {
+  int threads = 0;
+  EXPECT_FALSE(NumericFlag("--shards=4", "--threads=", kCountRange, &threads));
+  EXPECT_EQ(threads, 0);
+  EXPECT_TRUE(NumericFlag("--threads=4", "--threads=", kCountRange, &threads));
+  EXPECT_EQ(threads, 4);
+}
+
+TEST(FlagTest, NumericFlagOutOfRangeExitsWithCode2) {
+  uint16_t port = 0;
+  EXPECT_EXIT(NumericFlag("--port=70000", "--port=", kListenPortRange, &port),
+              testing::ExitedWithCode(2),
+              "--port expects an integer in \\[0, 65535\\], got '70000'");
+  int threads = 0;
+  EXPECT_EXIT(NumericFlag("--threads=2x", "--threads=", kCountRange, &threads),
+              testing::ExitedWithCode(2), "--threads expects an integer");
 }
 
 }  // namespace

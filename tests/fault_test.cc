@@ -75,6 +75,16 @@ TEST_F(FaultTest, RejectsMalformedSpecs) {
                           "p=-0.1", "p=0.5:weird", "p=0.5:delay:xyz"}) {
     EXPECT_FALSE(fault::ParseFaultSpec(bad, &points).ok()) << bad;
   }
+  // param_ms is a whole number in [0, INT64_MAX / 1000]: a negative one
+  // used to wrap to ~1.8e19 ms, and param_ms * 1000 must not overflow.
+  for (const char* bad : {"x=1:delay:-5", "x=1:delay:99999999999999999"}) {
+    EXPECT_EQ(fault::ParseFaultSpec(bad, &points).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  ASSERT_TRUE(fault::ParseFaultSpec("x=1:delay:0", &points).ok());
+  ASSERT_EQ(points.size(), 1u);
+  EXPECT_EQ(points[0].param_ms, 0u);
   EXPECT_TRUE(fault::ParseFaultSpec("", &points).ok());
   EXPECT_TRUE(points.empty());
 }

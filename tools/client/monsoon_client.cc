@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -28,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "fault/injector.h"
 #include "obs/json.h"
 #include "server/net.h"
@@ -49,13 +49,6 @@ struct ClientConfig {
   bool stats = false;
   bool quiet = false;
 };
-
-bool FlagValue(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  *value = arg + len;
-  return true;
-}
 
 /// Outcome of one request/response exchange on an open connection.
 enum class Exchange { kOk, kTransient, kFail };
@@ -183,22 +176,18 @@ int main(int argc, char** argv) {
   ClientConfig config;
   std::string value;
   for (int i = 1; i < argc; ++i) {
-    if (FlagValue(argv[i], "--host=", &value)) {
-      config.host = value;
-    } else if (FlagValue(argv[i], "--port=", &value)) {
-      config.port = static_cast<uint16_t>(std::strtoul(value.c_str(), nullptr, 10));
+    if (FlagValue(argv[i], "--host=", &config.host) ||
+        FlagValue(argv[i], "--expect=", &config.expect) ||
+        NumericFlag(argv[i], "--port=", kConnectPortRange, &config.port) ||
+        NumericFlag(argv[i], "--repeat=", kPositiveIntRange, &config.repeat) ||
+        NumericFlag(argv[i], "--threads=", kCountRange, &config.threads) ||
+        NumericFlag(argv[i], "--retries=", kNonNegativeIntRange,
+                    &config.retries) ||
+        NumericFlag(argv[i], "--cancel-after-ms=", kNonNegativeIntRange,
+                    &config.cancel_after_ms)) {
+      // The helper stored the value.
     } else if (FlagValue(argv[i], "--query=", &value)) {
       config.queries.push_back(value);
-    } else if (FlagValue(argv[i], "--repeat=", &value)) {
-      config.repeat = std::atoi(value.c_str());
-    } else if (FlagValue(argv[i], "--threads=", &value)) {
-      config.threads = std::atoi(value.c_str());
-    } else if (FlagValue(argv[i], "--retries=", &value)) {
-      config.retries = std::atoi(value.c_str());
-    } else if (FlagValue(argv[i], "--cancel-after-ms=", &value)) {
-      config.cancel_after_ms = std::atoi(value.c_str());
-    } else if (FlagValue(argv[i], "--expect=", &value)) {
-      config.expect = value;
     } else if (std::strcmp(argv[i], "--ping") == 0) {
       config.ping = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
@@ -216,17 +205,13 @@ int main(int argc, char** argv) {
   }
 
   std::atomic<int> failures{0};
-  if (config.threads <= 1) {
-    RunConnection(config, &failures);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(config.threads));
-    for (int i = 0; i < config.threads; ++i) {
-      workers.emplace_back([&config, &failures] {
-        RunConnection(config, &failures);
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<size_t>(config.threads));
+  for (int i = 0; i < config.threads; ++i) {
+    workers.emplace_back([&config, &failures] {
+      RunConnection(config, &failures);
+    });
   }
+  for (std::thread& worker : workers) worker.join();
   return failures.load() == 0 ? 0 : 1;
 }

@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "common/string_util.h"
 #include "obs/exposition.h"
 #include "obs/json.h"
@@ -43,13 +44,6 @@ struct TopConfig {
   bool once = false;
   std::string metrics_out;
 };
-
-bool FlagValue(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  *value = arg + len;
-  return true;
-}
 
 /// One poll's worth of parsed samples: flattened metric name (labels
 /// stripped) -> value. Histogram series keep only _sum / _count.
@@ -218,22 +212,25 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (FlagValue(argv[i], "--connect=", &value)) {
       size_t colon = value.rfind(':');
-      if (colon == std::string::npos) {
-        std::cerr << "monsoon-top: --connect wants HOST:PORT\n";
+      std::optional<uint16_t> port;
+      if (colon != std::string::npos) {
+        port = ParseNumber(std::string_view(value).substr(colon + 1),
+                           kConnectPortRange);
+      }
+      if (!port.has_value()) {
+        std::cerr << "monsoon-top: --connect wants HOST:PORT, PORT in "
+                     "[1, 65535]\n";
         return 2;
       }
       config.host = value.substr(0, colon);
-      config.port = static_cast<uint16_t>(
-          std::strtoul(value.c_str() + colon + 1, nullptr, 10));
-    } else if (FlagValue(argv[i], "--port=", &value)) {
-      config.port =
-          static_cast<uint16_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (FlagValue(argv[i], "--host=", &value)) {
-      config.host = value;
-    } else if (FlagValue(argv[i], "--interval-ms=", &value)) {
-      config.interval_ms = std::atoi(value.c_str());
-    } else if (FlagValue(argv[i], "--metrics-out=", &value)) {
-      config.metrics_out = value;
+      config.port = *port;
+    } else if (FlagValue(argv[i], "--host=", &config.host) ||
+               FlagValue(argv[i], "--metrics-out=", &config.metrics_out) ||
+               NumericFlag(argv[i], "--port=", kConnectPortRange,
+                           &config.port) ||
+               NumericFlag(argv[i], "--interval-ms=", kNonNegativeIntRange,
+                           &config.interval_ms)) {
+      // The helper stored the value.
     } else if (std::strcmp(argv[i], "--once") == 0) {
       config.once = true;
     } else {
