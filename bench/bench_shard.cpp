@@ -6,8 +6,8 @@
 // Two configurations cover the sharded hot paths:
 //   tpch_join — full greedy join plans on skewed TPC-H: sharded leaf
 //       scans, join build/probe, and Σ passes.
-//   udf_join  — UDF-bench plans: per-row UDF evaluation through the
-//       shard-range column cache keys.
+//   udf_join  — UDF-bench plans: UDF evaluation through the column
+//       cache, whose whole-expression columns every shard reads.
 //
 // Every (config, shards) arm requires the full observable surface —
 // result rows, work_units, objects_processed, observed counts, Σ distinct

@@ -22,7 +22,9 @@
 #            disabled-path gate (BENCH_fault_overhead.json)
 #   server   query-server smoke: an out-of-range --port must make
 #            monsoon-serve, monsoon-client and monsoon-top exit 2, then
-#            monsoon-serve + concurrent monsoon-client runs — two sessions held mid-query, one more rejected past the
+#            monsoon-serve + concurrent monsoon-client runs — a literal
+#            past int64 answered with an InvalidArgument reply while the
+#            server keeps serving, two sessions held mid-query, one more rejected past the
 #            admission limit (kUnavailable), one cancelled by client
 #            disconnect — then SIGINT drain (pool pending must reach 0)
 #            and monsoon-trace-check over the traced run
@@ -115,7 +117,7 @@ asan_stage() {
     planner_golden_test
   # The cache-on/off/serial/parallel equivalence suite plus the executor,
   # batch-execution, fault and shard suites: every cached column read
-  # (join build/probe, residual filters, Σ passes, shard-scoped columns),
+  # (join build/probe, residual filters, Σ passes, at every shard count),
   # every scan-selection and Bloom-probe path, every LRU eviction, every
   # killed-and-retried shard attempt, every barrier gather into a pre-sized
   # output window, and every injected-fault error path runs under ASan.
@@ -318,6 +320,11 @@ server_stage() {
   fi
   # Protocol smoke first: ping + stats round-trip on a control connection.
   "${client}" --port="${port}" --ping --stats --quiet
+  # A numeric literal past int64 fails the parse with an error reply, and
+  # the server keeps serving.
+  "${client}" --port="${port}" --expect=InvalidArgument --quiet \
+    --query='SELECT * FROM docinfo di WHERE di.di_key = 99999999999999999999'
+  "${client}" --port="${port}" --ping --quiet
   # Session A holds slot 1 to completion; session C holds slot 2 until its
   # client disconnects after 4s, which must cancel the query server-side.
   "${client}" --port="${port}" --query="${sql}" --expect=OK --quiet &

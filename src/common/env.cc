@@ -71,6 +71,7 @@ bool NumericFlag(const char* arg, const char* name, Range<T> range, T* out) {
   template bool NumericFlag(const char*, const char*, Range<T>, T*);
 MONSOON_ENV_INSTANTIATE(int)
 MONSOON_ENV_INSTANTIATE(uint16_t)
+MONSOON_ENV_INSTANTIATE(int64_t)
 MONSOON_ENV_INSTANTIATE(uint64_t)
 MONSOON_ENV_INSTANTIATE(double)
 #undef MONSOON_ENV_INSTANTIATE

@@ -3,6 +3,7 @@
 
 #include <climits>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -41,9 +42,14 @@ inline constexpr Range<int> kPositiveIntRange{1, INT_MAX};
 /// scales to microseconds without overflow.
 inline constexpr Range<uint64_t> kWideRange{0, INT64_MAX / 1000};
 inline constexpr Range<uint64_t> kUint64Range{0, UINT64_MAX};
+/// SQL numeric literals: every int64 and every finite double.
+inline constexpr Range<int64_t> kInt64Range{INT64_MIN, INT64_MAX};
+inline constexpr Range<double> kFiniteDoubleRange{
+    std::numeric_limits<double>::lowest(), std::numeric_limits<double>::max()};
 
 /// All of `text` as a number in `range`; nullopt otherwise. This and the
-/// templates below are defined for int, uint16_t, uint64_t and double.
+/// templates below are defined for int, uint16_t, int64_t, uint64_t and
+/// double.
 template <typename T>
 std::optional<T> ParseNumber(std::string_view text, Range<T> range);
 

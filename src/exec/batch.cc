@@ -54,14 +54,19 @@ Status FlatColumn::Fill(const BoundTerm& bound, const Table& table,
   return Status::OK();
 }
 
-FlatView FlatView::Of(const CachedUdfColumn& col) {
-  FlatView view;
-  view.type = col.type();
-  view.i64 = col.Int64Data();
-  view.dbl = col.DoubleData();
-  view.str = col.StringData();
-  view.str_hash = col.HashData();
-  return view;
+size_t FlatColumn::ApproxBytes() const {
+  size_t bytes = sizeof(FlatColumn);
+  switch (type_) {
+    case ValueType::kInt64:
+      return bytes + size_ * sizeof(int64_t);
+    case ValueType::kDouble:
+      return bytes + size_ * sizeof(double);
+    case ValueType::kString:
+      bytes += size_ * (sizeof(std::string) + sizeof(uint64_t));
+      for (const std::string& s : strings_) bytes += s.capacity();
+      return bytes;
+  }
+  return bytes;
 }
 
 FlatView FlatView::Of(const FlatColumn& col) {

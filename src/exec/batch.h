@@ -8,18 +8,18 @@
 #include "common/status.h"
 #include "exec/bound_term.h"
 #include "exec/flat_compare.h"
-#include "exec/udf_cache.h"
 #include "storage/table.h"
 #include "storage/value.h"
 
 namespace monsoon {
 
-/// A typed flat column of UDF results, batch-local or whole-side: the same
-/// representation as the evaluate-once CachedUdfColumn (int64/double flat,
-/// strings alongside a precomputed Value::Hash()-identical hash column),
-/// but owned by one operator instead of the cache. The batch executor uses
-/// it to unbox uncached term results once per fill instead of boxing a
-/// Value per row per use (hash-join build and probe keys).
+/// A typed flat column of UDF results: int64/double stored flat, strings
+/// alongside a precomputed Value::Hash()-identical hash column. The one
+/// column type of the executor: the evaluate-once cache (exec/udf_cache.h)
+/// publishes whole-expression FlatColumns, and operators own batch-local
+/// or whole-side ones for uncached terms (hash-join build and probe keys),
+/// so term results are unboxed once per fill instead of boxing a Value
+/// per row per use.
 class FlatColumn {
  public:
   /// Resets to `n` uninitialized slots of `type`. Slots are written by
@@ -29,14 +29,18 @@ class FlatColumn {
   /// Evaluates `bound` over rows [row_begin, row_end) of `table`, writing
   /// results to slots [out_begin, out_begin + (row_end - row_begin)).
   /// Disjoint ranges may be filled from different morsels concurrently.
-  /// Errors if a produced value disagrees with the column's type — the
-  /// same contract as the UDF cache fill (a UDF that violates its declared
-  /// result type is a hard error on every vectorized path).
+  /// Errors if a produced value disagrees with the column's type (a UDF
+  /// that violates its declared result type is a hard error on every
+  /// vectorized path).
   Status Fill(const BoundTerm& bound, const Table& table, size_t row_begin,
               size_t row_end, size_t out_begin);
 
   ValueType type() const { return type_; }
   size_t size() const { return size_; }
+
+  /// Approximate heap footprint: the object, one element per slot, and
+  /// the strings' capacities. The cache's byte budget counts this.
+  size_t ApproxBytes() const;
 
   int64_t Int64At(size_t i) const { return int64s_[i]; }
   double DoubleAt(size_t i) const { return doubles_[i]; }
@@ -56,10 +60,9 @@ class FlatColumn {
   std::vector<uint64_t> hashes_;  // string columns only
 };
 
-// The uniform read-only view over either flat representation (FlatView:
-// hash / equality / three-way compare with Value-identical semantics)
-// lives in exec/flat_compare.h, shared with the UDF cache; its Of()
-// constructors are defined in batch.cc.
+// The read-only view the hot loops use (FlatView: hash / equality with
+// Value-identical semantics) lives in exec/flat_compare.h; its Of() is
+// defined in batch.cc.
 
 }  // namespace monsoon
 

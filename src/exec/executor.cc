@@ -34,8 +34,9 @@ namespace {
 
 /// A predicate bound against a single (possibly concatenated) schema,
 /// evaluated as a residual filter. Leaf scans attach evaluate-once cached
-/// columns (the filter then never calls the UDF per row); join residuals
-/// evaluate against transient concatenated rows and stay uncached.
+/// columns, which ApplyResidualBatch reads instead of calling Eval; join
+/// residuals evaluate against transient concatenated rows and stay
+/// uncached.
 struct BoundResidual {
   enum class Kind { kJoinEq, kJoinNeq, kSelectionEq };
   Kind kind;
@@ -44,24 +45,9 @@ struct BoundResidual {
   Value constant;   // selection only
   CachedUdfColumnPtr left_col;   // indexes the leaf's source table
   CachedUdfColumnPtr right_col;  // join kinds only
-  // Index of absolute row 0 in the cached columns: 0 for whole-table
-  // columns, the shard's first row for shard-scoped columns (which store
-  // their range at local slots — see UdfColumnCache::GetOrBuildShard).
-  size_t col_base = 0;
 
+  /// Per-row evaluation: the fallback when no cached column is attached.
   bool Eval(const Table& table, size_t row) const {
-    if (left_col != nullptr) {
-      const size_t i = row - col_base;
-      switch (kind) {
-        case Kind::kJoinEq:
-          return CachedUdfColumn::Equal(*left_col, i, *right_col, i);
-        case Kind::kJoinNeq:
-          return !CachedUdfColumn::Equal(*left_col, i, *right_col, i);
-        case Kind::kSelectionEq:
-          return left_col->EqualsValue(i, constant);
-      }
-      return false;
-    }
     Value l = left.Eval(table, row);
     switch (kind) {
       case Kind::kJoinEq:
@@ -315,9 +301,9 @@ Status DriveRanges(ExecContext* ctx, const RangePlan& plan,
   return charged;
 }
 
-/// The evaluate-once column for `bound` over `expr`: the whole column
-/// (filled on the pool) when `range` is null, else the shard-scoped column
-/// of the range's rows, indexed from range->begin. Null when the cache is
+/// The evaluate-once column for `bound` over `expr`, filled on the pool on
+/// a miss. Operators bind their columns before their ranges run, so every
+/// shard count looks up the same whole columns. Null when the cache is
 /// off.
 ///
 /// A transient fault while building the column is not fatal to the query
@@ -328,16 +314,12 @@ Status DriveRanges(ExecContext* ctx, const RangePlan& plan,
 /// deadline must abort, not degrade.
 StatusOr<CachedUdfColumnPtr> CachedColumn(ExecContext* ctx, UdfColumnCache* cache,
                                           const MaterializedExpr& expr,
-                                          const BoundTerm& bound,
-                                          const RangeTask* range) {
+                                          const BoundTerm& bound) {
   static obs::Counter* const dropped_metric =
       obs::Registry::Global().GetCounter("faults.cache_fills_dropped");
   StatusOr<CachedUdfColumnPtr> col =
-      range != nullptr
-          ? cache->GetOrBuildShard(expr.sig, bound, expr.table, range->begin,
-                                   range->end, ctx->cancel_token())
-          : cache->GetOrBuild(expr.sig, bound, expr.table, ctx->pool(),
-                              ctx->morsel_size(), ctx->cancel_token());
+      cache->GetOrBuild(expr.sig, bound, expr.table, ctx->pool(),
+                        ctx->morsel_size(), ctx->cancel_token());
   if (col.ok()) return col;
   bool query_dead =
       ctx->cancel_token() != nullptr && ctx->cancel_token()->cancelled();
@@ -346,21 +328,19 @@ StatusOr<CachedUdfColumnPtr> CachedColumn(ExecContext* ctx, UdfColumnCache* cach
   return CachedUdfColumnPtr();
 }
 
-/// Attaches evaluate-once columns to leaf filters over `expr` (see
-/// CachedColumn for `range`). Join-kind filters need both sides cached;
-/// a filter missing either keeps per-row evaluation.
+/// Attaches evaluate-once columns to leaf filters over `expr`. Join-kind
+/// filters need both sides cached; a filter missing either keeps per-row
+/// evaluation.
 Status BindFilterColumns(ExecContext* ctx, UdfColumnCache* cache,
-                         const MaterializedExpr& expr, const RangeTask* range,
+                         const MaterializedExpr& expr,
                          std::vector<BoundResidual>* filters) {
   for (BoundResidual& f : *filters) {
-    MONSOON_ASSIGN_OR_RETURN(f.left_col,
-                             CachedColumn(ctx, cache, expr, f.left, range));
+    MONSOON_ASSIGN_OR_RETURN(f.left_col, CachedColumn(ctx, cache, expr, f.left));
     if (f.kind != BoundResidual::Kind::kSelectionEq && f.left_col != nullptr) {
       MONSOON_ASSIGN_OR_RETURN(f.right_col,
-                               CachedColumn(ctx, cache, expr, f.right, range));
+                               CachedColumn(ctx, cache, expr, f.right));
       if (f.right_col == nullptr) f.left_col = nullptr;
     }
-    f.col_base = range != nullptr ? range->begin : 0;
   }
   return Status::OK();
 }
@@ -459,9 +439,9 @@ void RefineSelection(size_t begin, size_t end, bool first, size_t tail,
 
 /// Applies one bound residual to a scan batch's selection (see
 /// RefineSelection for `first`, `tail` and `rows`). Cached filters run
-/// type-specialized loops over the flat columns (mirroring EqualsValue /
-/// CachedUdfColumn::Equal exactly, hash-first for strings); uncached
-/// filters fall back to per-row evaluation.
+/// type-specialized loops over the flat columns (mirroring
+/// FlatView::EqualsValue / FlatView::Equal exactly, hash-first for
+/// strings); uncached filters fall back to per-row evaluation.
 void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
                         size_t end, bool first, size_t tail,
                         std::vector<uint32_t>* rows) {
@@ -470,10 +450,7 @@ void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
                     [&](size_t row) { return f.Eval(in, row); });
     return;
   }
-  const CachedUdfColumn& lcol = *f.left_col;
-  // Shard-scoped columns store their range at local slots; `base` shifts
-  // the batch's absolute rows into them (0 for whole-table columns).
-  const size_t base = f.col_base;
+  const FlatColumn& lcol = *f.left_col;
   if (f.kind == BoundResidual::Kind::kSelectionEq) {
     if (f.constant.type() != lcol.type()) {
       RefineSelection(begin, end, first, tail, rows,
@@ -485,14 +462,14 @@ void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
         const int64_t want = f.constant.AsInt64();
         const int64_t* data = lcol.Int64Data();
         RefineSelection(begin, end, first, tail, rows,
-                        [&](size_t row) { return data[row - base] == want; });
+                        [&](size_t row) { return data[row] == want; });
         return;
       }
       case ValueType::kDouble: {
         const double want = f.constant.AsDouble();
         const double* data = lcol.DoubleData();
         RefineSelection(begin, end, first, tail, rows,
-                        [&](size_t row) { return data[row - base] == want; });
+                        [&](size_t row) { return data[row] == want; });
         return;
       }
       case ValueType::kString: {
@@ -501,7 +478,7 @@ void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
         const uint64_t* hashes = lcol.HashData();
         const std::string* strs = lcol.StringData();
         RefineSelection(begin, end, first, tail, rows, [&](size_t row) {
-          return hashes[row - base] == want_hash && strs[row - base] == want;
+          return hashes[row] == want_hash && strs[row] == want;
         });
         return;
       }
@@ -509,7 +486,7 @@ void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
     return;
   }
   const bool keep_equal = f.kind == BoundResidual::Kind::kJoinEq;
-  const CachedUdfColumn& rcol = *f.right_col;
+  const FlatColumn& rcol = *f.right_col;
   if (lcol.type() != rcol.type()) {
     // Equal() is false across types on every row.
     RefineSelection(begin, end, first, tail, rows,
@@ -521,7 +498,7 @@ void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
       const int64_t* a = lcol.Int64Data();
       const int64_t* b = rcol.Int64Data();
       RefineSelection(begin, end, first, tail, rows, [&](size_t row) {
-        return (a[row - base] == b[row - base]) == keep_equal;
+        return (a[row] == b[row]) == keep_equal;
       });
       return;
     }
@@ -529,7 +506,7 @@ void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
       const double* a = lcol.DoubleData();
       const double* b = rcol.DoubleData();
       RefineSelection(begin, end, first, tail, rows, [&](size_t row) {
-        return (a[row - base] == b[row - base]) == keep_equal;
+        return (a[row] == b[row]) == keep_equal;
       });
       return;
     }
@@ -539,8 +516,7 @@ void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
       const std::string* sa = lcol.StringData();
       const std::string* sb = rcol.StringData();
       RefineSelection(begin, end, first, tail, rows, [&](size_t row) {
-        return (ha[row - base] == hb[row - base] &&
-                sa[row - base] == sb[row - base]) == keep_equal;
+        return (ha[row] == hb[row] && sa[row] == sb[row]) == keep_equal;
       });
       return;
     }
@@ -573,11 +549,9 @@ Status ScanBatch(const std::vector<BoundResidual>& filters, const Table& in,
 /// Σ: folds rows [begin, end) into one HLL per term — precomputed hashes
 /// from the evaluate-once column when the term has one, per-row evaluation
 /// otherwise (each value is consumed exactly once, so there is nothing to
-/// unbox ahead of time). `col_base` is the cached columns' index of
-/// absolute row 0 (the shard's first row for shard-scoped columns, 0 for
-/// whole-table ones).
+/// unbox ahead of time).
 Status SigmaBatch(const std::vector<std::pair<int, BoundTerm>>& terms,
-                  const std::vector<CachedUdfColumnPtr>& cols, size_t col_base,
+                  const std::vector<CachedUdfColumnPtr>& cols,
                   const Table& table, size_t begin, size_t end,
                   std::vector<HyperLogLog>* sketches) {
   for (size_t row = begin; row < end; ++row) {
@@ -588,7 +562,7 @@ Status SigmaBatch(const std::vector<std::pair<int, BoundTerm>>& terms,
     if (cols[t] != nullptr) {
       const FlatView v = FlatView::Of(*cols[t]);
       for (size_t row = begin; row < end; ++row) {
-        sketch.AddHash(v.HashAt(row - col_base));
+        sketch.AddHash(v.HashAt(row));
       }
     } else {
       const BoundTerm& bound = terms[t].second;
@@ -872,19 +846,13 @@ StatusOr<MaterializedExpr> Executor::ExecuteLeaf(const PlanNode::Ptr& node,
     filters.push_back(std::move(residual));
   }
   // Leaf residuals evaluate over the source expression itself, so the
-  // store's evaluate-once columns apply positionally. Unsharded scans bind
-  // whole columns once; sharded scans bind shard-scoped columns inside each
-  // range body, so a killed attempt's partial fills are discarded with it.
-  UdfColumnCache* cache = store->udf_cache();
+  // store's evaluate-once columns apply positionally; they are bound once,
+  // whole, before any range runs.
+  MONSOON_RETURN_IF_ERROR(
+      BindFilterColumns(ctx, store->udf_cache(), *source, &filters));
   const Table& in = *source->table;
   const RangePlan ranges =
       PlanRanges(ctx, source->shards, in.num_rows(), ctx->morsel_size());
-  const bool shard_columns =
-      cache->enabled() && ranges.mode == RangePlan::Mode::kShards;
-  if (cache->enabled() && !shard_columns) {
-    MONSOON_RETURN_IF_ERROR(
-        BindFilterColumns(ctx, cache, *source, /*range=*/nullptr, &filters));
-  }
 
   // Each range lists the input rows that survive its filters; the lists
   // gather in range order, so the output is a fixed function of the input —
@@ -893,17 +861,9 @@ StatusOr<MaterializedExpr> Executor::ExecuteLeaf(const PlanNode::Ptr& node,
   // its coordinate, so the firing site is the same in every mode.
   std::vector<RowIds> slots(ranges.num_ranges());
   auto scan = [&](const RangeTask& task) -> Status {
-    std::vector<BoundResidual> shard_filters;
-    if (shard_columns) {
-      shard_filters = filters;
-      MONSOON_RETURN_IF_ERROR(
-          BindFilterColumns(ctx, cache, *source, &task, &shard_filters));
-    }
-    const std::vector<BoundResidual>& range_filters =
-        shard_columns ? shard_filters : filters;
     RowIds kept;
     auto scan_batch = [&](const Table& t, size_t b, size_t e) {
-      return ScanBatch(range_filters, t, b, e, &kept.left);
+      return ScanBatch(filters, t, b, e, &kept.left);
     };
     MONSOON_RETURN_IF_ERROR(task.Feed([&](size_t begin, size_t end) {
       return ForEachBatch(ctx, in, begin, end, scan_batch);
@@ -995,10 +955,10 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     for (size_t k = 0; k < equi.size(); ++k) {
       MONSOON_ASSIGN_OR_RETURN(
           left_cols[k],
-          CachedColumn(ctx, cache, left, equi[k].left_key, /*range=*/nullptr));
+          CachedColumn(ctx, cache, left, equi[k].left_key));
       MONSOON_ASSIGN_OR_RETURN(
           right_cols[k],
-          CachedColumn(ctx, cache, right, equi[k].right_key, /*range=*/nullptr));
+          CachedColumn(ctx, cache, right, equi[k].right_key));
       if (left_cols[k] == nullptr || right_cols[k] == nullptr) {
         keys_cached = false;
         break;
@@ -1227,18 +1187,14 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
   // materialized expression (the plan → Σ → re-plan loop) hit the cache
   // and feed precomputed hashes straight into the sketches. Terms whose
   // column is unavailable fall back per-row, independently of the rest.
-  // Sharded passes bind shard-scoped columns inside each range body
-  // instead, so a killed shard's partial fills die with the attempt.
   UdfColumnCache* cache = store != nullptr ? store->udf_cache() : nullptr;
   const bool cache_on =
       cache != nullptr && cache->enabled() && StoreResident(*store, expr);
-  const bool shard_columns = cache_on && ranges.mode == RangePlan::Mode::kShards;
   std::vector<CachedUdfColumnPtr> term_cols(terms.size());
-  if (cache_on && !shard_columns) {
+  if (cache_on) {
     for (size_t t = 0; t < terms.size(); ++t) {
-      MONSOON_ASSIGN_OR_RETURN(
-          term_cols[t],
-          CachedColumn(ctx, cache, expr, terms[t].second, /*range=*/nullptr));
+      MONSOON_ASSIGN_OR_RETURN(term_cols[t],
+                               CachedColumn(ctx, cache, expr, terms[t].second));
       MONSOON_DCHECK(term_cols[t] == nullptr ||
                      term_cols[t]->size() == table.num_rows())
           << "cached column for term " << terms[t].first << " is stale";
@@ -1253,20 +1209,9 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
   // which the caller degrades to prior-only planning for this relation.
   std::vector<std::vector<HyperLogLog>> slots(ranges.num_ranges());
   auto sigma = [&](const RangeTask& task) -> Status {
-    std::vector<CachedUdfColumnPtr> shard_cols;
-    if (shard_columns) {
-      shard_cols.resize(terms.size());
-      for (size_t t = 0; t < terms.size(); ++t) {
-        MONSOON_ASSIGN_OR_RETURN(
-            shard_cols[t], CachedColumn(ctx, cache, expr, terms[t].second, &task));
-      }
-    }
     std::vector<HyperLogLog> local(terms.size(), HyperLogLog(kHllPrecision));
-    const std::vector<CachedUdfColumnPtr>& cols =
-        shard_columns ? shard_cols : term_cols;
-    const size_t col_base = shard_columns ? task.begin : 0;
     auto sigma_batch = [&](const Table& t, size_t b, size_t e) {
-      return SigmaBatch(terms, cols, col_base, t, b, e, &local);
+      return SigmaBatch(terms, term_cols, t, b, e, &local);
     };
     MONSOON_RETURN_IF_ERROR(task.Feed([&](size_t begin, size_t end) {
       return ForEachBatch(ctx, table, begin, end, sigma_batch);

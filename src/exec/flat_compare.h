@@ -8,17 +8,15 @@
 
 namespace monsoon {
 
-class CachedUdfColumn;  // exec/udf_cache.h
-class FlatColumn;       // exec/batch.h
+class FlatColumn;  // exec/batch.h
 
-/// Uniform read-only view over a typed flat column (a cache-pinned
-/// CachedUdfColumn or an operator-owned FlatColumn), so the per-type
-/// hash / equality switches are written exactly once. Both
-/// producers store the same representation — int64/double flat, strings
-/// alongside a precomputed Value::Hash()-identical hash column — and every
-/// helper here must keep bit-identical Value semantics: the cache-on /
-/// cache-off and serial / vectorized invariants compare row sequences
-/// produced through these switches against rows produced by boxed Values.
+/// Read-only view over a typed FlatColumn (cache-pinned or operator-owned),
+/// so the per-type hash / equality switches are written exactly once. The
+/// column stores int64/double flat and strings alongside a precomputed
+/// Value::Hash()-identical hash column, and every helper here must keep
+/// bit-identical Value semantics: the cache-on / cache-off and serial /
+/// vectorized invariants compare row sequences produced through these
+/// switches against rows produced by boxed Values.
 ///
 /// Plain pointers: the viewed column must outlive the view (the executor
 /// pins cached columns for the operator's duration and owns its
@@ -30,8 +28,7 @@ struct FlatView {
   const std::string* str = nullptr;
   const uint64_t* str_hash = nullptr;  // precomputed string hashes
 
-  static FlatView Of(const CachedUdfColumn& col);  // exec/batch.cc
-  static FlatView Of(const FlatColumn& col);       // exec/batch.cc
+  static FlatView Of(const FlatColumn& col);  // exec/batch.cc
 
   /// Value::Hash() of entry i without boxing. Strings read the precomputed
   /// hash column; numerics mix inline.
@@ -47,7 +44,7 @@ struct FlatView {
     return 0;
   }
 
-  /// Boxes entry i (CachedUdfColumn::ValueAt — hot loops stay on the typed
+  /// Boxes entry i (tests and diagnostics — hot loops stay on the typed
   /// arrays).
   Value ValueAt(size_t i) const {
     switch (type) {

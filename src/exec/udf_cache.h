@@ -5,20 +5,18 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/status.h"
 #include "common/sync.h"
 #include "common/thread_annotations.h"
+#include "exec/batch.h"
 #include "exec/bound_term.h"
-#include "exec/flat_compare.h"
 #include "fault/cancellation.h"
 #include "parallel/thread_pool.h"
 #include "plan/plan_node.h"
 #include "storage/table.h"
-#include "storage/value.h"
 
 namespace monsoon {
 
@@ -33,82 +31,17 @@ struct UdfCacheStats {
   uint64_t bytes_in_use = 0; // current resident bytes
 };
 
-/// One bound UDF term materialized over one expression: a contiguous typed
-/// column (int64/double stored flat; strings stored alongside a
-/// precomputed Value::Hash()-identical 64-bit hash column). Immutable once
-/// built; readers on any thread may index it freely.
-class CachedUdfColumn {
- public:
-  ValueType type() const { return type_; }
-  size_t size() const { return size_; }
-  size_t ApproxBytes() const { return bytes_; }
-
-  int64_t Int64At(size_t row) const { return int64s_[row]; }
-  double DoubleAt(size_t row) const { return doubles_[row]; }
-  const std::string& StringAt(size_t row) const { return strings_[row]; }
-
-  // Raw column storage for the batch executor's FlatView (exec/batch.h):
-  // tight per-type loops read these directly instead of paying a type
-  // switch per row. Only the vector matching type() is populated.
-  const int64_t* Int64Data() const { return int64s_.data(); }
-  const double* DoubleData() const { return doubles_.data(); }
-  const std::string* StringData() const { return strings_.data(); }
-  const uint64_t* HashData() const { return hashes_.data(); }
-
-  // The per-type switches (hash / box / equality) are written once on
-  // FlatView (exec/flat_compare.h); these wrappers keep the column's
-  // historical call sites working on a stack-built view.
-
-  /// Value::Hash() of the row's result without boxing a Value. Strings
-  /// read the precomputed hash column; numerics mix inline.
-  uint64_t HashAt(size_t row) const { return View().HashAt(row); }
-
-  /// Boxes the row's result (tests and diagnostics; operators read the
-  /// typed arrays).
-  Value ValueAt(size_t row) const { return View().ValueAt(row); }
-
-  /// result(row) == v, matching Value::operator== (false across types).
-  bool EqualsValue(size_t row, const Value& v) const {
-    return View().EqualsValue(row, v);
-  }
-
-  /// a.result(ai) == b.result(bi). String compares check the hash columns
-  /// first so mismatches never touch character data.
-  static bool Equal(const CachedUdfColumn& a, size_t ai,
-                    const CachedUdfColumn& b, size_t bi) {
-    return FlatView::Equal(a.View(), ai, b.View(), bi);
-  }
-
- private:
-  FlatView View() const {
-    FlatView view;
-    view.type = type_;
-    view.i64 = int64s_.data();
-    view.dbl = doubles_.data();
-    view.str = strings_.data();
-    view.str_hash = hashes_.data();
-    return view;
-  }
-
-  friend class UdfColumnCache;
-
-  ValueType type_ = ValueType::kInt64;
-  size_t size_ = 0;
-  size_t bytes_ = 0;
-  std::vector<int64_t> int64s_;
-  std::vector<double> doubles_;
-  std::vector<std::string> strings_;
-  std::vector<uint64_t> hashes_;  // string columns only
-};
-
-using CachedUdfColumnPtr = std::shared_ptr<const CachedUdfColumn>;
+/// A published cache column: immutable, so readers on any thread may index
+/// it freely; the shared_ptr pins it across eviction.
+using CachedUdfColumnPtr = std::shared_ptr<const FlatColumn>;
 
 /// Evaluate-once cache of bound UDF terms, one per MaterializedStore (or
-/// shared across queries by the server), keyed by (ExprSig, bound term).
-/// The first operator to touch a term over an expression pays one UDF pass
-/// (morsel-parallel when a pool is supplied); every later scan, join
-/// build/probe, or Σ pass over the same expression reads the flat column
-/// instead of calling BoundTerm::Eval per row.
+/// shared across queries by the server), keyed by (ExprSig, bound term) at
+/// every shard count. The first operator to touch a term over an
+/// expression pays one UDF pass (morsel-parallel when a pool is supplied)
+/// into a whole-expression FlatColumn; every later scan, join build/probe,
+/// or Σ pass over the same expression reads that column instead of calling
+/// BoundTerm::Eval per row.
 ///
 /// Residency is bounded by an LRU byte budget. A build whose column alone
 /// exceeds the budget still returns the column (shared_ptr-pinned by the
@@ -132,12 +65,11 @@ using CachedUdfColumnPtr = std::shared_ptr<const CachedUdfColumn>;
 /// optimization, not a cost-model change.
 ///
 /// Thread-safe: every lookup-table mutation happens under mu_ (annotated
-/// with GUARDED_BY so Clang's -Wthread-safety proves it). The executor's
-/// orchestration thread is still the only caller today, but a locked cache
-/// keeps concurrent queries over one MaterializedStore from becoming a
-/// silent data race later. The fill inside a build runs outside the pool's
-/// worker lambdas' view of the cache (disjoint ranges of a private column)
-/// and the built column is immutable once published.
+/// with GUARDED_BY so Clang's -Wthread-safety proves it). A query calls it
+/// from its orchestration thread only (operators bind their columns before
+/// their ranges run); the lock keeps concurrent queries over one cache from
+/// racing. The fill inside a build writes disjoint ranges of a private
+/// column, and the built column is immutable once published.
 class UdfColumnCache {
  public:
   explicit UdfColumnCache(size_t byte_budget) : byte_budget_(byte_budget) {}
@@ -156,33 +88,19 @@ class UdfColumnCache {
   void set_byte_budget(size_t bytes);
 
   /// The cached column for `bound` over the expression `sig`
-  /// materialized as `table`, building it with `bound` on a miss (filled
-  /// via pool-parallel morsels when `pool` != nullptr, polling `token`
-  /// at morsel boundaries when one is supplied). Returns nullptr when the
-  /// cache is disabled. Errors if the UDF's declared result type disagrees
-  /// with a produced value, on an injected exec.udf_cache.fill fault, or
-  /// on cancellation; a failed fill publishes nothing — the partial
-  /// column is discarded and the entry stays absent.
+  /// materialized as `table`, building it with `bound` on a miss: filled
+  /// through FlatColumn::Fill in pool-parallel morsels when `pool` !=
+  /// nullptr, polling `token` (when one is supplied) and firing
+  /// exec.udf_cache.fill before every row. Returns nullptr when the cache
+  /// is disabled. Errors if the UDF's declared result type disagrees with
+  /// a produced value, on an injected exec.udf_cache.fill fault, or on
+  /// cancellation; a failed fill publishes nothing — the partial column is
+  /// discarded and the entry stays absent.
   StatusOr<CachedUdfColumnPtr> GetOrBuild(const ExprSig& sig, const BoundTerm& bound,
                                           const TablePtr& table,
                                           parallel::ThreadPool* pool,
                                           size_t morsel_size,
                                           fault::CancellationToken* token = nullptr);
-
-  /// Shard-scoped variant: the column for rows [begin, end) of `table`,
-  /// stored at LOCAL indexes (slot row - begin), so per-shard operators
-  /// index it with their shard-relative offsets. Keyed by the shard's row
-  /// range on top of (sig, bound term) — a whole-table column is simply the
-  /// range [0, num_rows), so shard keys never collide with whole-column
-  /// keys across shard counts. Fills serially (callers are shard bodies
-  /// already running as pool tasks), polling `token` per row and firing
-  /// exec.udf_cache.fill at the ABSOLUTE row coordinate, so the injected
-  /// failure site is identical to the unsharded fill. A failed fill
-  /// publishes nothing.
-  StatusOr<CachedUdfColumnPtr> GetOrBuildShard(
-      const ExprSig& sig, const BoundTerm& bound, const TablePtr& table,
-      size_t begin, size_t end,
-      fault::CancellationToken* token = nullptr);
 
   /// Snapshot of the activity counters (by value: the counters are
   /// guarded, and a reference would escape the lock).
@@ -196,27 +114,15 @@ class UdfColumnCache {
   }
 
  private:
-  // (rels, preds, UDF function, argument columns, row_begin, row_end):
-  // one bound term over one row range of one expression. Whole columns
-  // use [0, num_rows).
-  using Key = std::tuple<uint64_t, uint64_t, uintptr_t, std::vector<size_t>, size_t,
-                         size_t>;
-  static Key MakeKey(const ExprSig& sig, const BoundTerm& bound, size_t begin,
-                     size_t end);
-
-  /// The one lookup / fill / publish path behind GetOrBuild (the range
-  /// [0, num_rows), filled on `pool`) and GetOrBuildShard (the shard's
-  /// range, filled inline): the column of rows [begin, end) at local slots.
-  StatusOr<CachedUdfColumnPtr> GetOrBuildRange(const ExprSig& sig,
-                                               const BoundTerm& bound,
-                                               const TablePtr& table, size_t begin,
-                                               size_t end, parallel::ThreadPool* pool,
-                                               size_t morsel_size,
-                                               fault::CancellationToken* token);
+  // (rels, preds, UDF function, argument columns): one bound term over one
+  // expression.
+  using Key = std::tuple<uint64_t, uint64_t, uintptr_t, std::vector<size_t>>;
+  static Key MakeKey(const ExprSig& sig, const BoundTerm& bound);
 
   struct Entry {
     std::weak_ptr<const Table> table;  // the exact table the column indexes
     CachedUdfColumnPtr column;
+    size_t bytes = 0;  // column->ApproxBytes(), taken once at publish
     std::list<Key>::iterator lru_it;
   };
 

@@ -11,11 +11,6 @@
 namespace monsoon::parallel {
 
 Status ParallelFor(ThreadPool* pool, size_t n, size_t morsel_size,
-                   const std::function<Status(size_t, size_t, size_t)>& fn) {
-  return ParallelFor(pool, n, morsel_size, /*token=*/nullptr, fn);
-}
-
-Status ParallelFor(ThreadPool* pool, size_t n, size_t morsel_size,
                    fault::CancellationToken* token,
                    const std::function<Status(size_t, size_t, size_t)>& fn) {
   if (n == 0) return Status::OK();

@@ -28,19 +28,17 @@ inline size_t NumMorsels(size_t n, size_t morsel_size) {
 /// the failure is monotone, e.g. a budget trip). Exceptions thrown by fn
 /// propagate to the caller.
 ///
+/// Cancellation: a non-null `token` is polled at every morsel boundary (in
+/// the serial fallback too, so cancellation latency does not depend on the
+/// thread count). A tripped token stops every lane from claiming further
+/// morsels and its Cancelled / DeadlineExceeded status is returned —
+/// unless some morsel already failed, in which case the lowest-indexed
+/// morsel error still wins.
+///
 /// fn runs concurrently with other morsels: it may freely write state
 /// indexed by its morsel number, and must not touch shared mutable state
 /// without synchronization. Deterministic reductions are obtained by
 /// merging per-morsel results in morsel order after this returns.
-Status ParallelFor(ThreadPool* pool, size_t n, size_t morsel_size,
-                   const std::function<Status(size_t, size_t, size_t)>& fn);
-
-/// As above, additionally polling `token` at every morsel boundary (in the
-/// serial fallback too, so cancellation latency does not depend on the
-/// thread count). A tripped token stops every lane from claiming further
-/// morsels and its Cancelled / DeadlineExceeded status is returned —
-/// unless some morsel already failed, in which case the lowest-indexed
-/// morsel error still wins. `token` may be null (plain ParallelFor).
 Status ParallelFor(ThreadPool* pool, size_t n, size_t morsel_size,
                    fault::CancellationToken* token,
                    const std::function<Status(size_t, size_t, size_t)>& fn);

@@ -27,8 +27,10 @@ inline constexpr char kShardExecPoint[] = "shard.exec";
 /// contiguous row range [offsets[s], offsets[s+1]). Keeping the shards as
 /// ranges of a single table (rather than N separate Tables) means every
 /// existing per-range operator — the executor's ForEachBatch,
-/// FlatColumn::Fill, CombineKeyHashes — works on a shard unchanged, and
-/// shards=1 is bit-for-bit today's layout (the original table, untouched).
+/// FlatColumn::Fill, CombineKeyHashes — works on a shard unchanged, a
+/// shard indexes the table's whole-expression UDF cache columns by its
+/// absolute rows (no shard has columns of its own), and shards=1 is
+/// bit-for-bit today's layout (the original table, untouched).
 struct ShardMap {
   std::vector<size_t> offsets;  // num_shards() + 1 entries, monotone
 

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <optional>
 
+#include "common/env.h"
 #include "common/string_util.h"
 #include "expr/udf.h"
 
@@ -254,13 +255,20 @@ class ParserImpl {
   StatusOr<Operand> ParseOperand() {
     Operand operand;
     if (Peek().kind == TokenKind::kNumber) {
-      std::string text = Peek().text;
-      Advance();
+      // The whole token, in range: "1.2.3" and literals past int64 or the
+      // finite doubles fail the parse instead of reading a prefix or
+      // throwing.
+      const std::string& text = Peek().text;
       if (text.find('.') != std::string::npos) {
-        operand.literal = Value(std::stod(text));
+        std::optional<double> number = ParseNumber(text, kFiniteDoubleRange);
+        if (!number.has_value()) return Error("invalid number '" + text + "'");
+        operand.literal = Value(*number);
       } else {
-        operand.literal = Value(static_cast<int64_t>(std::stoll(text)));
+        std::optional<int64_t> number = ParseNumber(text, kInt64Range);
+        if (!number.has_value()) return Error("invalid number '" + text + "'");
+        operand.literal = Value(*number);
       }
+      Advance();
       return operand;
     }
     if (Peek().kind == TokenKind::kString) {

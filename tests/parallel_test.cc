@@ -129,7 +129,8 @@ TEST(ParallelForTest, MatchesSerialSumOverAwkwardShapes) {
     for (size_t morsel : {1ul, 3ul, 64ul, 4096ul}) {
       std::vector<uint64_t> per_morsel(NumMorsels(n, morsel), 0);
       Status status = ParallelFor(
-          &pool, n, morsel, [&](size_t m, size_t begin, size_t end) {
+          &pool, n, morsel, /*token=*/nullptr,
+          [&](size_t m, size_t begin, size_t end) {
             EXPECT_EQ(begin, m * morsel);
             EXPECT_LE(end, n);
             uint64_t sum = 0;
@@ -149,12 +150,13 @@ TEST(ParallelForTest, MatchesSerialSumOverAwkwardShapes) {
 TEST(ParallelForTest, ReportsLowestFailingMorselAndCancels) {
   ThreadPool pool(4);
   std::atomic<int> started{0};
-  Status status = ParallelFor(&pool, 1000, 10, [&](size_t m, size_t, size_t) {
-    started.fetch_add(1);
-    if (m == 3) return Status::InvalidArgument("morsel 3 failed");
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    return Status::OK();
-  });
+  Status status = ParallelFor(
+      &pool, 1000, 10, /*token=*/nullptr, [&](size_t m, size_t, size_t) {
+        started.fetch_add(1);
+        if (m == 3) return Status::InvalidArgument("morsel 3 failed");
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return Status::OK();
+      });
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(status.message(), "morsel 3 failed");
   // Cancellation: nowhere near all 100 morsels should have started.
@@ -163,11 +165,12 @@ TEST(ParallelForTest, ReportsLowestFailingMorselAndCancels) {
 
 TEST(ParallelForTest, SerialFallbackShortCircuits) {
   int ran = 0;
-  Status status = ParallelFor(nullptr, 100, 10, [&](size_t m, size_t, size_t) {
-    ++ran;
-    if (m == 2) return Status::Internal("stop");
-    return Status::OK();
-  });
+  Status status = ParallelFor(
+      nullptr, 100, 10, /*token=*/nullptr, [&](size_t m, size_t, size_t) {
+        ++ran;
+        if (m == 2) return Status::Internal("stop");
+        return Status::OK();
+      });
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_EQ(ran, 3);
 }

@@ -25,6 +25,7 @@
 #include "exec/materialized_store.h"
 #include "fault/cancellation.h"
 #include "fault/injector.h"
+#include "obs/metrics.h"
 #include "optimizer/optimizer.h"
 #include "parallel/thread_pool.h"
 #include "plan/logical_ops.h"
@@ -228,6 +229,9 @@ struct ShardRun {
   uint64_t retries = 0;
   uint64_t failures = 0;
   uint64_t recoveries = 0;
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  size_t cache_entries = 0;  // resident columns once the run ends
   std::vector<std::string> fingerprints;
   std::vector<std::pair<ExprSig, uint64_t>> counts;
   std::vector<DistinctObservation> distincts;
@@ -260,6 +264,9 @@ StatusOr<ShardRun> RunPlan(const Workload& workload, const BenchQuery& query,
   run.retries = ctx.shard_retries();
   run.failures = ctx.shard_failures();
   run.recoveries = ctx.shard_recoveries();
+  run.cache_hits = ctx.udf_cache_hits();
+  run.cache_misses = ctx.udf_cache_misses();
+  run.cache_entries = store.udf_cache()->num_entries();
   run.fingerprints = RowFingerprints(*exec.output.table);
   run.counts = exec.observed_counts;
   std::sort(run.counts.begin(), run.counts.end());
@@ -291,7 +298,9 @@ PlanNode::Ptr PlanFor(const Workload& workload, const BenchQuery& query) {
   return PlanNode::StatsCollect(plan);
 }
 
-void ExpectRunsEqual(const ShardRun& reference, const ShardRun& run) {
+/// Everything the cost model and the results can see: rows, fingerprints,
+/// charges, observed counts and Σ distincts.
+void ExpectAccountingEqual(const ShardRun& reference, const ShardRun& run) {
   EXPECT_EQ(reference.rows, run.rows);
   EXPECT_EQ(reference.fingerprints, run.fingerprints);
   // Sharding (and recovering a killed shard) is invisible to the cost
@@ -312,6 +321,16 @@ void ExpectRunsEqual(const ShardRun& reference, const ShardRun& run) {
               run.distincts[i].distinct_count);
   }
   EXPECT_TRUE(run.degraded.empty());
+}
+
+/// The accounting, plus the UDF cache's lookups: columns are keyed by
+/// (expression, bound term) and bound whole before a pass's ranges run, so
+/// the shard count, the thread count and a recovered shard kill leave the
+/// hit and miss counts as they are.
+void ExpectRunsEqual(const ShardRun& reference, const ShardRun& run) {
+  ExpectAccountingEqual(reference, run);
+  EXPECT_EQ(reference.cache_hits, run.cache_hits);
+  EXPECT_EQ(reference.cache_misses, run.cache_misses);
 }
 
 class ShardEquivalenceTest : public ShardTest {
@@ -403,6 +422,51 @@ TEST_F(ShardEquivalenceTest, UdfBench) {
   auto workload = MakeUdfBenchWorkload(options);
   ASSERT_TRUE(workload.ok()) << workload.status().ToString();
   ExpectShardEquivalence(*workload, 3);
+}
+
+// ---------------------------------------------------------------------------
+// A cache fill that fails on every row publishes nothing: each column is
+// dropped, its readers fall back to per-row evaluation, and everything the
+// cost model sees stays as in a fault-free run, at every shard and thread
+// count.
+// ---------------------------------------------------------------------------
+
+TEST_F(ShardTest, DroppedCacheFillsLeaveAccountingUnchanged) {
+  TpchOptions options;
+  options.scale = 0.05;
+  auto workload = MakeTpchWorkload(options);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  obs::Counter* const dropped =
+      obs::Registry::Global().GetCounter("faults.cache_fills_dropped");
+  parallel::ThreadPool pool(4);
+  size_t checked = 0;
+  for (const BenchQuery& query : workload->queries) {
+    if (checked++ >= 3) break;
+    SCOPED_TRACE(query.name);
+    PlanNode::Ptr plan = PlanFor(*workload, query);
+    ASSERT_NE(plan, nullptr);
+    for (int shards : {1, 4}) {
+      for (parallel::ThreadPool* run_pool :
+           std::initializer_list<parallel::ThreadPool*>{nullptr, &pool}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     (run_pool == nullptr ? " serial" : " threads=4"));
+        fault::Clear();
+        auto clean = RunPlan(*workload, query, plan, run_pool, shards);
+        ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+        ASSERT_GT(clean->cache_misses, 0u) << "the plan fills no column";
+
+        ASSERT_TRUE(Install("exec.udf_cache.fill=1:permanent", /*seed=*/7).ok());
+        const uint64_t dropped_before = dropped->Value();
+        auto faulty = RunPlan(*workload, query, plan, run_pool, shards);
+        ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
+        ExpectAccountingEqual(*clean, *faulty);
+        EXPECT_GT(dropped->Value() - dropped_before, 0u);
+        EXPECT_EQ(faulty->cache_entries, 0u);
+      }
+    }
+  }
+  fault::Clear();
+  EXPECT_EQ(pool.pending_tasks(), 0u);
 }
 
 // ---------------------------------------------------------------------------

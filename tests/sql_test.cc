@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sql/parser.h"
 
 namespace monsoon {
@@ -113,6 +117,29 @@ TEST_F(ParserTest, IntAndDoubleLiterals) {
   auto q2 = Parse("SELECT * FROM orders o WHERE o.cust = 5.5");
   ASSERT_TRUE(q2.ok());
   EXPECT_TRUE(q2->predicate(0).constant.is_double());
+  for (const auto& [literal, expect] :
+       std::vector<std::pair<std::string, Value>>{{"-5", Value(int64_t{-5})},
+                                                  {"42", Value(int64_t{42})},
+                                                  {"2.5", Value(2.5)}}) {
+    SCOPED_TRACE(literal);
+    auto query = Parse("SELECT * FROM orders o WHERE o.cust = " + literal);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    EXPECT_EQ(query->predicate(0).constant, expect);
+    EXPECT_EQ(query->predicate(0).constant.type(), expect.type());
+  }
+}
+
+TEST_F(ParserTest, OutOfRangeAndMalformedLiteralsFailTheParse) {
+  for (const std::string literal :
+       {"99999999999999999999", "-99999999999999999999", "1.2.3"}) {
+    SCOPED_TRACE(literal);
+    auto query = Parse("SELECT * FROM orders o WHERE o.cust = " + literal);
+    ASSERT_FALSE(query.ok());
+    EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(query.status().message().find("'" + literal + "'"),
+              std::string::npos)
+        << query.status().ToString();
+  }
 }
 
 TEST_F(ParserTest, NotEqualJoin) {

@@ -89,12 +89,13 @@ TEST_F(UdfCacheTest, CachedValuesAndHashesMatchPerRowEval) {
     // Parallel fill with a small morsel so several workers write ranges.
     auto col = cache.GetOrBuild(sig, bound, table_, &pool, 7);
     ASSERT_TRUE(col.ok());
+    const FlatView view = FlatView::Of(**col);
     for (size_t row = 0; row < table_->num_rows(); ++row) {
       Value expect = bound.Eval(*table_, row);
-      EXPECT_TRUE((*col)->EqualsValue(row, expect));
-      EXPECT_EQ((*col)->HashAt(row), expect.Hash())
+      EXPECT_TRUE(view.EqualsValue(row, expect));
+      EXPECT_EQ(view.HashAt(row), expect.Hash())
           << "cached hashes must be Value::Hash()-identical (row " << row << ")";
-      EXPECT_EQ((*col)->ValueAt(row), expect);
+      EXPECT_EQ(view.ValueAt(row), expect);
     }
   }
 }
