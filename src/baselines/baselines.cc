@@ -7,6 +7,7 @@
 #include <set>
 
 #include "cost/cardinality.h"
+#include "exec/batch.h"
 #include "exec/exec_context.h"
 #include "exec/executor.h"
 #include "exec/materialized_store.h"
@@ -174,6 +175,7 @@ class FullStatsStrategy : public PlanExecStrategy {
       return Status::Unimplemented(
           "full offline statistics are unrealistic for multi-table UDFs");
     }
+    FlatColumn scratch;
     for (const auto& [rel, terms] : groups.single) {
       MONSOON_ASSIGN_OR_RETURN(TablePtr table,
                                catalog.GetTable(query.relation(rel).table_name));
@@ -182,9 +184,8 @@ class FullStatsStrategy : public PlanExecStrategy {
         MONSOON_ASSIGN_OR_RETURN(BoundTerm bound,
                                  BoundTerm::Bind(*term, schema, UdfRegistry::Global()));
         ExactDistinctCounter counter;
-        for (size_t row = 0; row < table->num_rows(); ++row) {
-          counter.AddHash(bound.Eval(*table, row).Hash());
-        }
+        ForEachTermHash(bound, *table, UdfRows::Range(0, table->num_rows()),
+                        &scratch, [&](uint64_t h) { counter.AddHash(h); });
         stats->SetDistinctObserved(term->term_id,
                                    ExprSig::Of(RelSet::Single(rel), 0),
                                    static_cast<double>(counter.Count()));
@@ -257,10 +258,10 @@ class OnDemandStrategy : public PlanExecStrategy {
         bound.push_back(std::move(b));
       }
       std::vector<HyperLogLog> sketches(bound.size(), HyperLogLog(14));
-      for (size_t row = 0; row < table->num_rows(); ++row) {
-        for (size_t t = 0; t < bound.size(); ++t) {
-          sketches[t].AddHash(bound[t].Eval(*table, row).Hash());
-        }
+      FlatColumn scratch;
+      for (size_t t = 0; t < bound.size(); ++t) {
+        ForEachTermHash(bound[t], *table, UdfRows::Range(0, table->num_rows()),
+                        &scratch, [&](uint64_t h) { sketches[t].AddHash(h); });
       }
       MONSOON_RETURN_IF_ERROR(ctx->Charge(table->num_rows()));
       for (size_t t = 0; t < bound.size(); ++t) {
@@ -311,19 +312,22 @@ class SamplingStrategy : public PlanExecStrategy {
     };
 
     // Single-relation terms: GEE over the per-relation sample.
+    FlatColumn scratch;
     for (const auto& [rel, terms] : groups.single) {
       MONSOON_RETURN_IF_ERROR(ensure_sample(rel));
       MONSOON_ASSIGN_OR_RETURN(TablePtr table,
                                catalog.GetTable(query.relation(rel).table_name));
       Schema schema = table->schema().Qualify(query.relation(rel).alias);
+      const std::vector<uint32_t> sample_rows(samples[rel].begin(),
+                                              samples[rel].end());
       for (const UdfTerm* term : terms) {
         MONSOON_ASSIGN_OR_RETURN(BoundTerm bound,
                                  BoundTerm::Bind(*term, schema, UdfRegistry::Global()));
         std::vector<uint64_t> hashes;
-        hashes.reserve(samples[rel].size());
-        for (uint64_t row : samples[rel]) {
-          hashes.push_back(bound.Eval(*table, row).Hash());
-        }
+        hashes.reserve(sample_rows.size());
+        ForEachTermHash(bound, *table,
+                        UdfRows::Ids(sample_rows.data(), sample_rows.size()),
+                        &scratch, [&](uint64_t h) { hashes.push_back(h); });
         SampleProfile profile = SampleProfile::FromHashes(hashes);
         double estimate = EstimateDistinctGee(profile, table->num_rows());
         stats->SetDistinctObserved(term->term_id, ExprSig::Of(RelSet::Single(rel), 0),
@@ -361,9 +365,8 @@ class SamplingStrategy : public PlanExecStrategy {
       MONSOON_RETURN_IF_ERROR(ctx->Charge(pairs.num_rows()));
       std::vector<uint64_t> hashes;
       hashes.reserve(pairs.num_rows());
-      for (size_t row = 0; row < pairs.num_rows(); ++row) {
-        hashes.push_back(bound.Eval(pairs, row).Hash());
-      }
+      ForEachTermHash(bound, pairs, UdfRows::Range(0, pairs.num_rows()),
+                      &scratch, [&](uint64_t h) { hashes.push_back(h); });
       SampleProfile profile = SampleProfile::FromHashes(hashes);
       double population = static_cast<double>(ta->num_rows()) *
                           static_cast<double>(tb->num_rows());

@@ -57,7 +57,6 @@ class StatsStore {
   // --- object counts ------------------------------------------------------
   std::optional<double> LookupCount(const ExprSig& expr) const;
   void SetCount(const ExprSig& expr, double count);
-  bool HasCount(const ExprSig& expr) const { return LookupCount(expr).has_value(); }
   /// Count recorded for any expression over exactly this relation set
   /// (whatever predicates were applied), preferring the most-filtered one;
   /// among equally filtered ones, the smallest predicate mask.

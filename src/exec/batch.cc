@@ -5,12 +5,14 @@
 namespace monsoon {
 
 void FlatColumn::Resize(ValueType type, size_t n) {
+  if (type != type_) {
+    int64s_.clear();
+    doubles_.clear();
+    strings_.clear();
+    hashes_.clear();
+  }
   type_ = type;
   size_ = n;
-  int64s_.clear();
-  doubles_.clear();
-  strings_.clear();
-  hashes_.clear();
   switch (type) {
     case ValueType::kInt64:
       int64s_.resize(n);
@@ -25,33 +27,26 @@ void FlatColumn::Resize(ValueType type, size_t n) {
   }
 }
 
-Status FlatColumn::Fill(const BoundTerm& bound, const Table& table,
-                        size_t row_begin, size_t row_end, size_t out_begin) {
-  MONSOON_DCHECK(out_begin + (row_end - row_begin) <= size_)
-      << "flat column fill range out of bounds";
-  for (size_t row = row_begin; row < row_end; ++row) {
-    size_t i = out_begin + (row - row_begin);
-    Value v = bound.Eval(table, row);
-    if (v.type() != type_) {
-      return Status::Internal("UDF produced a " +
-                              std::string(ValueTypeToString(v.type())) +
-                              " where its declared result type is " +
-                              ValueTypeToString(type_));
-    }
-    switch (type_) {
-      case ValueType::kInt64:
-        int64s_[i] = v.AsInt64();
-        break;
-      case ValueType::kDouble:
-        doubles_[i] = v.AsDouble();
-        break;
-      case ValueType::kString:
-        hashes_[i] = HashString(v.AsString());
-        strings_[i] = v.AsString();
-        break;
-    }
+void FlatColumn::Fill(const BoundTerm& bound, const Table& table, UdfRows rows,
+                      size_t out_begin) {
+  MONSOON_CHECK(bound.result_type() == type_)
+      << "a " << ValueTypeToString(bound.result_type()) << " UDF filling a "
+      << ValueTypeToString(type_) << " column";
+  MONSOON_DCHECK(out_begin + rows.n <= size_) << "flat column fill range out of bounds";
+  UdfSlots out;
+  switch (type_) {
+    case ValueType::kInt64:
+      out.i64 = int64s_.data() + out_begin;
+      break;
+    case ValueType::kDouble:
+      out.dbl = doubles_.data() + out_begin;
+      break;
+    case ValueType::kString:
+      out.str = strings_.data() + out_begin;
+      out.str_hash = hashes_.data() + out_begin;
+      break;
   }
-  return Status::OK();
+  bound.function()->kernel(table, bound.arg_cols(), rows, out);
 }
 
 size_t FlatColumn::ApproxBytes() const {

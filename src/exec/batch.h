@@ -1,12 +1,13 @@
 #ifndef MONSOON_EXEC_BATCH_H_
 #define MONSOON_EXEC_BATCH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "exec/bound_term.h"
+#include "exec/exec_context.h"
 #include "exec/flat_compare.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -18,22 +19,23 @@ namespace monsoon {
 /// column type of the executor: the evaluate-once cache (exec/udf_cache.h)
 /// publishes whole-expression FlatColumns, and operators own batch-local
 /// or whole-side ones for uncached terms (hash-join build and probe keys),
-/// so term results are unboxed once per fill instead of boxing a Value
-/// per row per use.
+/// so the UDF's kernel writes typed results straight into them and no
+/// Value is boxed per row.
 class FlatColumn {
  public:
   /// Resets to `n` uninitialized slots of `type`. Slots are written by
-  /// Fill; strings are default-constructed so partial fills stay safe.
+  /// Fill; a string slot always holds a valid string, so partial fills stay
+  /// safe, and a batch-local column resized to its own type keeps its
+  /// strings' buffers for the next fill to reuse.
   void Resize(ValueType type, size_t n);
 
-  /// Evaluates `bound` over rows [row_begin, row_end) of `table`, writing
-  /// results to slots [out_begin, out_begin + (row_end - row_begin)).
-  /// Disjoint ranges may be filled from different morsels concurrently.
-  /// Errors if a produced value disagrees with the column's type (a UDF
-  /// that violates its declared result type is a hard error on every
-  /// vectorized path).
-  Status Fill(const BoundTerm& bound, const Table& table, size_t row_begin,
-              size_t row_end, size_t out_begin);
+  /// Evaluates `bound` over `rows` of `table` in one kernel call, writing
+  /// the i-th row's result to slot out_begin + i. The column's type must
+  /// be the term's result type. Disjoint slot ranges may be filled from
+  /// different morsels concurrently. Every UDF evaluation in the engine
+  /// goes through here.
+  void Fill(const BoundTerm& bound, const Table& table, UdfRows rows,
+            size_t out_begin);
 
   ValueType type() const { return type_; }
   size_t size() const { return size_; }
@@ -63,6 +65,33 @@ class FlatColumn {
 // The read-only view the hot loops use (FlatView: hash / equality with
 // Value-identical semantics) lives in exec/flat_compare.h; its Of() is
 // defined in batch.cc.
+
+/// Evaluates `bound` over `rows` of `table` into the batch-local `col`,
+/// slot i for the i-th row, in one kernel call.
+inline FlatView FillBatchColumn(const BoundTerm& bound, const Table& table,
+                                UdfRows rows, FlatColumn* col) {
+  col->Resize(bound.result_type(), rows.n);
+  col->Fill(bound, table, rows, 0);
+  return FlatView::Of(*col);
+}
+
+/// Calls fn(h) with h = Value::Hash() of `bound` at each of `rows` of
+/// `table`, in order, filling `scratch` one kBatchRows chunk per kernel
+/// call (Σ passes and statistics collection consume each value once).
+template <typename Fn>
+void ForEachTermHash(const BoundTerm& bound, const Table& table, UdfRows rows,
+                     FlatColumn* scratch, Fn&& fn) {
+  for (size_t done = 0; done < rows.n; done += kBatchRows) {
+    const size_t n = std::min(kBatchRows, rows.n - done);
+    const FlatView view = FillBatchColumn(
+        bound, table,
+        rows.ids != nullptr
+            ? UdfRows::Ids(rows.ids + done, n)
+            : UdfRows::Range(rows.begin + done, rows.begin + done + n),
+        scratch);
+    for (size_t i = 0; i < n; ++i) fn(view.HashAt(i));
+  }
+}
 
 }  // namespace monsoon
 

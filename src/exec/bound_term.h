@@ -12,17 +12,14 @@
 namespace monsoon {
 
 /// A UDF term resolved against a concrete schema: function pointer plus
-/// argument column indices. Binding happens once per operator, evaluation
-/// once per row (or once per expression when the UDF column cache holds
-/// the term's materialized output; see exec/udf_cache.h).
+/// argument column indices. Binding happens once per operator; evaluation
+/// is FlatColumn::Fill (exec/batch.h), one kernel call per batch of rows —
+/// or none, when the UDF column cache holds the term's materialized output
+/// (exec/udf_cache.h).
 class BoundTerm {
  public:
   static StatusOr<BoundTerm> Bind(const UdfTerm& term, const Schema& schema,
                                   const UdfRegistry& registry);
-
-  Value Eval(const Table& table, size_t row) const {
-    return fn_->fn(RowRef(&table, row), arg_cols_);
-  }
 
   ValueType result_type() const { return fn_->result_type; }
 

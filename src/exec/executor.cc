@@ -34,8 +34,8 @@ namespace {
 
 /// A predicate bound against a single (possibly concatenated) schema,
 /// evaluated as a residual filter. Leaf scans attach evaluate-once cached
-/// columns, which ApplyResidualBatch reads instead of calling Eval; join
-/// residuals evaluate against transient concatenated rows and stay
+/// columns, which ApplyResidualBatch reads instead of evaluating the terms;
+/// join residuals evaluate against transient concatenated rows and stay
 /// uncached.
 struct BoundResidual {
   enum class Kind { kJoinEq, kJoinNeq, kSelectionEq };
@@ -45,20 +45,15 @@ struct BoundResidual {
   Value constant;   // selection only
   CachedUdfColumnPtr left_col;   // indexes the leaf's source table
   CachedUdfColumnPtr right_col;  // join kinds only
+};
 
-  /// Per-row evaluation: the fallback when no cached column is attached.
-  bool Eval(const Table& table, size_t row) const {
-    Value l = left.Eval(table, row);
-    switch (kind) {
-      case Kind::kJoinEq:
-        return l == right.Eval(table, row);
-      case Kind::kJoinNeq:
-        return l != right.Eval(table, row);
-      case Kind::kSelectionEq:
-        return l == constant;
-    }
-    return false;
-  }
+/// The batch-local columns uncached residuals evaluate into, and
+/// EmitSurvivors' selection of staged candidates: one per range, reused
+/// from batch to batch.
+struct ResidualScratch {
+  FlatColumn left;
+  FlatColumn right;
+  std::vector<uint32_t> keep;
 };
 
 StatusOr<BoundResidual> BindResidual(const Predicate& pred, const Schema& schema,
@@ -88,43 +83,13 @@ struct RowIds {
   size_t size() const { return left.size(); }
 };
 
-/// Emits the join candidates (lrows[i], rrows[i]), i < n, that pass every
-/// residual filter. The filters see the concatenated schema, so candidates
-/// stage in `staging` (its allocation reused across calls) and each is
-/// checked filter by filter, short-circuiting — the row path's evaluation
-/// set. Callers charge the candidates.
-void EmitSurvivors(const std::vector<BoundResidual>& residual, const Table& lt,
-                   const uint32_t* lrows, const Table& rt, const uint32_t* rrows,
-                   size_t n, Table* staging, RowIds* out) {
-  if (residual.empty()) {
-    out->left.insert(out->left.end(), lrows, lrows + n);
-    out->right.insert(out->right.end(), rrows, rrows + n);
-    return;
-  }
-  staging->ClearRows();
-  staging->AppendConcatSelected(lt, lrows, rt, rrows, n);
-  for (size_t i = 0; i < n; ++i) {
-    bool pass = true;
-    for (const auto& filter : residual) {
-      if (!filter.Eval(*staging, i)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) {
-      out->left.push_back(lrows[i]);
-      out->right.push_back(rrows[i]);
-    }
-  }
-}
-
 /// A cached UDF column only pays off when the expression can be scanned
 /// again — i.e. its exact physical table is registered in the store (base
 /// relations and previously materialized expressions that later plan
 /// trees reference as leaves). A fresh intermediate (a filtered leaf or a
 /// join output consumed inline) exists only for the current operator, so
 /// building a column over it would be a pure extra pass that can never
-/// hit; those read paths fall back to per-row evaluation.
+/// hit; those read paths evaluate their terms batch by batch instead.
 bool StoreResident(const MaterializedStore& store, const MaterializedExpr& expr) {
   auto stored = store.Lookup(expr.sig);
   return stored.ok() && (*stored)->table.get() == expr.table.get();
@@ -307,9 +272,9 @@ Status DriveRanges(ExecContext* ctx, const RangePlan& plan,
 /// off.
 ///
 /// A transient fault while building the column is not fatal to the query
-/// either: the column comes back null and the caller falls back to per-row
+/// either: the column comes back null and the caller falls back to batch
 /// evaluation, which is accounting-identical (the cache is invisible to
-/// the cost model). Hard errors (type mismatches, budget) still propagate,
+/// the cost model). Non-transient errors still propagate,
 /// as does any error once the query's cancellation token has tripped — a
 /// deadline must abort, not degrade.
 StatusOr<CachedUdfColumnPtr> CachedColumn(ExecContext* ctx, UdfColumnCache* cache,
@@ -329,8 +294,8 @@ StatusOr<CachedUdfColumnPtr> CachedColumn(ExecContext* ctx, UdfColumnCache* cach
 }
 
 /// Attaches evaluate-once columns to leaf filters over `expr`. Join-kind
-/// filters need both sides cached; a filter missing either keeps per-row
-/// evaluation.
+/// filters need both sides cached; a filter missing either evaluates its
+/// terms per batch.
 Status BindFilterColumns(ExecContext* ctx, UdfColumnCache* cache,
                          const MaterializedExpr& expr,
                          std::vector<BoundResidual>* filters) {
@@ -409,13 +374,14 @@ Status ForEachBatch(ExecContext* ctx, const Table& table, size_t begin,
   return Status::OK();
 }
 
-/// Narrows a scan batch [begin, end) to the rows satisfying `pass`
-/// (absolute row ids). The batch's selection is the tail of the range's
-/// row-id list from `tail` on: the first filter scans the batch and
-/// appends its survivors there, later filters compact the tail in place.
-/// A conjunction thus touches each row once per filter it survives to —
-/// the row path's short-circuit evaluation set, just column-at-a-time —
-/// and the last filter leaves the survivors where the scan emits them.
+/// Narrows a batch [begin, end) to the rows satisfying pass(row), calling
+/// it once per selected row (absolute id), in selection order. The batch's
+/// selection is the tail of the range's row-id list from `tail` on: the
+/// first filter scans the batch and appends its survivors there, later
+/// filters compact the tail in place. A conjunction thus touches each row
+/// once per filter it survives to — the row path's short-circuit
+/// evaluation set, just column-at-a-time — and the last filter leaves the
+/// survivors where the scan emits them.
 template <typename Pred>
 void RefineSelection(size_t begin, size_t end, bool first, size_t tail,
                      std::vector<uint32_t>* rows, Pred&& pass) {
@@ -437,48 +403,44 @@ void RefineSelection(size_t begin, size_t end, bool first, size_t tail,
   rows->resize(w);
 }
 
-/// Applies one bound residual to a scan batch's selection (see
-/// RefineSelection for `first`, `tail` and `rows`). Cached filters run
-/// type-specialized loops over the flat columns (mirroring
-/// FlatView::EqualsValue / FlatView::Equal exactly, hash-first for
-/// strings); uncached filters fall back to per-row evaluation.
-void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
-                        size_t end, bool first, size_t tail,
-                        std::vector<uint32_t>* rows) {
-  if (f.left_col == nullptr) {
-    RefineSelection(begin, end, first, tail, rows,
-                    [&](size_t row) { return f.Eval(in, row); });
-    return;
-  }
-  const FlatColumn& lcol = *f.left_col;
+/// Refines a batch's selection (see RefineSelection) by `f`, reading each
+/// selected row's term values at index at(row) of `l` (and of `r`, join
+/// kinds); `at` is called once per selected row, in order. Type-specialized
+/// loops mirror FlatView::EqualsValue / FlatView::Equal exactly, hash-first
+/// for strings.
+template <typename At>
+void RefineByResidual(const BoundResidual& f, const FlatView& l,
+                      const FlatView& r, At at, size_t begin, size_t end,
+                      bool first, size_t tail, std::vector<uint32_t>* rows) {
+  auto refine = [&](auto&& pass) {
+    RefineSelection(begin, end, first, tail, rows, pass);
+  };
   if (f.kind == BoundResidual::Kind::kSelectionEq) {
-    if (f.constant.type() != lcol.type()) {
-      RefineSelection(begin, end, first, tail, rows,
-                      [](size_t) { return false; });
+    if (f.constant.type() != l.type) {
+      refine([](size_t) { return false; });
       return;
     }
-    switch (lcol.type()) {
+    switch (l.type) {
       case ValueType::kInt64: {
         const int64_t want = f.constant.AsInt64();
-        const int64_t* data = lcol.Int64Data();
-        RefineSelection(begin, end, first, tail, rows,
-                        [&](size_t row) { return data[row] == want; });
+        const int64_t* data = l.i64;
+        refine([&](size_t row) { return data[at(row)] == want; });
         return;
       }
       case ValueType::kDouble: {
         const double want = f.constant.AsDouble();
-        const double* data = lcol.DoubleData();
-        RefineSelection(begin, end, first, tail, rows,
-                        [&](size_t row) { return data[row] == want; });
+        const double* data = l.dbl;
+        refine([&](size_t row) { return data[at(row)] == want; });
         return;
       }
       case ValueType::kString: {
         const std::string& want = f.constant.AsString();
         const uint64_t want_hash = HashString(want);
-        const uint64_t* hashes = lcol.HashData();
-        const std::string* strs = lcol.StringData();
-        RefineSelection(begin, end, first, tail, rows, [&](size_t row) {
-          return hashes[row] == want_hash && strs[row] == want;
+        const uint64_t* hashes = l.str_hash;
+        const std::string* strs = l.str;
+        refine([&](size_t row) {
+          const size_t k = at(row);
+          return hashes[k] == want_hash && strs[k] == want;
         });
         return;
       }
@@ -486,40 +448,105 @@ void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
     return;
   }
   const bool keep_equal = f.kind == BoundResidual::Kind::kJoinEq;
-  const FlatColumn& rcol = *f.right_col;
-  if (lcol.type() != rcol.type()) {
+  if (l.type != r.type) {
     // Equal() is false across types on every row.
-    RefineSelection(begin, end, first, tail, rows,
-                    [keep_equal](size_t) { return !keep_equal; });
+    refine([keep_equal](size_t) { return !keep_equal; });
     return;
   }
-  switch (lcol.type()) {
+  switch (l.type) {
     case ValueType::kInt64: {
-      const int64_t* a = lcol.Int64Data();
-      const int64_t* b = rcol.Int64Data();
-      RefineSelection(begin, end, first, tail, rows, [&](size_t row) {
-        return (a[row] == b[row]) == keep_equal;
+      const int64_t* a = l.i64;
+      const int64_t* b = r.i64;
+      refine([&](size_t row) {
+        const size_t k = at(row);
+        return (a[k] == b[k]) == keep_equal;
       });
       return;
     }
     case ValueType::kDouble: {
-      const double* a = lcol.DoubleData();
-      const double* b = rcol.DoubleData();
-      RefineSelection(begin, end, first, tail, rows, [&](size_t row) {
-        return (a[row] == b[row]) == keep_equal;
+      const double* a = l.dbl;
+      const double* b = r.dbl;
+      refine([&](size_t row) {
+        const size_t k = at(row);
+        return (a[k] == b[k]) == keep_equal;
       });
       return;
     }
     case ValueType::kString: {
-      const uint64_t* ha = lcol.HashData();
-      const uint64_t* hb = rcol.HashData();
-      const std::string* sa = lcol.StringData();
-      const std::string* sb = rcol.StringData();
-      RefineSelection(begin, end, first, tail, rows, [&](size_t row) {
-        return (ha[row] == hb[row] && sa[row] == sb[row]) == keep_equal;
+      const uint64_t* ha = l.str_hash;
+      const uint64_t* hb = r.str_hash;
+      const std::string* sa = l.str;
+      const std::string* sb = r.str;
+      refine([&](size_t row) {
+        const size_t k = at(row);
+        return (ha[k] == hb[k] && sa[k] == sb[k]) == keep_equal;
       });
       return;
     }
+  }
+}
+
+/// Applies one bound residual to a batch's selection (see RefineSelection
+/// for `first`, `tail` and `rows`). Cached filters read their whole-
+/// expression columns by row id; uncached ones first evaluate their terms
+/// over exactly the rows still selected, one kernel call per term, into
+/// `scratch`.
+void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
+                        size_t end, bool first, size_t tail,
+                        std::vector<uint32_t>* rows, ResidualScratch* scratch) {
+  const bool join_kind = f.kind != BoundResidual::Kind::kSelectionEq;
+  if (f.left_col != nullptr) {
+    RefineByResidual(f, FlatView::Of(*f.left_col),
+                     join_kind ? FlatView::Of(*f.right_col) : FlatView(),
+                     [](size_t row) { return row; }, begin, end, first, tail,
+                     rows);
+    return;
+  }
+  const UdfRows sel = first ? UdfRows::Range(begin, end)
+                            : UdfRows::Ids(rows->data() + tail, rows->size() - tail);
+  const FlatView l = FillBatchColumn(f.left, in, sel, &scratch->left);
+  const FlatView r = join_kind ? FillBatchColumn(f.right, in, sel, &scratch->right)
+                               : FlatView();
+  // The kernel wrote the i-th selected row's values to slot i.
+  RefineByResidual(f, l, r, [i = size_t{0}](size_t) mutable { return i++; },
+                   begin, end, first, tail, rows);
+}
+
+/// Appends the rows of [begin, end) of `in` that pass every filter to
+/// `rows`, narrowing the selection one filter at a time and stopping once
+/// it is empty.
+void FilterRows(const std::vector<BoundResidual>& filters, const Table& in,
+                size_t begin, size_t end, std::vector<uint32_t>* rows,
+                ResidualScratch* scratch) {
+  const size_t tail = rows->size();
+  for (size_t i = 0; i < filters.size(); ++i) {
+    ApplyResidualBatch(filters[i], in, begin, end, /*first=*/i == 0, tail,
+                       rows, scratch);
+    if (rows->size() == tail) break;
+  }
+}
+
+/// Emits the join candidates (lrows[i], rrows[i]), i < n, that pass every
+/// residual filter. The filters see the concatenated schema, so candidates
+/// stage in `staging` (its allocation reused across calls) and FilterRows
+/// narrows them filter by filter: each filter evaluates only the
+/// candidates every earlier one kept. Callers charge the candidates.
+void EmitSurvivors(const std::vector<BoundResidual>& residual, const Table& lt,
+                   const uint32_t* lrows, const Table& rt, const uint32_t* rrows,
+                   size_t n, Table* staging, ResidualScratch* scratch,
+                   RowIds* out) {
+  if (residual.empty()) {
+    out->left.insert(out->left.end(), lrows, lrows + n);
+    out->right.insert(out->right.end(), rrows, rrows + n);
+    return;
+  }
+  staging->ClearRows();
+  staging->AppendConcatSelected(lt, lrows, rt, rrows, n);
+  scratch->keep.clear();
+  FilterRows(residual, *staging, 0, n, &scratch->keep, scratch);
+  for (const uint32_t i : scratch->keep) {
+    out->left.push_back(lrows[i]);
+    out->right.push_back(rrows[i]);
   }
 }
 
@@ -528,32 +555,26 @@ void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
 /// gather at the barrier. Fires the per-row fault point over the whole
 /// batch first (firing is a pure function of the coordinate, so hoisting
 /// it out of the filter loops leaves fault behavior identical to the row
-/// path), then narrows the selection one filter at a time, stopping once
-/// it is empty. A scan without filters returns its source, so `filters`
-/// is never empty.
+/// path), then filters. A scan without filters returns its source, so
+/// `filters` is never empty.
 Status ScanBatch(const std::vector<BoundResidual>& filters, const Table& in,
-                 size_t begin, size_t end, std::vector<uint32_t>* rows) {
+                 size_t begin, size_t end, ResidualScratch* scratch,
+                 std::vector<uint32_t>* rows) {
   MONSOON_DCHECK(!filters.empty()) << "scan batch without filters";
   for (size_t row = begin; row < end; ++row) {
     MONSOON_FAULT_POINT("exec.udf_eval.filter", row);
   }
-  const size_t tail = rows->size();
-  for (size_t i = 0; i < filters.size(); ++i) {
-    ApplyResidualBatch(filters[i], in, begin, end, /*first=*/i == 0, tail,
-                       rows);
-    if (rows->size() == tail) break;
-  }
+  FilterRows(filters, in, begin, end, rows, scratch);
   return Status::OK();
 }
 
 /// Σ: folds rows [begin, end) into one HLL per term — precomputed hashes
-/// from the evaluate-once column when the term has one, per-row evaluation
-/// otherwise (each value is consumed exactly once, so there is nothing to
-/// unbox ahead of time).
+/// from the evaluate-once column when the term has one, else one kernel
+/// call per term into the range's `scratch` column.
 Status SigmaBatch(const std::vector<std::pair<int, BoundTerm>>& terms,
                   const std::vector<CachedUdfColumnPtr>& cols,
                   const Table& table, size_t begin, size_t end,
-                  std::vector<HyperLogLog>* sketches) {
+                  FlatColumn* scratch, std::vector<HyperLogLog>* sketches) {
   for (size_t row = begin; row < end; ++row) {
     MONSOON_FAULT_POINT("exec.udf_eval.sigma", row);
   }
@@ -565,10 +586,8 @@ Status SigmaBatch(const std::vector<std::pair<int, BoundTerm>>& terms,
         sketch.AddHash(v.HashAt(row));
       }
     } else {
-      const BoundTerm& bound = terms[t].second;
-      for (size_t row = begin; row < end; ++row) {
-        sketch.AddHash(bound.Eval(table, row).Hash());
-      }
+      ForEachTermHash(terms[t].second, table, UdfRows::Range(begin, end),
+                      scratch, [&](uint64_t h) { sketch.AddHash(h); });
     }
   }
   return Status::OK();
@@ -615,7 +634,7 @@ Status BuildKeysBatch(const std::vector<const BoundTerm*>& terms,
     MONSOON_FAULT_POINT("exec.udf_eval.join_build", row);
   }
   for (size_t k = 0; k < flat->size(); ++k) {
-    MONSOON_RETURN_IF_ERROR((*flat)[k].Fill(*terms[k], build, begin, end, begin));
+    (*flat)[k].Fill(*terms[k], build, UdfRows::Range(begin, end), begin);
   }
   uint64_t* acc = hashes + begin;
   std::fill(acc, acc + (end - begin), kJoinHashSeed);
@@ -641,6 +660,7 @@ struct ProbeRange {
   const std::vector<BoundResidual>& residual;
   const RangeTask& task;
   Table candidates;  // residual staging
+  ResidualScratch scratch{};
   RowIds pairs{};
   std::vector<FlatColumn> probe_flat{};  // uncached batch-local keys
   std::vector<FlatView> probe_flat_views{};
@@ -677,10 +697,9 @@ Status ProbeBatch(ProbeRange* p, const Table& probe, size_t begin, size_t end) {
     p->probe_flat.resize(nkeys);
     p->probe_flat_views.clear();
     for (size_t k = 0; k < nkeys; ++k) {
-      const BoundTerm& term = *p->probe_terms[k];
-      p->probe_flat[k].Resize(term.result_type(), n);
-      MONSOON_RETURN_IF_ERROR(p->probe_flat[k].Fill(term, probe, begin, end, 0));
-      p->probe_flat_views.push_back(FlatView::Of(p->probe_flat[k]));
+      p->probe_flat_views.push_back(
+          FillBatchColumn(*p->probe_terms[k], probe,
+                          UdfRows::Range(begin, end), &p->probe_flat[k]));
     }
     views = &p->probe_flat_views;
     base = begin;
@@ -725,7 +744,7 @@ Status ProbeBatch(ProbeRange* p, const Table& probe, size_t begin, size_t end) {
   const uint32_t* rrows =
       p->build_left ? p->match_probe.data() : p->match_build.data();
   EmitSurvivors(p->residual, p->lt, lrows, p->rt, rrows, nmatch,
-                &p->candidates, &p->pairs);
+                &p->candidates, &p->scratch, &p->pairs);
   return Status::OK();
 }
 
@@ -862,8 +881,9 @@ StatusOr<MaterializedExpr> Executor::ExecuteLeaf(const PlanNode::Ptr& node,
   std::vector<RowIds> slots(ranges.num_ranges());
   auto scan = [&](const RangeTask& task) -> Status {
     RowIds kept;
+    ResidualScratch scratch;
     auto scan_batch = [&](const Table& t, size_t b, size_t e) {
-      return ScanBatch(filters, t, b, e, &kept.left);
+      return ScanBatch(filters, t, b, e, &scratch, &kept.left);
     };
     MONSOON_RETURN_IF_ERROR(task.Feed([&](size_t begin, size_t end) {
       return ForEachBatch(ctx, in, begin, end, scan_batch);
@@ -943,9 +963,9 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
 
   // Evaluate-once key columns over both children. When every key of every
   // equi pair is cached, build/probe read flat columns and compare cached
-  // hashes first — no per-row Value allocation for string keys. Any miss
-  // (cache disabled / oversized column) falls back to per-row evaluation
-  // for the whole join, keeping the two paths easy to ablate.
+  // hashes first. Any miss (cache disabled / oversized column) evaluates
+  // the keys batch by batch for the whole join instead, keeping the two
+  // paths easy to ablate.
   std::vector<CachedUdfColumnPtr> left_cols(equi.size());
   std::vector<CachedUdfColumnPtr> right_cols(equi.size());
   bool keys_cached = store->udf_cache()->enabled() && !equi.empty() &&
@@ -996,13 +1016,14 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
       RowIds pairs;
       std::vector<uint32_t> left_row;
       Table candidates(out_schema);
+      ResidualScratch scratch;
       auto pair_rows = [&](size_t begin, size_t end) -> Status {
         for (size_t li = begin; li < end; ++li) {
           MONSOON_RETURN_IF_ERROR(ctx->CheckCancelled());
           MONSOON_FAULT_POINT("exec.udf_eval.cross", li);
           left_row.assign(rt.num_rows(), static_cast<uint32_t>(li));
           EmitSurvivors(residual, lt, left_row.data(), rt, all_right.data(),
-                        rt.num_rows(), &candidates, &pairs);
+                        rt.num_rows(), &candidates, &scratch, &pairs);
           *task.work_tally += rt.num_rows();
           MONSOON_RETURN_IF_ERROR(task.CheckWork());
         }
@@ -1186,7 +1207,7 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
   // Evaluate-once columns per term: repeated Σ passes over the same
   // materialized expression (the plan → Σ → re-plan loop) hit the cache
   // and feed precomputed hashes straight into the sketches. Terms whose
-  // column is unavailable fall back per-row, independently of the rest.
+  // column is unavailable evaluate per batch, independently of the rest.
   UdfColumnCache* cache = store != nullptr ? store->udf_cache() : nullptr;
   const bool cache_on =
       cache != nullptr && cache->enabled() && StoreResident(*store, expr);
@@ -1210,8 +1231,9 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
   std::vector<std::vector<HyperLogLog>> slots(ranges.num_ranges());
   auto sigma = [&](const RangeTask& task) -> Status {
     std::vector<HyperLogLog> local(terms.size(), HyperLogLog(kHllPrecision));
+    FlatColumn scratch;
     auto sigma_batch = [&](const Table& t, size_t b, size_t e) {
-      return SigmaBatch(terms, term_cols, t, b, e, &local);
+      return SigmaBatch(terms, term_cols, t, b, e, &scratch, &local);
     };
     MONSOON_RETURN_IF_ERROR(task.Feed([&](size_t begin, size_t end) {
       return ForEachBatch(ctx, table, begin, end, sigma_batch);

@@ -1,5 +1,6 @@
 #include "exec/udf_cache.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/check.h"
@@ -81,23 +82,26 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuild(
   // concurrent readers and violate the lock-rank rule (a stolen task
   // could itself need this cache).
 
-  // Miss: evaluate the term once per row into a private column. Morsels
-  // write disjoint slots of the presized column; the fill is never charged
-  // to the work/object counters (the cache is invisible to the paper's
-  // cost model).
+  // Miss: evaluate the term once per row into a private column, one
+  // kernel call per batch. Morsels write disjoint slots of the presized
+  // column; the fill is never charged to the work/object counters (the
+  // cache is invisible to the paper's cost model).
   auto column = std::make_shared<FlatColumn>();
   const Table& t = *table;
   column->Resize(bound.result_type(), t.num_rows());
   Status filled = parallel::ParallelFor(
       pool, t.num_rows(), morsel_size, token,
       [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t row = begin; row < end; ++row) {
-          // UDF evaluation dominates each iteration, so a per-row poll is
-          // noise here — and a slow UDF is exactly when cancellation
-          // latency matters.
-          if (token != nullptr) MONSOON_RETURN_IF_ERROR(token->Check());
-          MONSOON_FAULT_POINT("exec.udf_cache.fill", row);
-          MONSOON_RETURN_IF_ERROR(column->Fill(bound, t, row, row + 1, row));
+        for (size_t b = begin; b < end; b += kBatchRows) {
+          const size_t e = std::min(end, b + kBatchRows);
+          // Every row of the batch polls and fires before the kernel runs,
+          // so a fault at row k fails the fill before k's batch is
+          // evaluated.
+          for (size_t row = b; row < e; ++row) {
+            if (token != nullptr) MONSOON_RETURN_IF_ERROR(token->Check());
+            MONSOON_FAULT_POINT("exec.udf_cache.fill", row);
+          }
+          column->Fill(bound, t, UdfRows::Range(b, e), b);
         }
         return Status::OK();
       });

@@ -40,14 +40,14 @@ using CachedUdfColumnPtr = std::shared_ptr<const FlatColumn>;
 /// every shard count. The first operator to touch a term over an
 /// expression pays one UDF pass (morsel-parallel when a pool is supplied)
 /// into a whole-expression FlatColumn; every later scan, join build/probe,
-/// or Σ pass over the same expression reads that column instead of calling
-/// BoundTerm::Eval per row.
+/// or Σ pass over the same expression reads that column instead of
+/// evaluating the term again.
 ///
 /// Residency is bounded by an LRU byte budget. A build whose column alone
 /// exceeds the budget still returns the column (shared_ptr-pinned by the
 /// caller) but does not retain it. byte_budget == 0 disables the cache
 /// entirely: GetOrBuild returns nullptr without evaluating anything, and
-/// callers fall back to per-row evaluation.
+/// callers evaluate their terms batch by batch.
 ///
 /// A bound term is identified by its UDF function and argument columns,
 /// never by the query-local term id: two queries may use one term id for
@@ -89,13 +89,13 @@ class UdfColumnCache {
 
   /// The cached column for `bound` over the expression `sig`
   /// materialized as `table`, building it with `bound` on a miss: filled
-  /// through FlatColumn::Fill in pool-parallel morsels when `pool` !=
-  /// nullptr, polling `token` (when one is supplied) and firing
-  /// exec.udf_cache.fill before every row. Returns nullptr when the cache
-  /// is disabled. Errors if the UDF's declared result type disagrees with
-  /// a produced value, on an injected exec.udf_cache.fill fault, or on
-  /// cancellation; a failed fill publishes nothing — the partial column is
-  /// discarded and the entry stays absent.
+  /// through FlatColumn::Fill, one kernel call per kBatchRows batch, in
+  /// pool-parallel morsels when `pool` != nullptr. Before a batch's kernel
+  /// runs, each of its rows polls `token` (when one is supplied) and fires
+  /// exec.udf_cache.fill. Returns nullptr when the cache is disabled.
+  /// Errors on an injected exec.udf_cache.fill fault or on cancellation; a
+  /// failed fill publishes nothing — the partial column is discarded and
+  /// the entry stays absent.
   StatusOr<CachedUdfColumnPtr> GetOrBuild(const ExprSig& sig, const BoundTerm& bound,
                                           const TablePtr& table,
                                           parallel::ThreadPool* pool,

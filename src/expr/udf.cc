@@ -1,6 +1,7 @@
 #include "expr/udf.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/hash.h"
 #include "common/string_util.h"
@@ -74,78 +75,53 @@ std::string CanonicalSet(const std::string& items) {
 }  // namespace
 
 void RegisterBuiltinUdfs(UdfRegistry& registry) {
-  registry.RegisterOrReplace(UdfFunction{
-      "identity", ValueType::kInt64,
-      [](const RowRef& row, const std::vector<size_t>& cols) {
-        return Value(row.GetInt64(cols[0]));
-      }});
+  registry.RegisterOrReplace(Int64Udf("identity", [](int64_t x) { return x; }));
 
-  registry.RegisterOrReplace(UdfFunction{
-      "identity_str", ValueType::kString,
-      [](const RowRef& row, const std::vector<size_t>& cols) {
-        return Value(row.GetString(cols[0]));
-      }});
+  registry.RegisterOrReplace(StringUdf(
+      "identity_str", [](const std::string& s) -> const std::string& { return s; }));
 
   for (int64_t buckets : {10, 100, 1000, 10000}) {
-    registry.RegisterOrReplace(UdfFunction{
-        "bucket" + std::to_string(buckets), ValueType::kInt64,
-        [buckets](const RowRef& row, const std::vector<size_t>& cols) {
-          uint64_t h = Mix64(static_cast<uint64_t>(row.GetInt64(cols[0])));
-          return Value(static_cast<int64_t>(h % static_cast<uint64_t>(buckets)));
-        }});
+    registry.RegisterOrReplace(
+        Int64Udf("bucket" + std::to_string(buckets), [buckets](int64_t x) {
+          uint64_t h = Mix64(static_cast<uint64_t>(x));
+          return static_cast<int64_t>(h % static_cast<uint64_t>(buckets));
+        }));
   }
 
-  registry.RegisterOrReplace(UdfFunction{
-      "extract_id", ValueType::kString,
-      [](const RowRef& row, const std::vector<size_t>& cols) {
-        return Value(ExtractField(row.GetString(cols[0]), "id"));
-      }});
+  registry.RegisterOrReplace(StringUdf(
+      "extract_id", [](const std::string& doc) { return ExtractField(doc, "id"); }));
 
-  registry.RegisterOrReplace(UdfFunction{
-      "extract_author", ValueType::kString,
-      [](const RowRef& row, const std::vector<size_t>& cols) {
-        return Value(ExtractField(row.GetString(cols[0]), "author"));
-      }});
+  registry.RegisterOrReplace(StringUdf("extract_author", [](const std::string& doc) {
+    return ExtractField(doc, "author");
+  }));
 
-  registry.RegisterOrReplace(UdfFunction{
-      "extract_date", ValueType::kString,
-      [](const RowRef& row, const std::vector<size_t>& cols) {
-        const std::string& ts = row.GetString(cols[0]);
-        return Value(ts.substr(0, std::min<size_t>(10, ts.size())));
-      }});
+  registry.RegisterOrReplace(StringUdf("extract_date", [](const std::string& ts) {
+    return ts.substr(0, std::min<size_t>(10, ts.size()));
+  }));
 
-  registry.RegisterOrReplace(UdfFunction{
-      "city_from_ip", ValueType::kInt64,
-      [](const RowRef& row, const std::vector<size_t>& cols) {
-        // Deterministic "geo lookup": the first two octets pick the city.
-        const std::string& ip = row.GetString(cols[0]);
-        size_t first_dot = ip.find('.');
-        size_t second_dot =
-            first_dot == std::string::npos ? std::string::npos : ip.find('.', first_dot + 1);
-        std::string prefix =
-            second_dot == std::string::npos ? ip : ip.substr(0, second_dot);
-        return Value(static_cast<int64_t>(HashString(prefix) % 4096));
-      }});
+  registry.RegisterOrReplace(Int64Udf("city_from_ip", [](const std::string& ip) {
+    // Deterministic "geo lookup": the first two octets pick the city.
+    size_t first_dot = ip.find('.');
+    size_t second_dot =
+        first_dot == std::string::npos ? std::string::npos : ip.find('.', first_dot + 1);
+    std::string_view prefix(ip);
+    if (second_dot != std::string::npos) prefix = prefix.substr(0, second_dot);
+    return static_cast<int64_t>(HashString(prefix) % 4096);
+  }));
 
-  registry.RegisterOrReplace(UdfFunction{
-      "canonical_set", ValueType::kString,
-      [](const RowRef& row, const std::vector<size_t>& cols) {
-        return Value(CanonicalSet(row.GetString(cols[0])));
-      }});
+  registry.RegisterOrReplace(StringUdf(
+      "canonical_set", [](const std::string& items) { return CanonicalSet(items); }));
 
-  registry.RegisterOrReplace(UdfFunction{
-      "pair_key", ValueType::kInt64,
-      [](const RowRef& row, const std::vector<size_t>& cols) {
-        uint64_t h = Mix64(static_cast<uint64_t>(row.GetInt64(cols[0])));
-        h = HashCombine(h, Mix64(static_cast<uint64_t>(row.GetInt64(cols[1]))));
-        return Value(static_cast<int64_t>(h & 0x7fffffffffffffffULL));
-      }});
+  registry.RegisterOrReplace(Int64Udf("pair_key", [](int64_t a, int64_t b) {
+    uint64_t h = Mix64(static_cast<uint64_t>(a));
+    h = HashCombine(h, Mix64(static_cast<uint64_t>(b)));
+    return static_cast<int64_t>(h & 0x7fffffffffffffffULL);
+  }));
 
-  registry.RegisterOrReplace(UdfFunction{
-      "concat2", ValueType::kString,
-      [](const RowRef& row, const std::vector<size_t>& cols) {
-        return Value(row.GetString(cols[0]) + "|" + row.GetString(cols[1]));
-      }});
+  registry.RegisterOrReplace(
+      StringUdf("concat2", [](const std::string& a, const std::string& b) {
+        return a + "|" + b;
+      }));
 }
 
 }  // namespace monsoon

@@ -32,7 +32,6 @@ class RelSet {
   bool Intersects(RelSet other) const { return (mask_ & other.mask_) != 0; }
 
   RelSet Union(RelSet other) const { return RelSet(mask_ | other.mask_); }
-  RelSet Intersect(RelSet other) const { return RelSet(mask_ & other.mask_); }
   RelSet Minus(RelSet other) const { return RelSet(mask_ & ~other.mask_); }
 
   void Add(int index) { mask_ |= uint64_t{1} << index; }

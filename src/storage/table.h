@@ -18,7 +18,7 @@ namespace monsoon {
 
 class Table;
 
-/// Lightweight reference to one row of a Table. UDFs consume RowRefs.
+/// Lightweight reference to one row of a Table, for tests and diagnostics.
 /// Valid while the Table is alive and its rows unchanged: the cells live
 /// in stores the table keeps alive, so a RowRef never outlives them.
 class RowRef {

@@ -37,7 +37,8 @@ inline uint64_t HashDoubleValue(double d) {
   return Mix64(bits ^ 0x9e3779b97f4a7c15ULL);
 }
 
-/// A dynamically-typed scalar. UDFs produce Values; join keys are Values.
+/// A dynamically-typed scalar: table cells on the way in and out, and
+/// selection constants. UDFs write typed columns, never Values.
 /// Small by design (variant of int64/double/string); strings own storage.
 class Value {
  public:

@@ -373,6 +373,31 @@ TEST(LockScopeTest, BlockingCallUnderLock) {
                   .empty());
 }
 
+TEST(LockScopeTest, UdfKernelCallsUnderLock) {
+  // Every way into a UDF kernel is flagged under a held lock; the five
+  // calls report on lines 3 to 7.
+  auto diags = Analyze("src/exec/e.cc",
+                       "void f() {\n"
+                       "  MutexLock lock(mu_);\n"
+                       "  fn->kernel(in, cols, rows, out);\n"
+                       "  column->Fill(bound, t, UdfRows::Range(b, e), b);\n"
+                       "  cache->GetOrBuild(sig, bound, table, pool, 64);\n"
+                       "  ForEachTermHash(bound, t, rows, &scratch, add);\n"
+                       "  FillBatchColumn(bound, t, rows, &scratch);\n"
+                       "}\n");
+  ASSERT_EQ(diags.size(), 5u);
+  for (size_t i = 0; i < diags.size(); ++i) {
+    EXPECT_EQ(diags[i].rule, "monsoon-analyze-lock-scope");
+    EXPECT_EQ(diags[i].line, static_cast<int>(i) + 3);
+    EXPECT_NE(diags[i].message.find("UDF evaluation"), std::string::npos);
+  }
+  // The same calls outside the guard's scope are fine.
+  EXPECT_TRUE(Analyze("src/exec/e.cc",
+                      "void f() {\n  { MutexLock lock(mu_); x = 1; }\n"
+                      "  fn->kernel(in, cols, rows, out);\n}\n")
+                  .empty());
+}
+
 TEST(LockScopeTest, BlockingCallInBranchUnderLock) {
   // Flow-sensitivity the token rule lacked: the lock is live inside the
   // else-branch even though the call sits in a nested block.

@@ -21,6 +21,7 @@
 #include "parallel/thread_pool.h"
 #include "plan/logical_ops.h"
 #include "sql/parser.h"
+#include "term_eval.h"
 #include "workloads/imdb.h"
 #include "workloads/ott.h"
 #include "workloads/tpch.h"
@@ -210,15 +211,13 @@ int64_t g_cancel_row = 0;
 size_t g_cancel_calls = 0;
 
 void RegisterCancelAtUdf() {
-  UdfRegistry::Global().RegisterOrReplace(UdfFunction{
-      "cancel_at", ValueType::kInt64,
-      [](const RowRef& row, const std::vector<size_t>& arg_cols) {
-        ++g_cancel_calls;
-        if (row.GetValue(arg_cols[0]).AsInt64() == g_cancel_row) {
-          g_cancel_token->Cancel(StatusCode::kCancelled, "cancelled mid-scan");
-        }
-        return Value(int64_t{1});
-      }});
+  UdfRegistry::Global().RegisterOrReplace(Int64Udf("cancel_at", [](int64_t id) {
+    ++g_cancel_calls;
+    if (id == g_cancel_row) {
+      g_cancel_token->Cancel(StatusCode::kCancelled, "cancelled mid-scan");
+    }
+    return int64_t{1};
+  }));
 }
 
 TEST_F(BatchExecTest, CancelledScanStopsAtTheNextBatch) {
@@ -259,6 +258,183 @@ TEST_F(BatchExecTest, CancelledScanStopsAtTheNextBatch) {
     EXPECT_GT(g_cancel_calls, static_cast<size_t>(g_cancel_row));
     EXPECT_LE(g_cancel_calls, batches * batch_size);
     EXPECT_LT(g_cancel_calls, static_cast<size_t>(kRows));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel parity: for every builtin UDF and for cancel_at, each batch path
+// (dense at an offset, across the batch boundary, gathered, row-id
+// selection, cache fill) writes what a one-row evaluation gives, and
+// string hashes equal Value::Hash().
+// ---------------------------------------------------------------------------
+
+TEST(KernelParityTest, EveryBuiltinAndCancelAt) {
+  g_cancel_row = -1;  // never cancels
+  RegisterCancelAtUdf();
+  auto table = std::make_shared<Table>(Schema({{"t.a", ValueType::kInt64},
+                                               {"t.b", ValueType::kInt64},
+                                               {"t.doc", ValueType::kString},
+                                               {"t.ip", ValueType::kString},
+                                               {"t.ts", ValueType::kString},
+                                               {"t.set", ValueType::kString}}));
+  for (int64_t r = 0; r < 2100; ++r) {
+    ASSERT_TRUE(
+        table
+            ->AppendRow(
+                {Value(r * 7919 - 5000), Value(r % 17),
+                 Value("<doc id=\"" + std::to_string(r % 97) + "\" author=\"a" +
+                       std::to_string(r % 13) + (r % 5 == 0 ? "" : "\"") + ">"),
+                 Value("10." + std::to_string(r % 41) + "." + std::to_string(r % 3) +
+                       ".1"),
+                 Value("2021-0" + std::to_string(1 + r % 9) + "-1" +
+                       std::to_string(r % 10) + " 12:00:" + std::to_string(r)),
+                 Value("x" + std::to_string(r % 4) + ", y" + std::to_string(r % 6) +
+                       ",x" + std::to_string(r % 3))})
+            .ok());
+  }
+  const std::vector<std::pair<std::string, std::vector<std::string>>> calls = {
+      {"bucket10", {"t.a"}},         {"bucket100", {"t.a"}},
+      {"bucket1000", {"t.a"}},       {"bucket10000", {"t.a"}},
+      {"canonical_set", {"t.set"}},  {"city_from_ip", {"t.ip"}},
+      {"concat2", {"t.doc", "t.ip"}}, {"extract_author", {"t.doc"}},
+      {"extract_date", {"t.ts"}},    {"extract_id", {"t.doc"}},
+      {"identity", {"t.a"}},         {"identity_str", {"t.doc"}},
+      {"pair_key", {"t.a", "t.b"}},  {"cancel_at", {"t.a"}}};
+  UdfRegistry builtins;
+  RegisterBuiltinUdfs(builtins);
+  std::vector<std::string> covered;
+  for (const auto& call : calls) covered.push_back(call.first);
+  covered.pop_back();  // cancel_at
+  std::sort(covered.begin(), covered.end());
+  ASSERT_EQ(covered, builtins.Names()) << "a builtin has no parity case";
+
+  QuerySpec query;
+  ASSERT_TRUE(query.AddRelation("t", "table").ok());
+  for (const auto& [udf, args] : calls) {
+    SCOPED_TRACE(udf);
+    auto term = query.MakeTerm(udf, args);
+    ASSERT_TRUE(term.ok()) << term.status().ToString();
+    auto bound = BoundTerm::Bind(*term, table->schema(), UdfRegistry::Global());
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    ExpectKernelParity(*bound, table);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The evaluation set. Uncached UDF predicates are evaluated exactly once
+// per row that reaches them: a scan's first filter on every input row, its
+// second only on the first's survivors; a hash join's first residual on
+// every matched pair, its second only on the pairs the first kept. The
+// recording UDFs log their arguments, so the test sees which rows each
+// predicate evaluated, at any batch width.
+// ---------------------------------------------------------------------------
+
+// Arguments each recording UDF was called with, one entry per call.
+std::vector<std::vector<int64_t>> g_eval_log;
+
+// Registers `name`(x, y) = (x + y) % `mod`, logging x * 100000 + y into
+// g_eval_log[slot] on every call (y ranges below 100000).
+void RegisterRecordingUdf(const std::string& name, size_t slot, int64_t mod) {
+  UdfRegistry::Global().RegisterOrReplace(
+      Int64Udf(name, [slot, mod](int64_t x, int64_t y) {
+        g_eval_log[slot].push_back(x * 100000 + y);
+        return (x + y) % mod;
+      }));
+}
+
+class EvaluationSetTest : public BatchExecTest {
+ protected:
+  void SetUp() override {
+    BatchExecTest::SetUp();
+    g_eval_log.assign(2, {});
+    RegisterRecordingUdf("eval_first", 0, 3);
+    RegisterRecordingUdf("eval_second", 1, 5);
+    // Two 2000-row tables that match each key twice, so the probe side
+    // spans many batches at width 7 and two at width 1024. `z` is 0.
+    for (const char* name : {"lhs", "rhs"}) {
+      auto table = std::make_shared<Table>(Schema({{"k", ValueType::kInt64},
+                                                   {"v", ValueType::kInt64},
+                                                   {"z", ValueType::kInt64}}));
+      for (int64_t i = 0; i < 2000; ++i) {
+        ASSERT_TRUE(
+            table->AppendRow({Value(i / 2), Value(i), Value(int64_t{0})}).ok());
+      }
+      ASSERT_TRUE(catalog_.AddTable(name, table).ok());
+    }
+  }
+
+  // Runs `plan` uncached, inline, at `batch_size`; returns the row count.
+  size_t RunUncached(const QuerySpec& query, const PlanNode::Ptr& plan,
+                     size_t batch_size) {
+    g_eval_log.assign(2, {});
+    auto store = MaterializedStore::ForQuery(catalog_, query);
+    EXPECT_TRUE(store.ok());
+    store->udf_cache()->set_byte_budget(0);
+    Executor executor(query, &UdfRegistry::Global());
+    ExecContext ctx;
+    ctx.SetParallel(nullptr, /*morsel_size=*/64);
+    ctx.SetShards(1);
+    ctx.SetBatchSize(batch_size);
+    auto result = executor.Execute(plan, &*store, &ctx);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result->output.table->num_rows() : 0;
+  }
+
+  static std::vector<int64_t> Sorted(std::vector<int64_t> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  }
+};
+
+TEST_F(EvaluationSetTest, ScanEvaluatesTheSecondFilterOnlyOnSurvivors) {
+  auto query = Parse(
+      "SELECT * FROM lhs l WHERE eval_first(l.k, l.v) = 0 "
+      "AND eval_second(l.k, l.v) = 0");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  std::vector<int64_t> all, first_kept, second_kept;
+  for (int64_t i = 0; i < 2000; ++i) {
+    const int64_t key = (i / 2) * 100000 + i;
+    all.push_back(key);
+    if ((i / 2 + i) % 3 != 0) continue;
+    first_kept.push_back(key);
+    if ((i / 2 + i) % 5 == 0) second_kept.push_back(key);
+  }
+  for (size_t batch_size : {size_t{7}, size_t{1024}}) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+    EXPECT_EQ(RunUncached(*query, MakeLeaf(*query, 0), batch_size),
+              second_kept.size());
+    EXPECT_EQ(Sorted(g_eval_log[0]), all);
+    EXPECT_EQ(Sorted(g_eval_log[1]), first_kept);
+  }
+}
+
+TEST_F(EvaluationSetTest, JoinEvaluatesTheSecondResidualOnlyOnSurvivors) {
+  // Two-relation UDF predicates cannot split across the join's inputs, so
+  // both become residuals of the hash join on l.k = r.k.
+  auto query = Parse(
+      "SELECT * FROM lhs l, rhs r WHERE l.k = r.k "
+      "AND eval_first(l.v, r.v) = l.z AND eval_second(l.v, r.v) = r.z");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  ASSERT_EQ(query->num_predicates(), 3);
+  ASSERT_TRUE(query->predicate(0).IsEquiJoin());
+  // Every key matches twice on each side: 4 candidate pairs per key.
+  std::vector<int64_t> all, first_kept, second_kept;
+  for (int64_t lv = 0; lv < 2000; ++lv) {
+    for (int64_t rv = lv / 2 * 2; rv < lv / 2 * 2 + 2; ++rv) {
+      const int64_t key = lv * 100000 + rv;
+      all.push_back(key);
+      if ((lv + rv) % 3 != 0) continue;
+      first_kept.push_back(key);
+      if ((lv + rv) % 5 == 0) second_kept.push_back(key);
+    }
+  }
+  const PlanNode::Ptr plan =
+      PlanNode::Join(MakeLeaf(*query, 0), MakeLeaf(*query, 1), {0, 1, 2});
+  for (size_t batch_size : {size_t{7}, size_t{1024}}) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+    EXPECT_EQ(RunUncached(*query, plan, batch_size), second_kept.size());
+    EXPECT_EQ(Sorted(g_eval_log[0]), all);
+    EXPECT_EQ(Sorted(g_eval_log[1]), first_kept);
   }
 }
 

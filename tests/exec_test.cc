@@ -12,6 +12,7 @@
 #include "workloads/imdb.h"
 #include "workloads/ott.h"
 #include "workloads/tpch.h"
+#include "term_eval.h"
 #include "workloads/udfbench.h"
 
 namespace monsoon {
@@ -291,7 +292,8 @@ StatusOr<Table> NestedLoopJoin(const Catalog& catalog, const QuerySpec& query) {
       out.AppendConcatRow(*tables[0], li, *tables[1], ri);
       const size_t row = out.num_rows() - 1;
       for (const BoundPred& pred : preds) {
-        if ((pred.left.Eval(out, row) == pred.right.Eval(out, row)) != pred.equality) {
+        if ((EvalTermAt(pred.left, out, row) == EvalTermAt(pred.right, out, row)) !=
+            pred.equality) {
           out.PopRow();
           break;
         }

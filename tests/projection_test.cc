@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "exec/projection.h"
-#include "storage/csv.h"
 
 namespace monsoon {
 namespace {
@@ -91,62 +88,6 @@ TEST_F(ProjectionTest, AggregatesOverEmptyInput) {
   EXPECT_FALSE(
       ApplySelect(empty, {SelectItem::Aggregate(SelectItem::Kind::kMin, "a.x")})
           .ok());
-}
-
-TEST(CsvTest, RoundTripAllTypes) {
-  Table table(Schema({{"i", ValueType::kInt64},
-                      {"d", ValueType::kDouble},
-                      {"s", ValueType::kString}}));
-  ASSERT_TRUE(table.AppendRow({Value(int64_t{-7}), Value(3.25), Value("plain")}).ok());
-  ASSERT_TRUE(table
-                  .AppendRow({Value(int64_t{0}), Value(0.1),
-                              Value("quoted, \"cell\"")})
-                  .ok());
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteCsvTable(table, buffer).ok());
-
-  auto loaded = ReadCsvTable(buffer);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->num_rows(), 2u);
-  EXPECT_EQ((*loaded)->Int64At(0, 0), -7);
-  EXPECT_DOUBLE_EQ((*loaded)->DoubleAt(1, 1), 0.1);
-  EXPECT_EQ((*loaded)->StringAt(2, 1), "quoted, \"cell\"");
-  EXPECT_EQ((*loaded)->schema().column(2).name, "s");
-  EXPECT_EQ((*loaded)->schema().column(2).type, ValueType::kString);
-}
-
-TEST(CsvTest, RejectsMalformedInput) {
-  {
-    std::stringstream in("");
-    EXPECT_FALSE(ReadCsvTable(in).ok());
-  }
-  {
-    std::stringstream in("a,b\n1,2\n");  // header missing :TYPE
-    EXPECT_FALSE(ReadCsvTable(in).ok());
-  }
-  {
-    std::stringstream in("a:INT64\nnot_a_number\n");
-    EXPECT_FALSE(ReadCsvTable(in).ok());
-  }
-  {
-    std::stringstream in("a:INT64,b:INT64\n1\n");  // arity mismatch
-    EXPECT_FALSE(ReadCsvTable(in).ok());
-  }
-  {
-    std::stringstream in("a:FANCY\n1\n");  // unknown type
-    EXPECT_FALSE(ReadCsvTable(in).ok());
-  }
-}
-
-TEST(CsvTest, FileRoundTrip) {
-  Table table(Schema({{"x", ValueType::kInt64}}));
-  ASSERT_TRUE(table.AppendRow({Value(int64_t{42})}).ok());
-  std::string path = ::testing::TempDir() + "/monsoon_csv_test.csv";
-  ASSERT_TRUE(WriteCsvFile(table, path).ok());
-  auto loaded = ReadCsvFile(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ((*loaded)->Int64At(0, 0), 42);
-  EXPECT_FALSE(ReadCsvFile("/no/such/dir/x.csv").ok());
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "monsoon/monsoon_optimizer.h"
 #include "parallel/thread_pool.h"
 #include "shard/shard.h"
+#include "term_eval.h"
 
 namespace monsoon {
 namespace {
@@ -38,8 +39,8 @@ TablePtr RandomTable(Pcg32& rng, int rows, int cols) {
   for (int r = 0; r < rows; ++r) {
     std::vector<Value> row;
     for (int c = 0; c < cols; ++c) {
-      row.push_back(Value(static_cast<int64_t>(
-          rng.NextBounded(static_cast<uint32_t>(domains[c])))));
+      row.emplace_back(static_cast<int64_t>(
+          rng.NextBounded(static_cast<uint32_t>(domains[c]))));
     }
     EXPECT_TRUE(table->AppendRow(row).ok());
   }
@@ -154,12 +155,12 @@ StatusOr<uint64_t> BruteForceCount(const Catalog& catalog, const QuerySpec& quer
     size_t row_idx = scratch.num_rows() - 1;
     bool keep = true;
     for (const BoundPred& pred : preds) {
-      Value l = pred.left.Eval(scratch, row_idx);
+      Value l = EvalTermAt(pred.left, scratch, row_idx);
       bool ok;
       if (pred.kind == Predicate::Kind::kSelection) {
         ok = l == pred.constant;
       } else {
-        Value r = pred.right.Eval(scratch, row_idx);
+        Value r = EvalTermAt(pred.right, scratch, row_idx);
         ok = pred.equality ? l == r : l != r;
       }
       if (!ok) {

@@ -26,6 +26,7 @@
 #include "server/net.h"
 #include "server/server.h"
 #include "sql/parser.h"
+#include "term_eval.h"
 #include "workloads/udfbench.h"
 
 namespace monsoon {
@@ -47,19 +48,13 @@ std::atomic<bool> g_gate_open{false};
 std::atomic<int> g_gate_entered{0};
 
 void RegisterGateUdf() {
-  UdfFunction gate;
-  gate.name = "server_gate";
-  gate.result_type = ValueType::kInt64;
-  gate.fn = [](const RowRef& row, const std::vector<size_t>& arg_cols) {
+  UdfRegistry::Global().RegisterOrReplace(Int64Udf("server_gate", [](int64_t) {
     g_gate_entered.fetch_add(1, std::memory_order_acq_rel);
     while (!g_gate_open.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    (void)row;
-    (void)arg_cols;
-    return Value(int64_t{1});
-  };
-  UdfRegistry::Global().RegisterOrReplace(std::move(gate));
+    return int64_t{1};
+  }));
 }
 
 void WaitUntil(const std::function<bool()>& predicate) {
@@ -69,6 +64,29 @@ void WaitUntil(const std::function<bool()>& predicate) {
         << "condition not reached within 30s";
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+}
+
+// With the gate open, the gate UDF's kernel writes what a one-row
+// evaluation gives on every batch path, and runs once per row.
+TEST(GateUdfTest, KernelParity) {
+  RegisterGateUdf();
+  g_gate_open.store(true);
+  g_gate_entered.store(0);
+  auto table = std::make_shared<Table>(Schema({{"g.x", ValueType::kInt64}}));
+  for (int64_t i = 0; i < 1100; ++i) {
+    ASSERT_TRUE(table->AppendRow({Value(i)}).ok());
+  }
+  QuerySpec query;
+  ASSERT_TRUE(query.AddRelation("g", "gated").ok());
+  auto term = query.MakeTerm("server_gate", {"g.x"});
+  ASSERT_TRUE(term.ok());
+  auto bound = BoundTerm::Bind(*term, table->schema(), UdfRegistry::Global());
+  ASSERT_TRUE(bound.ok());
+  ExpectKernelParity(*bound, table);
+  // The one-row references, then 1100 + 8 + 1100 + 366 + 1100 batch rows.
+  EXPECT_EQ(g_gate_entered.load(), 1100 + 1100 + 8 + 1100 + 366 + 1100);
+  g_gate_open.store(false);
+  g_gate_entered.store(0);
 }
 
 // --------------------------------------------------------------------------

@@ -375,7 +375,9 @@ class ShardEquivalenceTest : public ShardTest {
         ASSERT_TRUE(run.ok()) << run.status().ToString();
         ExpectRunsEqual(*reference, *run);
         EXPECT_EQ(run->failures, 0u);
-        if (!config.kill) EXPECT_EQ(run->retries, 0u);
+        if (!config.kill) {
+          EXPECT_EQ(run->retries, 0u);
+        }
         total_retries += run->retries;
         total_recoveries += run->recoveries;
       }

@@ -6,6 +6,7 @@
 
 #include "exec/executor.h"
 #include "exec/udf_cache.h"
+#include "fault/injector.h"
 #include "optimizer/optimizer.h"
 #include "parallel/thread_pool.h"
 #include "plan/logical_ops.h"
@@ -13,6 +14,7 @@
 #include "workloads/imdb.h"
 #include "workloads/ott.h"
 #include "workloads/tpch.h"
+#include "term_eval.h"
 #include "workloads/udfbench.h"
 
 namespace monsoon {
@@ -91,13 +93,70 @@ TEST_F(UdfCacheTest, CachedValuesAndHashesMatchPerRowEval) {
     ASSERT_TRUE(col.ok());
     const FlatView view = FlatView::Of(**col);
     for (size_t row = 0; row < table_->num_rows(); ++row) {
-      Value expect = bound.Eval(*table_, row);
+      Value expect = EvalTermAt(bound, *table_, row);
       EXPECT_TRUE(view.EqualsValue(row, expect));
       EXPECT_EQ(view.HashAt(row), expect.Hash())
           << "cached hashes must be Value::Hash()-identical (row " << row << ")";
       EXPECT_EQ(view.ValueAt(row), expect);
     }
   }
+}
+
+// A fill fault fires at its row's coordinate, before that row's batch is
+// evaluated, and the failed fill publishes nothing.
+size_t g_fill_calls = 0;
+
+TEST_F(UdfCacheTest, FillFaultFiresAtItsRowAndPublishesNothing) {
+  UdfRegistry::Global().RegisterOrReplace(Int64Udf("fill_count", [](int64_t x) {
+    ++g_fill_calls;
+    return x;
+  }));
+  // Three batches in one morsel: [0, 1024), [1024, 2048), [2048, 2100).
+  auto table = std::make_shared<Table>(Schema({{"c.id", ValueType::kInt64}}));
+  for (int64_t i = 0; i < 2100; ++i) {
+    ASSERT_TRUE(table->AppendRow({Value(i)}).ok());
+  }
+  // A seed whose first firing row k lies in the second batch.
+  constexpr double kProbability = 0.001;
+  uint64_t seed = 0;
+  size_t k = 0;
+  for (seed = 1; seed < 10000; ++seed) {
+    k = 0;
+    while (k < 2100 && !fault::ShouldFire(seed, "exec.udf_cache.fill", k, 0,
+                                          kProbability)) {
+      ++k;
+    }
+    if (k >= kBatchRows && k < 2 * kBatchRows) break;
+  }
+  ASSERT_LT(seed, 10000u);
+  fault::FaultConfig base;
+  base.seed = seed;
+  ASSERT_TRUE(fault::InstallSpec("exec.udf_cache.fill=0.001:permanent", base).ok());
+
+  auto term = query_.MakeTerm("fill_count", {"c.id"});
+  ASSERT_TRUE(term.ok());
+  auto bound = BoundTerm::Bind(*term, table->schema(), UdfRegistry::Global());
+  ASSERT_TRUE(bound.ok());
+  UdfColumnCache cache(size_t{1} << 20);
+  const ExprSig sig = ExprSig::Of(RelSet::Single(0), 0);
+  g_fill_calls = 0;
+  auto col = cache.GetOrBuild(sig, *bound, table, nullptr, 2100);
+  fault::Clear();
+  ASSERT_FALSE(col.ok());
+  EXPECT_NE(col.status().message().find("exec.udf_cache.fill coord=" +
+                                        std::to_string(k)),
+            std::string::npos)
+      << col.status().ToString();
+  EXPECT_EQ(g_fill_calls, kBatchRows) << "only the first batch was evaluated";
+  EXPECT_EQ(cache.num_entries(), 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.stats().bytes_in_use, 0u);
+
+  // Without the fault the same fill succeeds and publishes.
+  auto rebuilt = cache.GetOrBuild(sig, *bound, table, nullptr, 2100);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(cache.num_entries(), 1u);
+  EXPECT_EQ(g_fill_calls, kBatchRows + 2100);
 }
 
 TEST_F(UdfCacheTest, DisabledCacheReturnsNullWithoutEvaluating) {

@@ -235,7 +235,10 @@ const char* BlockingKind(const std::string& name) {
   static const std::set<std::string> kPool = {
       "Wait", "WaitFor", "TryRunOne", "WaitIdle", "Submit", "SubmitTo",
   };
-  static const std::set<std::string> kUdf = {"Eval", "Fill", "GetOrBuild"};
+  // The ways into a UDF kernel: the kernel itself, FlatColumn::Fill and
+  // the helpers built on it (exec/batch.h, the cache fill).
+  static const std::set<std::string> kUdf = {
+      "kernel", "Fill", "FillBatchColumn", "ForEachTermHash", "GetOrBuild"};
   if (kSocket.count(name) != 0) return "blocking socket I/O";
   if (kPool.count(name) != 0) return "pool wait/submission";
   if (kUdf.count(name) != 0) return "UDF evaluation";
