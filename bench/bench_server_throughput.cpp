@@ -12,7 +12,9 @@
 //
 // After the sweep, a telemetry A/B runs the 16-client point against a
 // telemetry-off and a fully-instrumented server (sampler ticks, armed
-// tail sampling, open slow log) and gates on the qps drop.
+// tail sampling, open slow log): one untimed warm-up arm, then four rounds
+// in the order off/on, on/off, off/on, on/off, each arm on a fresh server.
+// It gates on the median of the rounds' on/off qps ratios.
 //
 // Knobs: MONSOON_SERVER_CLIENTS (comma list, default "1,4,16,64"),
 // MONSOON_SERVER_REQUESTS (total requests per sweep point, default 96),
@@ -107,7 +109,7 @@ void RunClient(uint16_t port, const std::string& sql, int requests,
   server::CloseFd(fd);
 }
 
-/// One self-contained A/B point: fresh server (so telemetry state cannot
+/// One self-contained A/B arm: fresh server (so telemetry state cannot
 /// leak between arms), one warm-up query, then `clients` closed-loop
 /// clients of `per_client` requests each. With `telemetry` the full
 /// observability stack is live: 25 ms sampler ticks, tail sampling armed
@@ -258,30 +260,55 @@ int main(int argc, char** argv) {
   uint64_t leaked = server.pool_pending();
 
   // Telemetry A/B: the same 16-client point against a telemetry-off and a
-  // fully-instrumented server. On a single-core CI container wall-clock
-  // throughput is noisy, so the gate is deliberately loose (default: the
-  // instrumented arm must keep >= 50% of baseline qps — catching a
-  // catastrophic regression like a lock on the hot path, not a percent);
-  // tighten with MONSOON_OBS_AB_MAX_DROP_PCT on quiet hardware.
+  // fully-instrumented server. Arms alternate within and across rounds
+  // (off/on, on/off, ...) after one untimed warm-up arm, so neither arm
+  // always runs first or cold, and the gate reads the median of the
+  // per-round on/off qps ratios, which one descheduled arm cannot move
+  // alone. The bound stays deliberately loose (default: the instrumented
+  // arm must keep >= 50% of baseline qps — catching a catastrophic
+  // regression like a lock on the hot path, not a percent); tighten with
+  // MONSOON_OBS_AB_MAX_DROP_PCT on quiet hardware.
   constexpr Range<double> kDropPctRange{0, 100};
   const double max_drop_pct =
       EnvNumber("MONSOON_OBS_AB_MAX_DROP_PCT", 50, kDropPctRange);
+  constexpr int kAbRounds = 4;
   const int ab_clients = 16;
   const int ab_per_client = std::max(1, total_requests / ab_clients);
   std::cout << "[a/b]   " << ab_clients << " client(s) x " << ab_per_client
-            << " request(s), telemetry off vs on...\n";
-  auto ab_off = RunAbArm(&catalog.value(), sql, ab_clients, ab_per_client,
-                         /*telemetry=*/false);
-  auto ab_on = RunAbArm(&catalog.value(), sql, ab_clients, ab_per_client,
-                        /*telemetry=*/true);
-  if (!ab_off.ok() || !ab_on.ok()) {
-    std::cerr << "A/B arm failed: "
-              << (ab_off.ok() ? ab_on.status() : ab_off.status()).ToString()
-              << "\n";
+            << " request(s), telemetry off vs on, " << kAbRounds
+            << " interleaved rounds...\n";
+  struct AbRound {
+    SweepPoint off;
+    SweepPoint on;
+    double ratio = 0;  // on.qps / off.qps
+  };
+  std::vector<AbRound> rounds(kAbRounds);
+  auto warm_arm = RunAbArm(&catalog.value(), sql, ab_clients, ab_per_client,
+                           /*telemetry=*/false);
+  Status ab_status = warm_arm.status();
+  for (int r = 0; r < kAbRounds && ab_status.ok(); ++r) {
+    for (bool telemetry : {r % 2 == 1, r % 2 == 0}) {
+      auto arm = RunAbArm(&catalog.value(), sql, ab_clients, ab_per_client,
+                          telemetry);
+      if (!arm.ok()) {
+        ab_status = arm.status();
+        break;
+      }
+      (telemetry ? rounds[r].on : rounds[r].off) = *arm;
+    }
+    rounds[r].ratio =
+        rounds[r].off.qps > 0 ? rounds[r].on.qps / rounds[r].off.qps : 1.0;
+  }
+  if (!ab_status.ok()) {
+    std::cerr << "A/B arm failed: " << ab_status.ToString() << "\n";
     return 1;
   }
-  const double drop_pct =
-      ab_off->qps > 0 ? (1.0 - ab_on->qps / ab_off->qps) * 100.0 : 0.0;
+  std::vector<double> ratios;
+  for (const AbRound& round : rounds) ratios.push_back(round.ratio);
+  std::sort(ratios.begin(), ratios.end());
+  const double median_ratio =
+      (ratios[(kAbRounds - 1) / 2] + ratios[kAbRounds / 2]) / 2;
+  const double drop_pct = (1.0 - median_ratio) * 100.0;
 
   TablePrinter table({"Clients", "Requests", "Errors", "p50(ms)", "p99(ms)",
                       "qps"});
@@ -296,19 +323,25 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   table.Print(std::cout);
 
-  TablePrinter ab_table({"Telemetry", "Requests", "Errors", "p50(ms)",
-                         "p99(ms)", "qps"});
-  for (const auto* arm : {&*ab_off, &*ab_on}) {
-    ab_table.AddRow({arm == &*ab_off ? "off" : "on",
-                     std::to_string(arm->requests),
-                     std::to_string(arm->errors),
-                     StrFormat("%.1f", arm->p50_ms),
-                     StrFormat("%.1f", arm->p99_ms),
-                     StrFormat("%.1f", arm->qps)});
+  TablePrinter ab_table({"Round", "Telemetry", "Requests", "Errors",
+                         "p50(ms)", "p99(ms)", "qps", "on/off"});
+  for (int r = 0; r < kAbRounds; ++r) {
+    const AbRound& round = rounds[r];
+    for (bool telemetry : {r % 2 == 1, r % 2 == 0}) {
+      const SweepPoint& arm = telemetry ? round.on : round.off;
+      ab_table.AddRow({std::to_string(r + 1), telemetry ? "on" : "off",
+                       std::to_string(arm.requests),
+                       std::to_string(arm.errors),
+                       StrFormat("%.1f", arm.p50_ms),
+                       StrFormat("%.1f", arm.p99_ms),
+                       StrFormat("%.1f", arm.qps),
+                       telemetry ? StrFormat("%.3f", round.ratio) : ""});
+    }
   }
   std::cout << "\n";
   ab_table.Print(std::cout);
-  std::cout << "telemetry qps delta: " << StrFormat("%+.1f%%", -drop_pct)
+  std::cout << "telemetry qps delta (median of " << kAbRounds
+            << " round ratios): " << StrFormat("%+.1f%%", -drop_pct)
             << " (gate: drop <= " << StrFormat("%.0f%%", max_drop_pct)
             << ")\n";
 
@@ -335,10 +368,19 @@ int main(int argc, char** argv) {
   json.Key("telemetry_ab");
   json.BeginObject();
   json.KV("clients", static_cast<uint64_t>(ab_clients));
-  json.KV("qps_off", ab_off->qps);
-  json.KV("qps_on", ab_on->qps);
-  json.KV("p99_ms_off", ab_off->p99_ms);
-  json.KV("p99_ms_on", ab_on->p99_ms);
+  json.Key("rounds");
+  json.BeginArray();
+  for (const AbRound& round : rounds) {
+    json.BeginObject();
+    json.KV("qps_off", round.off.qps);
+    json.KV("qps_on", round.on.qps);
+    json.KV("p99_ms_off", round.off.p99_ms);
+    json.KV("p99_ms_on", round.on.p99_ms);
+    json.KV("on_off_ratio", round.ratio);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.KV("median_ratio", median_ratio);
   json.KV("drop_pct", drop_pct);
   json.KV("max_drop_pct", max_drop_pct);
   json.EndObject();
@@ -351,7 +393,9 @@ int main(int argc, char** argv) {
   for (const SweepPoint& point : sweep) {
     if (point.errors != 0 || point.requests == 0) failed = true;
   }
-  if (ab_off->errors != 0 || ab_on->errors != 0) failed = true;
+  for (const AbRound& round : rounds) {
+    if (round.off.errors != 0 || round.on.errors != 0) failed = true;
+  }
   if (failed) {
     std::cerr << "FAIL: errors or leaked pool tasks (pending=" << leaked
               << ")\n";
@@ -359,7 +403,7 @@ int main(int argc, char** argv) {
   }
   if (drop_pct > max_drop_pct) {
     std::cerr << "FAIL: telemetry-on qps dropped "
-              << StrFormat("%.1f%%", drop_pct) << " (> "
+              << StrFormat("%.1f%%", drop_pct) << " in the median round (> "
               << StrFormat("%.0f%%", max_drop_pct) << " bound)\n";
     return 1;
   }

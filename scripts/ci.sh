@@ -424,8 +424,9 @@ telemetry_stage() {
   wait "${serve_pid}"
   grep -q 'pool pending=0' "${telem_dir}/serve.log"
   # Telemetry A/B (DESIGN.md §14): the 16-client point against a
-  # telemetry-off and a fully instrumented server; fails when the
-  # instrumented arm's qps drops past MONSOON_OBS_AB_MAX_DROP_PCT (50%).
+  # telemetry-off and a fully instrumented server over four interleaved
+  # rounds; fails when the median round's on/off qps ratio drops past
+  # MONSOON_OBS_AB_MAX_DROP_PCT (50%).
   MONSOON_SERVER_CLIENTS=16 MONSOON_SERVER_REQUESTS=800 \
     ./build-ci-release/bench/bench_server_throughput \
     "${telem_dir}/BENCH_server.json"

@@ -32,19 +32,25 @@ StatusOr<BoundTerm> BoundTerm::Bind(const UdfTerm& term, const Schema& schema,
 
 namespace {
 
+/// One UDF term as an operator reads it: the bound term and, when
+/// BindCached found one, the store's evaluate-once column over the
+/// operator's input, pinned for the operator's duration. Without a column,
+/// each range evaluates the term batch by batch.
+struct TermColumn {
+  BoundTerm term;
+  CachedUdfColumnPtr cached;
+};
+
 /// A predicate bound against a single (possibly concatenated) schema,
-/// evaluated as a residual filter. Leaf scans attach evaluate-once cached
-/// columns, which ApplyResidualBatch reads instead of evaluating the terms;
+/// evaluated as a residual filter. Leaf filters may read cached columns;
 /// join residuals evaluate against transient concatenated rows and stay
-/// uncached.
+/// batch-local.
 struct BoundResidual {
   enum class Kind { kJoinEq, kJoinNeq, kSelectionEq };
   Kind kind;
-  BoundTerm left;
-  BoundTerm right;  // join kinds only
-  Value constant;   // selection only
-  CachedUdfColumnPtr left_col;   // indexes the leaf's source table
-  CachedUdfColumnPtr right_col;  // join kinds only
+  TermColumn left;
+  TermColumn right;  // join kinds only
+  Value constant;    // selection only
 };
 
 /// The batch-local columns uncached residuals evaluate into, and
@@ -59,14 +65,15 @@ struct ResidualScratch {
 StatusOr<BoundResidual> BindResidual(const Predicate& pred, const Schema& schema,
                                      const UdfRegistry& registry) {
   BoundResidual residual;
-  MONSOON_ASSIGN_OR_RETURN(residual.left, BoundTerm::Bind(pred.left, schema, registry));
+  MONSOON_ASSIGN_OR_RETURN(residual.left.term,
+                           BoundTerm::Bind(pred.left, schema, registry));
   if (pred.kind == Predicate::Kind::kSelection) {
     residual.kind = BoundResidual::Kind::kSelectionEq;
     residual.constant = pred.constant;
   } else {
     residual.kind = pred.equality ? BoundResidual::Kind::kJoinEq
                                   : BoundResidual::Kind::kJoinNeq;
-    MONSOON_ASSIGN_OR_RETURN(residual.right,
+    MONSOON_ASSIGN_OR_RETURN(residual.right.term,
                              BoundTerm::Bind(*pred.right, schema, registry));
   }
   return residual;
@@ -83,16 +90,69 @@ struct RowIds {
   size_t size() const { return left.size(); }
 };
 
-/// A cached UDF column only pays off when the expression can be scanned
-/// again — i.e. its exact physical table is registered in the store (base
-/// relations and previously materialized expressions that later plan
-/// trees reference as leaves). A fresh intermediate (a filtered leaf or a
-/// join output consumed inline) exists only for the current operator, so
-/// building a column over it would be a pure extra pass that can never
-/// hit; those read paths evaluate their terms batch by batch instead.
-bool StoreResident(const MaterializedStore& store, const MaterializedExpr& expr) {
-  auto stored = store.Lookup(expr.sig);
-  return stored.ok() && (*stored)->table.get() == expr.table.get();
+/// The one place an operator decides how it reads a term (DESIGN.md §7):
+/// `col` reads the store's evaluate-once column over `expr` when `expr` —
+/// and a join's `other` input, when given — is the store's own table for
+/// its signature and GetOrBuild returns a column (filling it on the pool
+/// on a miss); otherwise `col->cached` stays null and each range evaluates
+/// the term batch by batch. Only a resident expression (a base relation,
+/// or one materialized earlier that later plan trees scan as a leaf) can
+/// be read again; a column over a fresh intermediate would be an extra
+/// pass that never hits. A zero budget makes GetOrBuild return null.
+/// Operators bind before their ranges run, so every shard count looks up
+/// the same whole columns.
+///
+/// A transient fault while filling is not fatal: it is counted in
+/// faults.cache_fills_dropped and the term reads batch-local, which is
+/// accounting-identical (the cache is invisible to the cost model).
+/// Non-transient errors propagate, as does any error once the query's
+/// cancellation token has tripped — a deadline must abort, not degrade.
+Status BindCached(ExecContext* ctx, const MaterializedStore& store,
+                  const MaterializedExpr& expr, const MaterializedExpr* other,
+                  TermColumn* col) {
+  static obs::Counter* const dropped_metric =
+      obs::Registry::Global().GetCounter("faults.cache_fills_dropped");
+  auto resident = [&store](const MaterializedExpr& e) {
+    auto stored = store.Lookup(e.sig);
+    return stored.ok() && (*stored)->table.get() == e.table.get();
+  };
+  if (!resident(expr) || (other != nullptr && !resident(*other))) {
+    return Status::OK();
+  }
+  StatusOr<CachedUdfColumnPtr> built = store.udf_cache()->GetOrBuild(
+      expr.sig, col->term, expr.table, ctx->pool(), ctx->morsel_size(),
+      ctx->cancel_token());
+  if (built.ok()) {
+    col->cached = std::move(built).value();
+    // Positional reads against the wrong table are the cache's one fatal
+    // failure mode; the staleness check makes this structurally true.
+    MONSOON_DCHECK(col->cached == nullptr ||
+                   col->cached->size() == expr.table->num_rows())
+        << "cached column size diverged from its table";
+    return Status::OK();
+  }
+  const bool query_dead =
+      ctx->cancel_token() != nullptr && ctx->cancel_token()->cancelled();
+  if (query_dead || !built.status().IsTransient()) return built.status();
+  dropped_metric->Add(1);
+  return Status::OK();
+}
+
+/// A term's values over a batch [begin, end): row r sits at view index
+/// r - base.
+struct TermView {
+  FlatView view;
+  size_t base;
+};
+
+/// The one range read: `col` over rows [begin, end) of `table` — its
+/// cached column whole (base 0), or one kernel call into the batch-local
+/// `scratch` (base begin).
+TermView ReadTermRange(const TermColumn& col, const Table& table, size_t begin,
+                       size_t end, FlatColumn* scratch) {
+  if (col.cached != nullptr) return {FlatView::Of(*col.cached), 0};
+  return {FillBatchColumn(col.term, table, UdfRows::Range(begin, end), scratch),
+          begin};
 }
 
 constexpr uint64_t kJoinHashSeed = 0xabcdef0123456789ULL;
@@ -264,50 +324,6 @@ Status DriveRanges(ExecContext* ctx, const RangePlan& plan,
   Status charged = ctx->ChargeWork(total);
   MONSOON_RETURN_IF_ERROR(run);
   return charged;
-}
-
-/// The evaluate-once column for `bound` over `expr`, filled on the pool on
-/// a miss. Operators bind their columns before their ranges run, so every
-/// shard count looks up the same whole columns. Null when the cache is
-/// off.
-///
-/// A transient fault while building the column is not fatal to the query
-/// either: the column comes back null and the caller falls back to batch
-/// evaluation, which is accounting-identical (the cache is invisible to
-/// the cost model). Non-transient errors still propagate,
-/// as does any error once the query's cancellation token has tripped — a
-/// deadline must abort, not degrade.
-StatusOr<CachedUdfColumnPtr> CachedColumn(ExecContext* ctx, UdfColumnCache* cache,
-                                          const MaterializedExpr& expr,
-                                          const BoundTerm& bound) {
-  static obs::Counter* const dropped_metric =
-      obs::Registry::Global().GetCounter("faults.cache_fills_dropped");
-  StatusOr<CachedUdfColumnPtr> col =
-      cache->GetOrBuild(expr.sig, bound, expr.table, ctx->pool(),
-                        ctx->morsel_size(), ctx->cancel_token());
-  if (col.ok()) return col;
-  bool query_dead =
-      ctx->cancel_token() != nullptr && ctx->cancel_token()->cancelled();
-  if (query_dead || !col.status().IsTransient()) return col;
-  dropped_metric->Add(1);
-  return CachedUdfColumnPtr();
-}
-
-/// Attaches evaluate-once columns to leaf filters over `expr`. Join-kind
-/// filters need both sides cached; a filter missing either evaluates its
-/// terms per batch.
-Status BindFilterColumns(ExecContext* ctx, UdfColumnCache* cache,
-                         const MaterializedExpr& expr,
-                         std::vector<BoundResidual>* filters) {
-  for (BoundResidual& f : *filters) {
-    MONSOON_ASSIGN_OR_RETURN(f.left_col, CachedColumn(ctx, cache, expr, f.left));
-    if (f.kind != BoundResidual::Kind::kSelectionEq && f.left_col != nullptr) {
-      MONSOON_ASSIGN_OR_RETURN(f.right_col,
-                               CachedColumn(ctx, cache, expr, f.right));
-      if (f.right_col == nullptr) f.left_col = nullptr;
-    }
-  }
-  return Status::OK();
 }
 
 /// The hash join's build index: one flat chained table over the build
@@ -495,18 +511,19 @@ void ApplyResidualBatch(const BoundResidual& f, const Table& in, size_t begin,
                         size_t end, bool first, size_t tail,
                         std::vector<uint32_t>* rows, ResidualScratch* scratch) {
   const bool join_kind = f.kind != BoundResidual::Kind::kSelectionEq;
-  if (f.left_col != nullptr) {
-    RefineByResidual(f, FlatView::Of(*f.left_col),
-                     join_kind ? FlatView::Of(*f.right_col) : FlatView(),
+  if (f.left.cached != nullptr) {
+    RefineByResidual(f, FlatView::Of(*f.left.cached),
+                     join_kind ? FlatView::Of(*f.right.cached) : FlatView(),
                      [](size_t row) { return row; }, begin, end, first, tail,
                      rows);
     return;
   }
   const UdfRows sel = first ? UdfRows::Range(begin, end)
                             : UdfRows::Ids(rows->data() + tail, rows->size() - tail);
-  const FlatView l = FillBatchColumn(f.left, in, sel, &scratch->left);
-  const FlatView r = join_kind ? FillBatchColumn(f.right, in, sel, &scratch->right)
-                               : FlatView();
+  const FlatView l = FillBatchColumn(f.left.term, in, sel, &scratch->left);
+  const FlatView r =
+      join_kind ? FillBatchColumn(f.right.term, in, sel, &scratch->right)
+                : FlatView();
   // The kernel wrote the i-th selected row's values to slot i.
   RefineByResidual(f, l, r, [i = size_t{0}](size_t) mutable { return i++; },
                    begin, end, first, tail, rows);
@@ -568,36 +585,29 @@ Status ScanBatch(const std::vector<BoundResidual>& filters, const Table& in,
   return Status::OK();
 }
 
-/// Σ: folds rows [begin, end) into one HLL per term — precomputed hashes
-/// from the evaluate-once column when the term has one, else one kernel
-/// call per term into the range's `scratch` column.
-Status SigmaBatch(const std::vector<std::pair<int, BoundTerm>>& terms,
-                  const std::vector<CachedUdfColumnPtr>& cols,
-                  const Table& table, size_t begin, size_t end,
-                  FlatColumn* scratch, std::vector<HyperLogLog>* sketches) {
+/// Σ: folds rows [begin, end) into one HLL per term, reading each term's
+/// hashes through ReadTermRange (the range's `scratch` holds batch-local
+/// values).
+Status SigmaBatch(const std::vector<TermColumn>& terms, const Table& table,
+                  size_t begin, size_t end, FlatColumn* scratch,
+                  std::vector<HyperLogLog>* sketches) {
   for (size_t row = begin; row < end; ++row) {
     MONSOON_FAULT_POINT("exec.udf_eval.sigma", row);
   }
   for (size_t t = 0; t < terms.size(); ++t) {
     HyperLogLog& sketch = (*sketches)[t];
-    if (cols[t] != nullptr) {
-      const FlatView v = FlatView::Of(*cols[t]);
-      for (size_t row = begin; row < end; ++row) {
-        sketch.AddHash(v.HashAt(row));
-      }
-    } else {
-      ForEachTermHash(terms[t].second, table, UdfRows::Range(begin, end),
-                      scratch, [&](uint64_t h) { sketch.AddHash(h); });
+    const TermView v = ReadTermRange(terms[t], table, begin, end, scratch);
+    for (size_t row = begin; row < end; ++row) {
+      sketch.AddHash(v.view.HashAt(row - v.base));
     }
   }
   return Status::OK();
 }
 
 /// acc[i] = HashCombine(acc[i], hash of view[(begin + i) - base]) for i in
-/// [0, end - begin). `base` is the view's index of absolute row 0: 0 for
-/// whole-side views, the batch's first row for batch-local fills. Callers
-/// invoke this once per key column in k-ascending order, which reproduces
-/// the row path's per-row HashCombine chain bit-for-bit.
+/// [0, end - begin), with `base` as in TermView. Callers invoke this once
+/// per key column in k-ascending order, which reproduces the row path's
+/// per-row HashCombine chain bit-for-bit.
 void CombineKeyHashes(const FlatView& v, size_t begin, size_t end, size_t base,
                       uint64_t* acc) {
   switch (v.type) {
@@ -622,19 +632,21 @@ void CombineKeyHashes(const FlatView& v, size_t begin, size_t end, size_t base,
 }
 
 /// Build-side keys of the hash join for rows [begin, end): fires the
-/// join_build fault point for the batch, fills the uncached key columns
-/// (`flat` is empty when the keys are cached), and writes each row's
-/// composite key hash to hashes[row]. Ranges write disjoint rows of the
-/// same whole-side arrays.
-Status BuildKeysBatch(const std::vector<const BoundTerm*>& terms,
+/// join_build fault point for the batch, fills these rows of each key
+/// without a cached column into its whole-side column flat[k], and writes
+/// each row's composite key hash to hashes[row] from the keys' whole-side
+/// `views` (base 0). Ranges write disjoint rows of the same whole-side
+/// arrays.
+Status BuildKeysBatch(const std::vector<const TermColumn*>& keys,
                       std::vector<FlatColumn>* flat,
                       const std::vector<FlatView>& views, const Table& build,
                       size_t begin, size_t end, uint64_t* hashes) {
   for (size_t row = begin; row < end; ++row) {
     MONSOON_FAULT_POINT("exec.udf_eval.join_build", row);
   }
-  for (size_t k = 0; k < flat->size(); ++k) {
-    (*flat)[k].Fill(*terms[k], build, UdfRows::Range(begin, end), begin);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (keys[k]->cached != nullptr) continue;
+    (*flat)[k].Fill(keys[k]->term, build, UdfRows::Range(begin, end), begin);
   }
   uint64_t* acc = hashes + begin;
   std::fill(acc, acc + (end - begin), kJoinHashSeed);
@@ -651,10 +663,8 @@ struct ProbeRange {
   const Table& lt;
   const Table& rt;
   bool build_left;
-  bool keys_cached;
-  const std::vector<const BoundTerm*>& probe_terms;
+  const std::vector<const TermColumn*>& probe_keys;
   const std::vector<FlatView>& build_views;
-  const std::vector<FlatView>& probe_views;  // cached keys only
   const FlatHashIndex& index;
   const JoinBloomFilter& bloom;
   const std::vector<BoundResidual>& residual;
@@ -662,14 +672,14 @@ struct ProbeRange {
   Table candidates;  // residual staging
   ResidualScratch scratch{};
   RowIds pairs{};
-  std::vector<FlatColumn> probe_flat{};  // uncached batch-local keys
-  std::vector<FlatView> probe_flat_views{};
+  std::vector<FlatColumn> key_scratch{};  // batch-local probe keys
+  std::vector<TermView> keys{};           // the batch's probe-key views
   std::vector<uint64_t> hashes{};
   std::vector<uint32_t> match_build{};
   std::vector<uint32_t> match_probe{};
 };
 
-/// Probes rows [begin, end) of `probe`: fills uncached probe-key columns,
+/// Probes rows [begin, end) of `probe`: reads each probe key's range,
 /// computes composite hashes column-wise, probes per row (fault point, one
 /// work unit, Bloom pre-check, one unit per equal-hash candidate and key
 /// confirm), checks the range's tally against the budget, and emits the
@@ -685,28 +695,17 @@ Status ProbeBatch(ProbeRange* p, const Table& probe, size_t begin, size_t end) {
       obs::Registry::Global().GetCounter("exec.bloom_rejects");
 
   const size_t n = end - begin;
-  const size_t nkeys = p->probe_terms.size();
+  const size_t nkeys = p->probe_keys.size();
 
   // Composite key hashes for the whole batch, column-wise.
-  const std::vector<FlatView>* views;
-  size_t base;
-  if (p->keys_cached) {
-    views = &p->probe_views;
-    base = 0;
-  } else {
-    p->probe_flat.resize(nkeys);
-    p->probe_flat_views.clear();
-    for (size_t k = 0; k < nkeys; ++k) {
-      p->probe_flat_views.push_back(
-          FillBatchColumn(*p->probe_terms[k], probe,
-                          UdfRows::Range(begin, end), &p->probe_flat[k]));
-    }
-    views = &p->probe_flat_views;
-    base = begin;
-  }
+  p->key_scratch.resize(nkeys);
+  p->keys.clear();
   p->hashes.assign(n, kJoinHashSeed);
   for (size_t k = 0; k < nkeys; ++k) {
-    CombineKeyHashes((*views)[k], begin, end, base, p->hashes.data());
+    p->keys.push_back(ReadTermRange(*p->probe_keys[k], probe, begin, end,
+                                    &p->key_scratch[k]));
+    CombineKeyHashes(p->keys[k].view, begin, end, p->keys[k].base,
+                     p->hashes.data());
   }
 
   p->match_build.clear();
@@ -724,8 +723,9 @@ Status ProbeBatch(ProbeRange* p, const Table& probe, size_t begin, size_t end) {
     p->index.ForEachCandidate(h, [&](uint32_t build_row) {
       ++*p->task.work_tally;
       for (size_t k = 0; k < nkeys; ++k) {
-        if (!FlatView::Equal(p->build_views[k], build_row, (*views)[k],
-                             row - base)) {
+        const TermView& key = p->keys[k];
+        if (!FlatView::Equal(p->build_views[k], build_row, key.view,
+                             row - key.base)) {
           return;
         }
       }
@@ -865,10 +865,17 @@ StatusOr<MaterializedExpr> Executor::ExecuteLeaf(const PlanNode::Ptr& node,
     filters.push_back(std::move(residual));
   }
   // Leaf residuals evaluate over the source expression itself, so the
-  // store's evaluate-once columns apply positionally; they are bound once,
-  // whole, before any range runs.
-  MONSOON_RETURN_IF_ERROR(
-      BindFilterColumns(ctx, store->udf_cache(), *source, &filters));
+  // store's evaluate-once columns apply positionally. A two-term filter
+  // reads cached only when both of its terms are: its batch loop reads the
+  // two sides at one index.
+  for (BoundResidual& f : filters) {
+    MONSOON_RETURN_IF_ERROR(BindCached(ctx, *store, *source, nullptr, &f.left));
+    if (f.kind == BoundResidual::Kind::kSelectionEq || f.left.cached == nullptr) {
+      continue;
+    }
+    MONSOON_RETURN_IF_ERROR(BindCached(ctx, *store, *source, nullptr, &f.right));
+    if (f.right.cached == nullptr) f.left.cached = nullptr;
+  }
   const Table& in = *source->table;
   const RangePlan ranges =
       PlanRanges(ctx, source->shards, in.num_rows(), ctx->morsel_size());
@@ -924,8 +931,8 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
 
   // Split node predicates into hash-joinable pairs and residual filters.
   struct EquiPair {
-    BoundTerm left_key;   // bound against the LEFT child schema
-    BoundTerm right_key;  // bound against the RIGHT child schema
+    TermColumn left_key;   // bound against the LEFT child schema
+    TermColumn right_key;  // bound against the RIGHT child schema
   };
   std::vector<EquiPair> equi;
   std::vector<BoundResidual> residual;
@@ -946,9 +953,9 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
       }
       if (lterm != nullptr) {
         EquiPair pair;
-        MONSOON_ASSIGN_OR_RETURN(pair.left_key,
+        MONSOON_ASSIGN_OR_RETURN(pair.left_key.term,
                                  BoundTerm::Bind(*lterm, left.schema, *registry_));
-        MONSOON_ASSIGN_OR_RETURN(pair.right_key,
+        MONSOON_ASSIGN_OR_RETURN(pair.right_key.term,
                                  BoundTerm::Bind(*rterm, right.schema, *registry_));
         equi.push_back(std::move(pair));
         separable = true;
@@ -961,34 +968,12 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     }
   }
 
-  // Evaluate-once key columns over both children. When every key of every
-  // equi pair is cached, build/probe read flat columns and compare cached
-  // hashes first. Any miss (cache disabled / oversized column) evaluates
-  // the keys batch by batch for the whole join instead, keeping the two
-  // paths easy to ablate.
-  std::vector<CachedUdfColumnPtr> left_cols(equi.size());
-  std::vector<CachedUdfColumnPtr> right_cols(equi.size());
-  bool keys_cached = store->udf_cache()->enabled() && !equi.empty() &&
-                     StoreResident(*store, left) && StoreResident(*store, right);
-  if (keys_cached) {
-    UdfColumnCache* cache = store->udf_cache();
-    for (size_t k = 0; k < equi.size(); ++k) {
-      MONSOON_ASSIGN_OR_RETURN(
-          left_cols[k],
-          CachedColumn(ctx, cache, left, equi[k].left_key));
-      MONSOON_ASSIGN_OR_RETURN(
-          right_cols[k],
-          CachedColumn(ctx, cache, right, equi[k].right_key));
-      if (left_cols[k] == nullptr || right_cols[k] == nullptr) {
-        keys_cached = false;
-        break;
-      }
-      // Positional reads against the wrong table are the cache's one fatal
-      // failure mode; the staleness check makes this structurally true.
-      MONSOON_DCHECK(left_cols[k]->size() == left.table->num_rows() &&
-                     right_cols[k]->size() == right.table->num_rows())
-          << "cached join key column size diverged from its table";
-    }
+  // Evaluate-once key columns, bound key by key, each side on its own: a
+  // key side whose fill was dropped reads batch by batch while the other
+  // columns stay cached.
+  for (EquiPair& pair : equi) {
+    MONSOON_RETURN_IF_ERROR(BindCached(ctx, *store, left, &right, &pair.left_key));
+    MONSOON_RETURN_IF_ERROR(BindCached(ctx, *store, right, &left, &pair.right_key));
   }
 
   const Table& lt = *left.table;
@@ -1044,42 +1029,36 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     const Table& probe = *probe_expr.table;
     const size_t nkeys = equi.size();
 
-    // Per-side key vectors, hoisted and reserve()d once, and the cached
-    // columns oriented the same way.
-    std::vector<const BoundTerm*> build_terms;
-    std::vector<const BoundTerm*> probe_terms;
-    build_terms.reserve(nkeys);
-    probe_terms.reserve(nkeys);
+    std::vector<const TermColumn*> build_keys;
+    std::vector<const TermColumn*> probe_keys;
+    build_keys.reserve(nkeys);
+    probe_keys.reserve(nkeys);
     for (const auto& pair : equi) {
-      build_terms.push_back(build_left ? &pair.left_key : &pair.right_key);
-      probe_terms.push_back(build_left ? &pair.right_key : &pair.left_key);
+      build_keys.push_back(build_left ? &pair.left_key : &pair.right_key);
+      probe_keys.push_back(build_left ? &pair.right_key : &pair.left_key);
     }
-    const auto& build_cols = build_left ? left_cols : right_cols;
-    const auto& probe_cols = build_left ? right_cols : left_cols;
 
-    // Build: composite key hashes per range, from cached hash columns when
-    // available (strings never re-hashed); the fallback fills whole-side
-    // FlatColumns the probe's confirm step compares against — no boxed key
-    // Values on either path. Ranges write disjoint rows of the whole-side
-    // arrays, so a retried shard simply rewrites its own rows. Key columns
-    // stay whole-side even when sharded: the confirm step random-accesses
+    // Build: composite key hashes per range, from a key's cached column
+    // when it has one (strings never re-hashed), else from a whole-side
+    // FlatColumn the build ranges fill — no boxed key Values either way.
+    // Ranges write disjoint rows of the whole-side arrays, so a retried
+    // shard simply rewrites its own rows. Build key columns stay whole-side
+    // even when sharded: the probe's confirm step random-accesses
     // arbitrary build rows.
-    std::vector<FlatColumn> build_flat;
+    std::vector<FlatColumn> build_flat(nkeys);
     std::vector<FlatView> build_views(nkeys);
-    if (keys_cached) {
-      for (size_t k = 0; k < nkeys; ++k) {
-        build_views[k] = FlatView::Of(*build_cols[k]);
-      }
-    } else {
-      build_flat.resize(nkeys);
-      for (size_t k = 0; k < nkeys; ++k) {
-        build_flat[k].Resize(build_terms[k]->result_type(), build.num_rows());
+    for (size_t k = 0; k < nkeys; ++k) {
+      const TermColumn& key = *build_keys[k];
+      if (key.cached != nullptr) {
+        build_views[k] = FlatView::Of(*key.cached);
+      } else {
+        build_flat[k].Resize(key.term.result_type(), build.num_rows());
         build_views[k] = FlatView::Of(build_flat[k]);
       }
     }
     std::vector<uint64_t> build_hashes(build.num_rows());
     auto build_batch = [&](const Table& t, size_t b, size_t e) {
-      return BuildKeysBatch(build_terms, &build_flat, build_views, t, b, e,
+      return BuildKeysBatch(build_keys, &build_flat, build_views, t, b, e,
                             build_hashes.data());
     };
     MONSOON_RETURN_IF_ERROR(DriveRanges(
@@ -1106,20 +1085,14 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     // and candidates in its tally.
     obs::TraceSpan probe_span("exec", "join.probe");
     probe_span.Arg("rows", static_cast<uint64_t>(probe.num_rows()));
-    std::vector<FlatView> probe_views(keys_cached ? nkeys : 0);
-    for (size_t k = 0; k < probe_views.size(); ++k) {
-      probe_views[k] = FlatView::Of(*probe_cols[k]);
-    }
     ranges = PlanRanges(ctx, probe_expr.shards, probe.num_rows(), ctx->morsel_size());
     slots.resize(ranges.num_ranges());
     auto probe_range = [&](const RangeTask& task) -> Status {
       ProbeRange range{.lt = lt,
                        .rt = rt,
                        .build_left = build_left,
-                       .keys_cached = keys_cached,
-                       .probe_terms = probe_terms,
+                       .probe_keys = probe_keys,
                        .build_views = build_views,
-                       .probe_views = probe_views,
                        .index = index,
                        .bloom = bloom,
                        .residual = residual,
@@ -1147,9 +1120,7 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
   // The join's output objects are the paper's cost for this node.
   MONSOON_RETURN_IF_ERROR(ctx->Charge(out->num_rows()));
   join_rows_metric->Observe(out->num_rows());
-  span.Arg("algo", algo)
-      .Arg("keys_cached", keys_cached)
-      .Arg("rows_out", static_cast<uint64_t>(out->num_rows()));
+  span.Arg("algo", algo).Arg("rows_out", static_cast<uint64_t>(out->num_rows()));
 
   result.sig = node->output_sig();
   result.schema = std::move(out_schema);
@@ -1173,15 +1144,18 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
   // One HLL pass per UDF term evaluable over this expression (the paper's
   // Σ computes "the number of distinct values returned by r for all UDFs
   // that are referenced in the query").
-  std::vector<std::pair<int, BoundTerm>> terms;
-  std::vector<int> seen;
+  std::vector<int> term_ids;
+  std::vector<TermColumn> terms;
   for (const UdfTerm* term : query_.AllTerms()) {
     if (!expr_rels.ContainsAll(term->rels)) continue;
-    if (std::find(seen.begin(), seen.end(), term->term_id) != seen.end()) continue;
-    seen.push_back(term->term_id);
+    if (std::find(term_ids.begin(), term_ids.end(), term->term_id) !=
+        term_ids.end()) {
+      continue;
+    }
+    term_ids.push_back(term->term_id);
     MONSOON_ASSIGN_OR_RETURN(BoundTerm bound,
                              BoundTerm::Bind(*term, expr.schema, *registry_));
-    terms.emplace_back(term->term_id, std::move(bound));
+    terms.push_back({std::move(bound), nullptr});
   }
   span.Arg("terms", static_cast<uint64_t>(terms.size()));
   if (terms.empty()) return Status::OK();
@@ -1206,20 +1180,10 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
 
   // Evaluate-once columns per term: repeated Σ passes over the same
   // materialized expression (the plan → Σ → re-plan loop) hit the cache
-  // and feed precomputed hashes straight into the sketches. Terms whose
-  // column is unavailable evaluate per batch, independently of the rest.
-  UdfColumnCache* cache = store != nullptr ? store->udf_cache() : nullptr;
-  const bool cache_on =
-      cache != nullptr && cache->enabled() && StoreResident(*store, expr);
-  std::vector<CachedUdfColumnPtr> term_cols(terms.size());
-  if (cache_on) {
-    for (size_t t = 0; t < terms.size(); ++t) {
-      MONSOON_ASSIGN_OR_RETURN(term_cols[t],
-                               CachedColumn(ctx, cache, expr, terms[t].second));
-      MONSOON_DCHECK(term_cols[t] == nullptr ||
-                     term_cols[t]->size() == table.num_rows())
-          << "cached column for term " << terms[t].first << " is stale";
-    }
+  // and feed precomputed hashes straight into the sketches. Each term binds
+  // on its own.
+  for (TermColumn& term : terms) {
+    MONSOON_RETURN_IF_ERROR(BindCached(ctx, *store, expr, nullptr, &term));
   }
 
   // Each range folds its rows into a fresh sketch set per attempt, merged
@@ -1233,7 +1197,7 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
     std::vector<HyperLogLog> local(terms.size(), HyperLogLog(kHllPrecision));
     FlatColumn scratch;
     auto sigma_batch = [&](const Table& t, size_t b, size_t e) {
-      return SigmaBatch(terms, term_cols, t, b, e, &scratch, &local);
+      return SigmaBatch(terms, t, b, e, &scratch, &local);
     };
     MONSOON_RETURN_IF_ERROR(task.Feed([&](size_t begin, size_t end) {
       return ForEachBatch(ctx, table, begin, end, sigma_batch);
@@ -1258,7 +1222,7 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
 
   for (size_t t = 0; t < terms.size(); ++t) {
     DistinctObservation observation;
-    observation.term_id = terms[t].first;
+    observation.term_id = term_ids[t];
     observation.expr = expr.sig;
     observation.distinct_count = std::max(0.0, std::round(sketches[t].Estimate()));
     obs->push_back(observation);

@@ -61,11 +61,12 @@ struct ExecResult {
 /// accounting counters are identical in every mode (see DESIGN.md
 /// "Parallel runtime" and "Shards").
 ///
-/// When the store's UdfColumnCache is enabled, leaf residual filters,
-/// hash-join key build/probe and the Σ HLL pass all read evaluate-once
-/// cached columns instead of calling BoundTerm::Eval per row; rows,
-/// counts, distincts and both accounting counters are bit-identical
-/// either way (DESIGN.md "UDF evaluation cache").
+/// Leaf residual filters, hash-join keys and the Σ HLL pass read each UDF
+/// term through one binder: the store's evaluate-once column when the
+/// input is store-resident and the cache returns one, else one kernel call
+/// per batch into a batch-local column. Rows, counts, distincts and both
+/// accounting counters are bit-identical either way (DESIGN.md "UDF
+/// evaluation cache").
 class Executor {
  public:
   Executor(const QuerySpec& query, const UdfRegistry* registry)

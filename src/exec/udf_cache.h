@@ -41,7 +41,9 @@ using CachedUdfColumnPtr = std::shared_ptr<const FlatColumn>;
 /// expression pays one UDF pass (morsel-parallel when a pool is supplied)
 /// into a whole-expression FlatColumn; every later scan, join build/probe,
 /// or Σ pass over the same expression reads that column instead of
-/// evaluating the term again.
+/// evaluating the term again. The executor looks columns up through one
+/// binder, which applies the residency rule (DESIGN.md §7): only over
+/// expressions the store holds, which later operators can read again.
 ///
 /// Residency is bounded by an LRU byte budget. A build whose column alone
 /// exceeds the budget still returns the column (shared_ptr-pinned by the
@@ -74,10 +76,6 @@ class UdfColumnCache {
  public:
   explicit UdfColumnCache(size_t byte_budget) : byte_budget_(byte_budget) {}
 
-  bool enabled() const {
-    MutexLock lock(mu_);
-    return byte_budget_ > 0;
-  }
   size_t byte_budget() const {
     MutexLock lock(mu_);
     return byte_budget_;

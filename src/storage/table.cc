@@ -193,11 +193,6 @@ void Table::AppendConcatRow(const Table& left, size_t li, const Table& right,
   AppendConcatSelected(left, &l, right, &r, 1);
 }
 
-void Table::AppendRowFrom(const Table& src, size_t row) {
-  const auto r = static_cast<uint32_t>(row);
-  AppendSelectedFrom(src, &r, 1);
-}
-
 void Table::AppendSelectedFrom(const Table& src, const uint32_t* rows,
                                size_t n) {
   const size_t at = num_rows_;

@@ -16,28 +16,6 @@
 
 namespace monsoon {
 
-class Table;
-
-/// Lightweight reference to one row of a Table, for tests and diagnostics.
-/// Valid while the Table is alive and its rows unchanged: the cells live
-/// in stores the table keeps alive, so a RowRef never outlives them.
-class RowRef {
- public:
-  RowRef(const Table* table, size_t row) : table_(table), row_(row) {}
-
-  int64_t GetInt64(size_t col) const;
-  double GetDouble(size_t col) const;
-  const std::string& GetString(size_t col) const;
-  Value GetValue(size_t col) const;
-
-  size_t row_index() const { return row_; }
-  const Table* table() const { return table_; }
-
- private:
-  const Table* table_;
-  size_t row_;
-};
-
 /// Columnar in-memory table: base relations, join intermediates and final
 /// results are all Tables. Cells live in *stores* — one typed vector per
 /// column — held by shared_ptr, and a table reads them through *groups*:
@@ -77,9 +55,6 @@ class Table {
   /// Appends the concatenation of left[li] and right[ri]. The table's
   /// schema must be Schema::Concat(left.schema(), right.schema()).
   void AppendConcatRow(const Table& left, size_t li, const Table& right, size_t ri);
-
-  /// Appends src[row]. Schemas must match.
-  void AppendRowFrom(const Table& src, size_t row);
 
   /// Appends src[rows[0]], ..., src[rows[n-1]] in order (schemas must
   /// match). Writes one id per group per row; id vectors grow
@@ -130,8 +105,6 @@ class Table {
     return Cell<std::string>(col, row);
   }
   Value ValueAt(size_t col, size_t row) const;
-
-  RowRef row(size_t i) const { return RowRef(this, i); }
 
   /// Reserves capacity for `rows` rows: the store's columns of a dense
   /// table, the id vectors of a gathered one.
@@ -228,13 +201,6 @@ class Table {
 };
 
 using TablePtr = std::shared_ptr<const Table>;
-
-inline int64_t RowRef::GetInt64(size_t col) const { return table_->Int64At(col, row_); }
-inline double RowRef::GetDouble(size_t col) const { return table_->DoubleAt(col, row_); }
-inline const std::string& RowRef::GetString(size_t col) const {
-  return table_->StringAt(col, row_);
-}
-inline Value RowRef::GetValue(size_t col) const { return table_->ValueAt(col, row_); }
 
 }  // namespace monsoon
 

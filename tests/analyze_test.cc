@@ -374,8 +374,8 @@ TEST(LockScopeTest, BlockingCallUnderLock) {
 }
 
 TEST(LockScopeTest, UdfKernelCallsUnderLock) {
-  // Every way into a UDF kernel is flagged under a held lock; the five
-  // calls report on lines 3 to 7.
+  // Every way into a UDF kernel is flagged under a held lock; the six
+  // calls report on lines 3 to 8.
   auto diags = Analyze("src/exec/e.cc",
                        "void f() {\n"
                        "  MutexLock lock(mu_);\n"
@@ -384,8 +384,9 @@ TEST(LockScopeTest, UdfKernelCallsUnderLock) {
                        "  cache->GetOrBuild(sig, bound, table, pool, 64);\n"
                        "  ForEachTermHash(bound, t, rows, &scratch, add);\n"
                        "  FillBatchColumn(bound, t, rows, &scratch);\n"
+                       "  ReadTermRange(col, t, b, e, &scratch);\n"
                        "}\n");
-  ASSERT_EQ(diags.size(), 5u);
+  ASSERT_EQ(diags.size(), 6u);
   for (size_t i = 0; i < diags.size(); ++i) {
     EXPECT_EQ(diags[i].rule, "monsoon-analyze-lock-scope");
     EXPECT_EQ(diags[i].line, static_cast<int>(i) + 3);

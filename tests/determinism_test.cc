@@ -25,6 +25,7 @@
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
 #include "parallel/thread_pool.h"
+#include "row_fingerprints.h"
 #include "workloads/tpch.h"
 
 namespace monsoon {
@@ -196,21 +197,6 @@ struct ExecRun {
   std::vector<std::pair<ExprSig, uint64_t>> counts;
   std::vector<DistinctObservation> distincts;
 };
-
-std::vector<std::string> RowFingerprints(const Table& table) {
-  std::vector<std::string> rows;
-  rows.reserve(table.num_rows());
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    std::string fp;
-    for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-      fp += table.row(i).GetValue(c).ToString();
-      fp += '\x1f';
-    }
-    rows.push_back(std::move(fp));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
 
 StatusOr<ExecRun> RunOnce(const Workload& workload, const BenchQuery& query,
                           const PlanNode::Ptr& plan, parallel::ThreadPool* pool) {

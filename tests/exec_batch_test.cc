@@ -20,6 +20,7 @@
 #include "optimizer/optimizer.h"
 #include "parallel/thread_pool.h"
 #include "plan/logical_ops.h"
+#include "row_fingerprints.h"
 #include "sql/parser.h"
 #include "term_eval.h"
 #include "workloads/imdb.h"
@@ -139,15 +140,7 @@ class BatchExecTest : public ::testing::Test {
     stats.rows = result->output.table->num_rows();
     stats.work_units = ctx.work_units();
     stats.objects = ctx.objects_processed();
-    for (size_t i = 0; i < result->output.table->num_rows(); ++i) {
-      std::string fp;
-      for (size_t c = 0; c < result->output.schema.num_columns(); ++c) {
-        fp += result->output.table->row(i).GetValue(c).ToString();
-        fp += '\x1f';
-      }
-      stats.fingerprints.push_back(std::move(fp));
-    }
-    std::sort(stats.fingerprints.begin(), stats.fingerprints.end());
+    stats.fingerprints = RowFingerprints(*result->output.table);
     return stats;
   }
 
@@ -502,21 +495,6 @@ TEST_F(BatchExecTest, AllProbeKeysPresentMeansNoRejects) {
 // narrow batch width, over every generator, pinning the full observable
 // surface against the default-width serial cache-off reference.
 // ---------------------------------------------------------------------------
-
-std::vector<std::string> RowFingerprints(const Table& table) {
-  std::vector<std::string> rows;
-  rows.reserve(table.num_rows());
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    std::string fp;
-    for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-      fp += table.row(i).GetValue(c).ToString();
-      fp += '\x1f';
-    }
-    rows.push_back(std::move(fp));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
 
 struct EquivalenceRun {
   uint64_t rows = 0;

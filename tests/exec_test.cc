@@ -8,6 +8,7 @@
 #include "optimizer/optimizer.h"
 #include "parallel/thread_pool.h"
 #include "plan/logical_ops.h"
+#include "row_fingerprints.h"
 #include "sql/parser.h"
 #include "workloads/imdb.h"
 #include "workloads/ott.h"
@@ -238,22 +239,6 @@ TEST_F(ExecutorTest, BindFailsOnUnknownColumn) {
   Schema schema({{"c.id", ValueType::kInt64}});
   EXPECT_EQ(BoundTerm::Bind(*term, schema, UdfRegistry::Global()).status().code(),
             StatusCode::kNotFound);
-}
-
-// One sortable fingerprint per row; multiset equality == row-set equality.
-std::vector<std::string> RowFingerprints(const Table& table) {
-  std::vector<std::string> rows;
-  rows.reserve(table.num_rows());
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    std::string fp;
-    for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-      fp += table.row(i).GetValue(c).ToString();
-      fp += '\x1f';
-    }
-    rows.push_back(std::move(fp));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
 }
 
 // Test-local reference join: every (left, right) pair of the first two

@@ -29,6 +29,7 @@
 #include "optimizer/optimizer.h"
 #include "parallel/thread_pool.h"
 #include "plan/logical_ops.h"
+#include "row_fingerprints.h"
 #include "shard/shard.h"
 #include "workloads/imdb.h"
 #include "workloads/ott.h"
@@ -206,21 +207,6 @@ TEST_F(ShardTest, NonTransientShardErrorIsNeverRetried) {
 // generators, pinning the full deterministic surface against the
 // unsharded serial reference.
 // ---------------------------------------------------------------------------
-
-std::vector<std::string> RowFingerprints(const Table& table) {
-  std::vector<std::string> rows;
-  rows.reserve(table.num_rows());
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    std::string fp;
-    for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-      fp += table.row(i).GetValue(c).ToString();
-      fp += '\x1f';
-    }
-    rows.push_back(std::move(fp));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
 
 struct ShardRun {
   uint64_t rows = 0;

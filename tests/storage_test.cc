@@ -116,14 +116,6 @@ TEST_F(TableTest, PopRowRemovesLast) {
   EXPECT_EQ(table_.Int64At(0, 0), 1);
 }
 
-TEST_F(TableTest, RowRefAccess) {
-  ASSERT_TRUE(table_.AppendRow({Value(int64_t{9}), Value(2.0), Value("r")}).ok());
-  RowRef row = table_.row(0);
-  EXPECT_EQ(row.GetInt64(0), 9);
-  EXPECT_DOUBLE_EQ(row.GetDouble(1), 2.0);
-  EXPECT_EQ(row.GetString(2), "r");
-}
-
 TEST(TableConcatTest, AppendConcatRow) {
   Table left(Schema({{"a", ValueType::kInt64}}));
   Table right(Schema({{"b", ValueType::kString}}));
@@ -136,15 +128,6 @@ TEST(TableConcatTest, AppendConcatRow) {
   ASSERT_EQ(out.num_rows(), 1u);
   EXPECT_EQ(out.Int64At(0, 0), 2);
   EXPECT_EQ(out.StringAt(1, 0), "x");
-}
-
-TEST(TableConcatTest, AppendRowFrom) {
-  Table src(Schema({{"a", ValueType::kInt64}, {"s", ValueType::kString}}));
-  ASSERT_TRUE(src.AppendRow({Value(int64_t{5}), Value("v")}).ok());
-  Table dst(src.schema());
-  dst.AppendRowFrom(src, 0);
-  EXPECT_EQ(dst.num_rows(), 1u);
-  EXPECT_EQ(dst.Int64At(0, 0), 5);
 }
 
 // An (int64, double, string) table whose strings outgrow the small-string

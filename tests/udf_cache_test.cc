@@ -7,9 +7,11 @@
 #include "exec/executor.h"
 #include "exec/udf_cache.h"
 #include "fault/injector.h"
+#include "obs/metrics.h"
 #include "optimizer/optimizer.h"
 #include "parallel/thread_pool.h"
 #include "plan/logical_ops.h"
+#include "row_fingerprints.h"
 #include "sql/parser.h"
 #include "workloads/imdb.h"
 #include "workloads/ott.h"
@@ -161,7 +163,6 @@ TEST_F(UdfCacheTest, FillFaultFiresAtItsRowAndPublishesNothing) {
 
 TEST_F(UdfCacheTest, DisabledCacheReturnsNullWithoutEvaluating) {
   UdfColumnCache cache(0);
-  EXPECT_FALSE(cache.enabled());
   BoundTerm bound = BindTerm("identity", "c.id");
   auto col =
       cache.GetOrBuild(ExprSig::Of(RelSet::Single(0), 0), bound, table_,
@@ -228,18 +229,14 @@ TEST_F(UdfCacheTest, StaleTableInvalidatesPositionalColumn) {
   // must be evicted and rebuilt, never served positionally stale.
   auto permuted = std::make_shared<Table>(table_->schema());
   for (size_t i = table_->num_rows(); i-- > 0;) {
-    ASSERT_TRUE(permuted
-                    ->AppendRow({table_->row(i).GetValue(0),
-                                 table_->row(i).GetValue(1)})
-                    .ok());
+    ASSERT_TRUE(
+        permuted->AppendRow({table_->ValueAt(0, i), table_->ValueAt(1, i)}).ok());
   }
   auto col = cache.GetOrBuild(sig, bound, permuted, nullptr, 16);
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ((*col)->Int64At(0), table_->row(table_->num_rows() - 1)
-                                     .GetValue(0)
-                                     .AsInt64());
+  EXPECT_EQ((*col)->Int64At(0), table_->Int64At(0, table_->num_rows() - 1));
 }
 
 TEST_F(UdfCacheTest, ShrinkingBudgetEvictsToFit) {
@@ -257,7 +254,7 @@ TEST_F(UdfCacheTest, ShrinkingBudgetEvictsToFit) {
   cache.set_byte_budget(0);
   EXPECT_EQ(cache.num_entries(), 0u);
   EXPECT_EQ(cache.stats().bytes_in_use, 0u);
-  EXPECT_FALSE(cache.enabled());
+  EXPECT_EQ(cache.byte_budget(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -267,21 +264,6 @@ TEST_F(UdfCacheTest, ShrinkingBudgetEvictsToFit) {
 // distinct-count observations (bit-identical; cached hash columns feed the
 // same HLL registers as per-row Value::Hash()).
 // ---------------------------------------------------------------------------
-
-std::vector<std::string> RowFingerprints(const Table& table) {
-  std::vector<std::string> rows;
-  rows.reserve(table.num_rows());
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    std::string fp;
-    for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-      fp += table.row(i).GetValue(c).ToString();
-      fp += '\x1f';
-    }
-    rows.push_back(std::move(fp));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
 
 struct EquivalenceRun {
   uint64_t rows = 0;
@@ -468,6 +450,96 @@ TEST(UdfCacheCounterTest, RepeatedExecutionHitsResidentColumns) {
   EXPECT_EQ(second.udf_cache_misses(), 0u)
       << "every column is resident on the second execution";
   EXPECT_GE(second.udf_cache_hits(), first.udf_cache_misses());
+}
+
+
+// A hash join whose keys come from both sources: key A's columns are cached
+// on both sides by an earlier one-key join, and a permanent fill fault drops
+// key B's, so B reads batch by batch (whole-side on the build, batch-local
+// on the probe) next to A's cached columns. Everything the cost model sees
+// equals the fault-free run, and exactly B's two fills are dropped.
+TEST(UdfCacheJoinTest, MixedSourceKeysMatchTheFaultFreeJoin) {
+  Catalog catalog;
+  auto customers = std::make_shared<Table>(
+      Schema({{"id", ValueType::kInt64}, {"city", ValueType::kString}}));
+  for (int64_t i = 0; i < 50; ++i) {
+    ASSERT_TRUE(
+        customers->AppendRow({Value(i), Value("c" + std::to_string(i % 5))})
+            .ok());
+  }
+  ASSERT_TRUE(catalog.AddTable("customers", customers).ok());
+  auto orders = std::make_shared<Table>(
+      Schema({{"cust", ValueType::kInt64}, {"city", ValueType::kString}}));
+  for (int64_t i = 0; i < 60; ++i) {
+    ASSERT_TRUE(
+        orders->AppendRow({Value(i % 10), Value("c" + std::to_string(i % 3))})
+            .ok());
+  }
+  ASSERT_TRUE(catalog.AddTable("orders", orders).ok());
+  auto query = SqlParser(&catalog).Parse(
+      "SELECT * FROM customers c, orders o "
+      "WHERE c.id = o.cust AND c.city = o.city");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const PlanNode::Ptr key_a =
+      PlanNode::Join(MakeLeaf(*query, 0), MakeLeaf(*query, 1), {0});
+  const PlanNode::Ptr keys_ab =
+      PlanNode::Join(MakeLeaf(*query, 0), MakeLeaf(*query, 1), {0, 1});
+  Executor executor(*query, &UdfRegistry::Global());
+  obs::Counter* const dropped =
+      obs::Registry::Global().GetCounter("faults.cache_fills_dropped");
+  parallel::ThreadPool pool(2);
+
+  for (parallel::ThreadPool* run_pool :
+       std::initializer_list<parallel::ThreadPool*>{nullptr, &pool}) {
+    SCOPED_TRACE(run_pool == nullptr ? "serial" : "2 threads");
+    // Runs the one-key join, then the two-key join with `spec` armed (none
+    // when empty), on one store whose cache keeps A's columns.
+    auto run = [&](const char* spec) -> StatusOr<EquivalenceRun> {
+      MONSOON_ASSIGN_OR_RETURN(MaterializedStore store,
+                               MaterializedStore::ForQuery(catalog, *query));
+      store.udf_cache()->set_byte_budget(size_t{1} << 20);
+      ExecContext warm;
+      MONSOON_RETURN_IF_ERROR(executor.Execute(key_a, &store, &warm).status());
+      if (*spec != '\0') {
+        fault::FaultConfig config;
+        config.seed = 7;
+        MONSOON_RETURN_IF_ERROR(fault::InstallSpec(spec, config));
+      }
+      ExecContext ctx;
+      ctx.SetParallel(run_pool, 16);
+      ctx.SetBatchSize(7);  // probe batches start away from row 0
+      StatusOr<ExecResult> exec = executor.Execute(keys_ab, &store, &ctx);
+      fault::Clear();
+      MONSOON_RETURN_IF_ERROR(exec.status());
+      EquivalenceRun out;
+      out.rows = exec->output.table->num_rows();
+      out.work_units = ctx.work_units();
+      out.objects = ctx.objects_processed();
+      out.cache_hits = ctx.udf_cache_hits();
+      out.cache_misses = ctx.udf_cache_misses();
+      out.fingerprints = RowFingerprints(*exec->output.table);
+      out.counts = exec->observed_counts;
+      return out;
+    };
+    auto clean = run("");
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_EQ(clean->cache_hits, 2u) << "A's two columns";
+    EXPECT_EQ(clean->cache_misses, 2u) << "B's two columns";
+
+    const uint64_t dropped_before = dropped->Value();
+    auto mixed = run("exec.udf_cache.fill=1:permanent");
+    ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+    EXPECT_EQ(dropped->Value() - dropped_before, 2u) << "B's two columns";
+    EXPECT_EQ(mixed->cache_hits, 2u);
+    EXPECT_EQ(mixed->cache_misses, 0u);
+
+    EXPECT_GT(clean->rows, 0u);
+    EXPECT_EQ(mixed->rows, clean->rows);
+    EXPECT_EQ(mixed->fingerprints, clean->fingerprints);
+    EXPECT_EQ(mixed->counts, clean->counts);
+    EXPECT_EQ(mixed->work_units, clean->work_units);
+    EXPECT_EQ(mixed->objects, clean->objects);
+  }
 }
 
 }  // namespace

@@ -236,9 +236,11 @@ const char* BlockingKind(const std::string& name) {
       "Wait", "WaitFor", "TryRunOne", "WaitIdle", "Submit", "SubmitTo",
   };
   // The ways into a UDF kernel: the kernel itself, FlatColumn::Fill and
-  // the helpers built on it (exec/batch.h, the cache fill).
+  // the helpers built on it (exec/batch.h, the cache fill, the executor's
+  // range read).
   static const std::set<std::string> kUdf = {
-      "kernel", "Fill", "FillBatchColumn", "ForEachTermHash", "GetOrBuild"};
+      "kernel",          "Fill",       "FillBatchColumn",
+      "ForEachTermHash", "GetOrBuild", "ReadTermRange"};
   if (kSocket.count(name) != 0) return "blocking socket I/O";
   if (kPool.count(name) != 0) return "pool wait/submission";
   if (kUdf.count(name) != 0) return "UDF evaluation";
