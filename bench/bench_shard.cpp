@@ -71,10 +71,6 @@ struct RunResultDigest {
 StatusOr<RunResultDigest> RunConfig(const BenchConfig& config,
                                     parallel::ThreadPool* pool, int rounds,
                                     int shards) {
-  // The store partitions via the process default at ForQuery time and the
-  // context snapshots the same default at construction, so both must see
-  // the arm's shard count before either is built.
-  shard::SetDefaultShardCount(shards);
   RunResultDigest digest;
   WallTimer timer;
   for (const auto& [query, plan] : config.plans) {
@@ -85,6 +81,7 @@ StatusOr<RunResultDigest> RunConfig(const BenchConfig& config,
     Executor executor(query->spec, &UdfRegistry::Global());
     ExecContext ctx;
     ctx.SetParallel(pool, kMorselRows);
+    ctx.SetShards(static_cast<size_t>(shards));
     for (int round = 0; round < rounds; ++round) {
       MONSOON_ASSIGN_OR_RETURN(ExecResult exec,
                                executor.Execute(plan, &store, &ctx));
@@ -106,7 +103,6 @@ StatusOr<RunResultDigest> RunConfig(const BenchConfig& config,
   digest.seconds = timer.Seconds();
   std::sort(digest.counts.begin(), digest.counts.end());
   std::sort(digest.distincts.begin(), digest.distincts.end());
-  shard::SetDefaultShardCount(1);
   return digest;
 }
 

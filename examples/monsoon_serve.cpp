@@ -36,10 +36,7 @@
 #include "parallel/runtime.h"
 #include "server/server.h"
 #include "shard/shard.h"
-#include "workloads/imdb.h"
-#include "workloads/ott.h"
-#include "workloads/tpch.h"
-#include "workloads/udfbench.h"
+#include "workloads/by_name.h"
 
 using namespace monsoon;
 
@@ -48,23 +45,6 @@ namespace {
 volatile std::sig_atomic_t g_interrupted = 0;
 
 void HandleSigint(int) { g_interrupted = 1; }
-
-StatusOr<Workload> LoadWorkload(const std::string& name) {
-  if (name == "tpch") {
-    TpchOptions options;
-    options.scale = 0.25;
-    return MakeTpchWorkload(options);
-  }
-  if (name == "imdb") {
-    ImdbOptions options;
-    options.scale = 0.5;
-    return MakeImdbWorkload(options);
-  }
-  if (name == "ott") return MakeOttWorkload(OttOptions{});
-  if (name == "udf") return MakeUdfBenchWorkload(UdfBenchOptions{});
-  return Status::InvalidArgument("unknown workload '" + name +
-                                 "' (expected tpch|imdb|ott|udf)");
-}
 
 }  // namespace
 

@@ -8,8 +8,8 @@
 //
 // --threads=N runs the morsel-driven executor and root-parallel MCTS on
 // N threads (default 1 = fully serial; flag wins over MONSOON_THREADS).
-// --shards=N splits every materialized table into N hash-range shards
-// executed as independently supervised tasks (1 = the unsharded layout;
+// --shards=N splits every executor pass into N contiguous row ranges of
+// its input, executed as independently supervised tasks (1 = unsharded;
 // flag wins over MONSOON_SHARDS). --udf-cache-bytes=B sets the
 // evaluate-once UDF column cache budget (0 disables it; the default also
 // honors MONSOON_UDF_CACHE). The result rows and Mobjects are the same

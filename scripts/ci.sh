@@ -450,14 +450,16 @@ shard_stage() {
   # exhausted (TO) queries contribute status only: partial accounting is
   # documented as nondeterministic (the budget trips at morsel/shard
   # granularity), and their shards legitimately record non-transient
-  # ResourceExhausted failures. udf_cache hit/miss and shard_retries are
-  # deliberately excluded: shard-range cache keys are a different key
-  # population, and retries are exactly what differs on a recovered run.
+  # ResourceExhausted failures. The udf_cache hits and misses are pinned
+  # too: columns are keyed by (expression, bound term) and bound whole
+  # before a pass's ranges run, so neither the shard count nor a recovered
+  # shard moves them. shard_retries is excluded: retries are exactly what
+  # differs on a recovered run.
   acct() {
     sed 's/{"query":/\n{"query":/g' "$1" | tail -n +2 | while IFS= read -r q; do
       if printf '%s' "${q}" | grep -q '"status":"ok"'; then
         printf '%s' "${q}" | grep -o \
-          '"\(status\|result_rows\|objects_processed\|work_units\|execute_rounds\|stats_collections\|degraded\|shard_failures\)":"\?[A-Za-z0-9]*"\?' \
+          '"\(status\|result_rows\|objects_processed\|work_units\|execute_rounds\|stats_collections\|degraded\|hits\|misses\|shard_failures\)":"\?[A-Za-z0-9]*"\?' \
           | tr '\n' ' '
         echo
       else

@@ -107,10 +107,11 @@ class ExecContext {
     morsel_size_ = morsel_size == 0 ? 1 : morsel_size;
   }
 
-  /// Hash-range shards per table (see shard/shard.h). 1 = unsharded, the
-  /// exact pre-shard code path. Snapshotted from the process default
-  /// (MONSOON_SHARDS / --shards) at construction; tests pin shard counts
-  /// with the setter.
+  /// Shards per pass: every pass splits its input, as stored, into this
+  /// many even contiguous ranges (see shard/shard.h), each retried alone on
+  /// a transient failure. 1 = unsharded. Snapshotted from the process
+  /// default (MONSOON_SHARDS / --shards) at construction; tests pin shard
+  /// counts with the setter.
   size_t num_shards() const { return num_shards_; }
   void SetShards(size_t num_shards) {
     num_shards_ = num_shards == 0 ? 1 : num_shards;

@@ -169,9 +169,10 @@ constexpr int kHllPrecision = 14;
 
 /// How one pass over an input splits into ranges, picked from what the
 /// context shows:
-///  * kShards when ctx->num_shards() > 1: the input's hash-range map (or an
-///    even split), run under shard::RunSharded — a transient failure
-///    retries only its range, and a range commits only on success;
+///  * kShards when ctx->num_shards() > 1: even contiguous ranges of the
+///    input as stored, one per shard, run under shard::RunSharded — a
+///    transient failure retries only its range, and a range commits only
+///    on success;
 ///  * kMorsels when a pool is attached and the input exceeds one morsel:
 ///    even ranges of at most one morsel, run through parallel::ParallelFor
 ///    — the first error stops siblings from claiming further ranges;
@@ -179,24 +180,21 @@ constexpr int kHllPrecision = 14;
 struct RangePlan {
   enum class Mode { kInline, kMorsels, kShards };
   Mode mode = Mode::kInline;
-  shard::ShardMapPtr map;
+  shard::ShardMap map;
 
-  size_t num_ranges() const { return map->num_shards(); }
+  size_t num_ranges() const { return map.num_shards(); }
 };
 
-/// A sharded pass iterates the input's own hash-range map `hint` when it
-/// matches both the table and the shard count, else an even contiguous
-/// split: the per-shard accounting invariant holds for ANY contiguous
-/// decomposition (DESIGN.md §15), so the fallback only loses hash-range
-/// placement. Morsels pay off once the input is big enough that splitting
-/// pays for the merge.
-RangePlan PlanRanges(const ExecContext* ctx, const shard::ShardMapPtr& hint,
-                     size_t rows, size_t morsel) {
+/// This planner is the one place that knows the shard layout: a sharded
+/// pass splits its input, base table or intermediate, into one even
+/// contiguous range per shard. The per-shard accounting invariant holds for
+/// ANY contiguous decomposition (DESIGN.md §15), and the ranges gather in
+/// order, so the output is the same at every shard count. Morsels pay off
+/// once the input is big enough that splitting pays for the merge.
+RangePlan PlanRanges(const ExecContext* ctx, size_t rows, size_t morsel) {
   const size_t shards = ctx->num_shards();
   if (shards > 1) {
-    const bool fits = hint != nullptr && hint->num_shards() == shards &&
-                      hint->total_rows() == rows;
-    return {RangePlan::Mode::kShards, fits ? hint : shard::EvenMap(rows, shards)};
+    return {RangePlan::Mode::kShards, shard::EvenMap(rows, shards)};
   }
   if (ctx->pool() != nullptr && rows > ctx->morsel_size()) {
     return {RangePlan::Mode::kMorsels,
@@ -209,37 +207,31 @@ RangePlan PlanRanges(const ExecContext* ctx, const shard::ShardMapPtr& hint,
 /// rows of `lt`; else lt ⧺ rt pairs). Prefix sums over the slots give each
 /// range its window of the output, which is sized once; the ranges then
 /// write their windows' row ids (one per source relation), side by side on
-/// the pool, so the output is in range order whatever the thread count. A
-/// sharded pass also records the windows as the output's shard map:
-/// downstream sharded passes split the intermediate along its producer's
-/// boundaries, a function of shard contents only — independent of thread
-/// count and recovery.
+/// the pool, so the output is in range order whatever the thread, shard or
+/// morsel count.
 StatusOr<TablePtr> GatherRanges(ExecContext* ctx, const Schema& schema,
-                                const RangePlan& plan,
                                 const std::vector<RowIds>& slots,
-                                const Table& lt, const Table* rt,
-                                shard::ShardMapPtr* out_map) {
-  auto windows = std::make_shared<shard::ShardMap>();
-  windows->offsets.reserve(slots.size() + 1);
-  windows->offsets.push_back(0);
+                                const Table& lt, const Table* rt) {
+  shard::ShardMap windows;
+  windows.offsets.reserve(slots.size() + 1);
+  windows.offsets.push_back(0);
   for (const RowIds& slot : slots) {
-    windows->offsets.push_back(windows->offsets.back() + slot.size());
+    windows.offsets.push_back(windows.offsets.back() + slot.size());
   }
   auto out = std::make_shared<Table>(schema);
-  out->PresizeGather(windows->total_rows(), lt, rt);
+  out->PresizeGather(windows.total_rows(), lt, rt);
   MONSOON_RETURN_IF_ERROR(parallel::ParallelFor(
       ctx->pool(), slots.size(), 1, ctx->cancel_token(),
       [&](size_t r, size_t, size_t) {
         const RowIds& ids = slots[r];
         if (rt == nullptr) {
-          out->GatherAt(windows->begin(r), lt, ids.left.data(), ids.size());  // NOLINT(monsoon-analyze-accounting): scan input charged by ExecuteLeaf before its pass
+          out->GatherAt(windows.begin(r), lt, ids.left.data(), ids.size());  // NOLINT(monsoon-analyze-accounting): scan input charged by ExecuteLeaf before its pass
         } else {
-          out->GatherConcatAt(windows->begin(r), lt, ids.left.data(), *rt,  // NOLINT(monsoon-analyze-accounting): join output charged by ExecuteJoin right after this gather
+          out->GatherConcatAt(windows.begin(r), lt, ids.left.data(), *rt,  // NOLINT(monsoon-analyze-accounting): join output charged by ExecuteJoin right after this gather
                               ids.right.data(), ids.size());
         }
         return Status::OK();
       }));
-  if (plan.mode == RangePlan::Mode::kShards) *out_map = std::move(windows);
   return TablePtr(std::move(out));
 }
 
@@ -285,7 +277,7 @@ struct RangeTask {
 /// here when the sum does.
 Status DriveRanges(ExecContext* ctx, const RangePlan& plan,
                    const std::function<Status(const RangeTask&)>& body) {
-  const shard::ShardMap& map = *plan.map;
+  const shard::ShardMap& map = plan.map;
   std::vector<uint64_t> work(map.num_shards(), 0);
   const uint64_t work_limit = ctx->RemainingWork();
   // Each attempt tallies on its own stack (ranges running side by side
@@ -877,8 +869,7 @@ StatusOr<MaterializedExpr> Executor::ExecuteLeaf(const PlanNode::Ptr& node,
     if (f.right.cached == nullptr) f.left.cached = nullptr;
   }
   const Table& in = *source->table;
-  const RangePlan ranges =
-      PlanRanges(ctx, source->shards, in.num_rows(), ctx->morsel_size());
+  const RangePlan ranges = PlanRanges(ctx, in.num_rows(), ctx->morsel_size());
 
   // Each range lists the input rows that survive its filters; the lists
   // gather in range order, so the output is a fixed function of the input —
@@ -903,9 +894,8 @@ StatusOr<MaterializedExpr> Executor::ExecuteLeaf(const PlanNode::Ptr& node,
   MaterializedExpr result;
   result.sig = node->output_sig();
   result.schema = source->schema;
-  MONSOON_ASSIGN_OR_RETURN(result.table,
-                           GatherRanges(ctx, source->schema, ranges, slots, in,
-                                        /*rt=*/nullptr, &result.shards));
+  MONSOON_ASSIGN_OR_RETURN(
+      result.table, GatherRanges(ctx, source->schema, slots, in, /*rt=*/nullptr));
   span.Arg("rows_out", static_cast<uint64_t>(result.table->num_rows()));
   return result;
 }
@@ -991,7 +981,7 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     // for the residual filters, so the range polls cancellation and checks
     // its tally once per left row: a runaway product trips
     // ResourceExhausted at left-row granularity.
-    ranges = PlanRanges(ctx, left.shards, lt.num_rows(), ctx->morsel_size());
+    ranges = PlanRanges(ctx, lt.num_rows(), ctx->morsel_size());
     slots.resize(ranges.num_ranges());
     std::vector<uint32_t> all_right(rt.num_rows());
     for (size_t ri = 0; ri < all_right.size(); ++ri) {
@@ -1063,7 +1053,7 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     };
     MONSOON_RETURN_IF_ERROR(DriveRanges(
         ctx,
-        PlanRanges(ctx, build_expr.shards, build.num_rows(), ctx->morsel_size()),
+        PlanRanges(ctx, build.num_rows(), ctx->morsel_size()),
         [&](const RangeTask& task) {
           return task.Feed([&](size_t begin, size_t end) {
             return ForEachBatch(ctx, build, begin, end, build_batch);
@@ -1085,7 +1075,7 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     // and candidates in its tally.
     obs::TraceSpan probe_span("exec", "join.probe");
     probe_span.Arg("rows", static_cast<uint64_t>(probe.num_rows()));
-    ranges = PlanRanges(ctx, probe_expr.shards, probe.num_rows(), ctx->morsel_size());
+    ranges = PlanRanges(ctx, probe.num_rows(), ctx->morsel_size());
     slots.resize(ranges.num_ranges());
     auto probe_range = [&](const RangeTask& task) -> Status {
       ProbeRange range{.lt = lt,
@@ -1113,15 +1103,14 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     algo = kHashAlgo[static_cast<int>(ranges.mode)];
   }
 
-  MaterializedExpr result;
-  MONSOON_ASSIGN_OR_RETURN(
-      TablePtr out,
-      GatherRanges(ctx, out_schema, ranges, slots, lt, &rt, &result.shards));
+  MONSOON_ASSIGN_OR_RETURN(TablePtr out,
+                           GatherRanges(ctx, out_schema, slots, lt, &rt));
   // The join's output objects are the paper's cost for this node.
   MONSOON_RETURN_IF_ERROR(ctx->Charge(out->num_rows()));
   join_rows_metric->Observe(out->num_rows());
   span.Arg("algo", algo).Arg("rows_out", static_cast<uint64_t>(out->num_rows()));
 
+  MaterializedExpr result;
   result.sig = node->output_sig();
   result.schema = std::move(out_schema);
   result.table = std::move(out);
@@ -1176,7 +1165,7 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
                         (4 * static_cast<size_t>(ctx->pool()->num_threads())) +
                     1);
   }
-  const RangePlan ranges = PlanRanges(ctx, expr.shards, table.num_rows(), morsel);
+  const RangePlan ranges = PlanRanges(ctx, table.num_rows(), morsel);
 
   // Evaluate-once columns per term: repeated Σ passes over the same
   // materialized expression (the plan → Σ → re-plan loop) hit the cache

@@ -7,21 +7,13 @@ namespace monsoon {
 StatusOr<MaterializedStore> MaterializedStore::ForQuery(const Catalog& catalog,
                                                         const QuerySpec& query) {
   MaterializedStore store;
-  const size_t num_shards = static_cast<size_t>(shard::DefaultShardCount());
   for (int i = 0; i < query.num_relations(); ++i) {
     const RelationRef& rel = query.relation(i);
     MONSOON_ASSIGN_OR_RETURN(TablePtr table, catalog.GetTable(rel.table_name));
     MaterializedExpr expr;
     expr.sig = ExprSig::Of(RelSet::Single(i), 0);
-    // Hash-range shard the base relation when sharding is on. The memoized
-    // partition returns a STABLE reordered-table identity per (base table,
-    // shard count), so cross-session UDF cache entries keep hitting.
-    // shards=1 passes the catalog table through untouched — bit-for-bit
-    // today's layout.
-    shard::PartitionResult sharded = shard::GetOrPartition(table, num_shards);
-    expr.table = std::move(sharded.table);
-    expr.shards = std::move(sharded.map);
     expr.schema = table->schema().Qualify(rel.alias);
+    expr.table = std::move(table);
     store.Put(std::move(expr));
   }
   return store;

@@ -9,7 +9,6 @@
 #include "exec/udf_cache.h"
 #include "plan/plan_node.h"
 #include "query/query_spec.h"
-#include "shard/shard.h"
 #include "storage/table.h"
 
 namespace monsoon {
@@ -17,14 +16,12 @@ namespace monsoon {
 /// A materialized RA expression: data plus the alias-qualified schema used
 /// to resolve UDF arguments against it. The table's own schema carries the
 /// same column order; only the names differ (qualified per query alias).
-/// `shards` is the table's hash-range shard layout (shard/shard.h), or
-/// null when unsharded — the executor falls back to an even contiguous
-/// split for shard-less tables, which preserves the accounting invariant.
+/// A sharded pass splits `table` as stored into even contiguous ranges
+/// (DESIGN.md §15).
 struct MaterializedExpr {
   ExprSig sig;
   TablePtr table;
   Schema schema;
-  shard::ShardMapPtr shards;
 };
 
 /// The R_e of the MDP state, with actual data attached: every expression
@@ -35,9 +32,9 @@ class MaterializedStore {
   MaterializedStore()
       : udf_cache_(std::make_shared<UdfColumnCache>(DefaultUdfCacheBytes())) {}
 
-  /// Loads each relation referenced by `query` from the catalog. The same
-  /// base table may back several aliases; data is shared, schemas are
-  /// qualified per alias.
+  /// Loads each relation referenced by `query` from the catalog, as stored,
+  /// at every shard count. The same base table may back several aliases;
+  /// data is shared, schemas are qualified per alias.
   static StatusOr<MaterializedStore> ForQuery(const Catalog& catalog,
                                               const QuerySpec& query);
 

@@ -124,6 +124,12 @@ void MctsSearch::Expand(Node* node) {
 
 namespace {
 
+/// Safety bound on rollout length; rollouts that fail to reach a terminal
+/// state are scored with the worst return seen so far.
+constexpr int kMaxRolloutDepth = 96;
+/// ε-greedy floor.
+constexpr double kEpsilonMin = 0.1;
+
 // Weighted rollout-policy choice: joins are preferred over statistics
 // collection, and EXECUTE fires often enough to keep rollouts short.
 int RolloutWeight(const MdpAction& action) {
@@ -146,7 +152,7 @@ int RolloutWeight(const MdpAction& action) {
 StatusOr<double> MctsSearch::Rollout(const MdpState& from) {
   scratch_ = from;
   double cost = 0;
-  for (int depth = 0; depth < options_.max_rollout_depth; ++depth) {
+  for (int depth = 0; depth < kMaxRolloutDepth; ++depth) {
     if (mdp_->IsTerminal(scratch_)) return cost;
     ++info_.legal_action_calls;
     mdp_->LegalActions(scratch_, &actions_);
@@ -212,7 +218,7 @@ size_t MctsSearch::SelectEdge(const Node& node) {
   double frac = options_.iterations > 0
                     ? static_cast<double>(iteration_) / options_.iterations
                     : 1.0;
-  double epsilon = std::max(options_.epsilon_min, 1.0 - frac);
+  double epsilon = std::max(kEpsilonMin, 1.0 - frac);
   if (rng_.NextDouble() < epsilon) {
     return rng_.NextBounded(static_cast<uint32_t>(node.edges.size()));
   }

@@ -39,11 +39,6 @@ class MctsSearch {
     int iterations = 400;
     /// UCT exploration weight w (the paper uses sqrt(2)).
     double uct_weight = 1.4142135623730951;
-    /// ε-greedy floor.
-    double epsilon_min = 0.1;
-    /// Safety bound on rollout length; rollouts that fail to reach a
-    /// terminal state are scored with the worst return seen so far.
-    int max_rollout_depth = 96;
     uint64_t seed = 0xf00d;
     /// When non-null, polled once per iteration: a tripped token aborts
     /// the search with its Cancelled / DeadlineExceeded status. Root-

@@ -11,6 +11,13 @@
 
 namespace monsoon {
 
+namespace {
+
+/// Cap on |R_p| to bound the branching factor.
+constexpr int kMaxPlanned = 3;
+
+}  // namespace
+
 std::string MdpAction::ToString(const QuerySpec& query) const {
   auto rels_name = [&](const ExprSig& sig) {
     std::string out;
@@ -230,10 +237,11 @@ std::optional<uint64_t> QueryMdp::JoinPreds(const JoinSide& a, const JoinSide& b
       (a.touching & b.touching) == 0
           ? 0
           : ApplicableJoinPredMask(query_, a.sig, a.touching, b.sig, b.touching);
-  if (preds != 0 || options_.allow_unconstrained_cross_products) return preds;
-  // A cross product is still proposed when the query graph itself leaves
-  // the two sides disconnected (it has to happen eventually); see
-  // CrossProductUnavoidable.
+  if (preds != 0) return preds;
+  // Joins with no connecting predicate are not proposed (the paper's
+  // optimizer avoids bare cross products), except when the query graph
+  // itself leaves the two sides disconnected (it has to happen
+  // eventually); see CrossProductUnavoidable.
   if ((a.component & b.sig.rels) == 0) return preds;
   return std::nullopt;
 }
@@ -376,7 +384,7 @@ void QueryMdp::LegalActions(const MdpState& state,
   const PlanForest& planned = state.planned;
   const ExecutedSet& executed = epoch.executed();
   std::span<const MdpEpoch::Entry> entries = epoch.entries();
-  bool planned_full = static_cast<int>(planned.size()) >= options_.max_planned;
+  bool planned_full = static_cast<int>(planned.size()) >= kMaxPlanned;
 
   // A planned tree with this output signature (excluding tree `exclude_idx`).
   auto planned_has = [&](const ExprSig& out_sig, int exclude_idx) {

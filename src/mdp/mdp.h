@@ -282,12 +282,6 @@ struct MdpState {
 class QueryMdp {
  public:
   struct Options {
-    /// Cap on |R_p| to bound the branching factor.
-    int max_planned = 3;
-    /// Propose joins with no connecting predicate. Off by default (the
-    /// paper's optimizer avoids bare cross products); disconnected
-    /// queries enable it per pair when no predicate path exists.
-    bool allow_unconstrained_cross_products = false;
     /// Offer the Σ actions. Disabling them ablates Monsoon down to a
     /// prior-guided guess-and-execute optimizer (bench_ablation_monsoon
     /// measures what the statistics-collection actions are worth).

@@ -13,6 +13,13 @@
 
 namespace monsoon {
 
+namespace {
+
+/// Safety cap on real-world decisions.
+constexpr int kMaxDecisions = 128;
+
+}  // namespace
+
 MonsoonOptimizer::MonsoonOptimizer(const Catalog* catalog, Options options)
     : catalog_(catalog), options_(options) {
   if (options_.deadline_ms == 0) {
@@ -148,7 +155,7 @@ Status MonsoonOptimizer::RunImpl(const QuerySpec& query, RunResult* result) cons
   int decision = 0;
   while (!mdp.IsTerminal(state)) {
     MONSOON_RETURN_IF_ERROR(cancel_token->Check());
-    if (decision++ >= options_.max_decisions) {
+    if (decision++ >= kMaxDecisions) {
       return Status::Internal("exceeded the decision cap without finishing");
     }
     decisions_metric->Add(1);

@@ -31,8 +31,6 @@ class MonsoonOptimizer {
     /// Physical work budget per query; 0 = unlimited. Exceeding it aborts
     /// the query with ResourceExhausted ("timeout").
     uint64_t work_budget = 0;
-    /// Safety cap on real-world decisions.
-    int max_decisions = 128;
     uint64_t seed = 0x5eed;
     /// Root-parallel MCTS searchers per decision. 0 = follow the global
     /// parallel::DefaultConfig() (so --threads=N parallelizes planning and

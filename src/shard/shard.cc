@@ -2,14 +2,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "common/env.h"
 #include "common/hash.h"
-#include "common/sync.h"
 #include "fault/cancellation.h"
 #include "fault/injector.h"
 #include "obs/metrics.h"
@@ -49,18 +47,14 @@ std::atomic<int>& ShardCountHolder() {
 
 }  // namespace
 
-ShardMapPtr TrivialMap(size_t rows) {
-  auto map = std::make_shared<ShardMap>();
-  map->offsets = {0, rows};
-  return map;
-}
+ShardMap TrivialMap(size_t rows) { return ShardMap{{0, rows}}; }
 
-ShardMapPtr EvenMap(size_t rows, size_t num_shards) {
+ShardMap EvenMap(size_t rows, size_t num_shards) {
   if (num_shards < 1) num_shards = 1;
-  auto map = std::make_shared<ShardMap>();
-  map->offsets.reserve(num_shards + 1);
+  ShardMap map;
+  map.offsets.reserve(num_shards + 1);
   for (size_t s = 0; s <= num_shards; ++s) {
-    map->offsets.push_back(rows * s / num_shards);
+    map.offsets.push_back(rows * s / num_shards);
   }
   return map;
 }
@@ -83,79 +77,8 @@ uint64_t RowContentHash(const Table& table, size_t row) {
     }
     h = HashCombine(h, cell);
   }
-  // ShardOfHash consumes the HIGH bits; HashCombine leaves them weak.
+  // HashCombine leaves the high bits weak; Mix64 spreads every input bit.
   return Mix64(h);
-}
-
-PartitionResult Partition(const TablePtr& table, size_t num_shards) {
-  if (table == nullptr || num_shards <= 1) {
-    return {table, nullptr};
-  }
-  const size_t rows = table->num_rows();
-  std::vector<std::vector<uint32_t>> selections(num_shards);
-  for (size_t row = 0; row < rows; ++row) {
-    size_t s = ShardOfHash(RowContentHash(*table, row), num_shards);
-    selections[s].push_back(static_cast<uint32_t>(row));
-  }
-  auto out = std::make_shared<Table>(table->schema());
-  auto map = std::make_shared<ShardMap>();
-  map->offsets.reserve(num_shards + 1);
-  map->offsets.push_back(0);
-  for (size_t s = 0; s < num_shards; ++s) {
-    out->AppendSelectedFrom(*table, selections[s].data(), selections[s].size());
-    map->offsets.push_back(out->num_rows());
-  }
-  return {std::move(out), std::move(map)};
-}
-
-namespace {
-
-struct PartitionCacheEntry {
-  std::weak_ptr<const Table> source;  // identity check: address reuse guard
-  PartitionResult result;
-};
-
-Mutex& PartitionCacheMutex() {
-  static Mutex* mu = new Mutex;  // NOLINT(monsoon-raw-new): leaked singleton
-  return *mu;
-}
-
-/// Keyed (source address, shard count); validated against `source` so a
-/// recycled Table address never serves another table's layout. Entries for
-/// dead tables are pruned on every access — the cache never outgrows the
-/// set of live base tables.
-std::map<std::pair<const Table*, size_t>, PartitionCacheEntry>&
-PartitionCache() {
-  static auto* cache = new std::map<  // NOLINT(monsoon-raw-new): singleton
-      std::pair<const Table*, size_t>, PartitionCacheEntry>;
-  return *cache;
-}
-
-}  // namespace
-
-PartitionResult GetOrPartition(const TablePtr& table, size_t num_shards) {
-  if (table == nullptr || num_shards <= 1) {
-    return {table, nullptr};
-  }
-  MutexLock lock(PartitionCacheMutex());
-  auto& cache = PartitionCache();
-  for (auto it = cache.begin(); it != cache.end();) {
-    if (it->second.source.expired()) {
-      it = cache.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  std::pair<const Table*, size_t> key(table.get(), num_shards);
-  auto it = cache.find(key);
-  if (it != cache.end() && it->second.source.lock() == table) {
-    return it->second.result;
-  }
-  PartitionCacheEntry entry;
-  entry.source = table;
-  entry.result = Partition(table, num_shards);
-  cache[key] = entry;
-  return entry.result;
 }
 
 int DefaultShardCount() {

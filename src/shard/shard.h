@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -23,14 +22,14 @@ namespace monsoon::shard {
 /// kills one shard's attempt by arming e.g. "shard.exec=1:transient".
 inline constexpr char kShardExecPoint[] = "shard.exec";
 
-/// Hash-range shard layout over ONE partitioned Table: shard s owns the
-/// contiguous row range [offsets[s], offsets[s+1]). Keeping the shards as
-/// ranges of a single table (rather than N separate Tables) means every
-/// existing per-range operator — the executor's ForEachBatch,
-/// FlatColumn::Fill, CombineKeyHashes — works on a shard unchanged, a
-/// shard indexes the table's whole-expression UDF cache columns by its
-/// absolute rows (no shard has columns of its own), and shards=1 is
-/// bit-for-bit today's layout (the original table, untouched).
+/// Shard layout over ONE table as stored: shard s owns the contiguous row
+/// range [offsets[s], offsets[s+1]). Keeping the shards as ranges of a
+/// single table (rather than N separate Tables) means every existing
+/// per-range operator — the executor's ForEachBatch, FlatColumn::Fill,
+/// CombineKeyHashes — works on a shard unchanged, and a shard indexes the
+/// table's whole-expression UDF cache columns by its absolute rows (no
+/// shard has columns of its own). Rows are never moved: the output order is
+/// the same at every shard count.
 struct ShardMap {
   std::vector<size_t> offsets;  // num_shards() + 1 entries, monotone
 
@@ -41,48 +40,20 @@ struct ShardMap {
   size_t total_rows() const { return offsets.empty() ? 0 : offsets.back(); }
 };
 
-using ShardMapPtr = std::shared_ptr<const ShardMap>;
-
 /// One shard covering [0, rows).
-ShardMapPtr TrivialMap(size_t rows);
+ShardMap TrivialMap(size_t rows);
 
-/// `num_shards` contiguous near-equal ranges over [0, rows). Used for
-/// intermediates that have no hash-range map: the per-shard accounting
-/// invariant holds for ANY contiguous decomposition (every pinned counter
-/// is permutation/partition-invariant), so an even split is always a
-/// correct fallback.
-ShardMapPtr EvenMap(size_t rows, size_t num_shards);
-
-/// Multiply-shift range partition of a 64-bit hash into [0, num_shards).
-/// Uses the high bits (the well-mixed ones for Mix64-finalized hashes).
-inline size_t ShardOfHash(uint64_t hash, size_t num_shards) {
-  return static_cast<size_t>(
-      (static_cast<unsigned __int128>(hash) * num_shards) >> 64);
-}
+/// `num_shards` contiguous near-equal ranges over [0, rows). The per-shard
+/// accounting invariant holds for ANY contiguous decomposition (every
+/// pinned counter is permutation/partition-invariant), so the executor
+/// shards every pass this way.
+ShardMap EvenMap(size_t rows, size_t num_shards);
 
 /// Deterministic content hash of one row: HashCombine chain of the same
-/// per-type mixers Value::Hash() uses, finalized with Mix64. Row→shard
-/// assignment therefore depends only on row *content*, never on position,
-/// thread count, or shard count history.
+/// per-type mixers Value::Hash() uses, finalized with Mix64. It depends only
+/// on the row's content, never on its position; tests digest ordered
+/// output with it.
 uint64_t RowContentHash(const Table& table, size_t row);
-
-/// A table physically reordered into hash-range shards plus its layout.
-/// `map` is null when the table is unsharded (num_shards <= 1 pass-through).
-struct PartitionResult {
-  TablePtr table;
-  ShardMapPtr map;
-};
-
-/// Reorders `table` into `num_shards` hash-range shards (stable within a
-/// shard). num_shards <= 1 or an empty table returns the ORIGINAL table
-/// pointer with a null map — shards=1 is not a copy, it is today's layout.
-PartitionResult Partition(const TablePtr& table, size_t num_shards);
-
-/// Process-wide memoized Partition keyed on (table identity, num_shards),
-/// validated by weak_ptr so a recycled address never aliases a dead table.
-/// Returning a STABLE partitioned-table identity for a given base table is
-/// what keeps the cross-session UDF column cache hitting under sharding.
-PartitionResult GetOrPartition(const TablePtr& table, size_t num_shards);
 
 /// Process default shard count: explicit SetDefaultShardCount (the
 /// --shards flag) > MONSOON_SHARDS env > 1. Values < 1 clamp to 1.

@@ -4,11 +4,12 @@
 // ORDER. The digest, row count, objects and work units are checked against
 // tests/golden/exec_order_golden.txt.
 //
-// DifferentialTest and the equivalence suites compare rows as multisets,
-// so an executor change that reorders its output would pass them; this
-// file pins the order itself across builds. The order may differ between
-// shard counts (sharded base tables are stored shard by shard), but not
-// between thread counts.
+// DifferentialTest compares rows as multisets, so an executor change that
+// reorders its output would pass it; this file pins the order itself
+// across builds. Shards are even ranges of the table as stored and every
+// pass gathers its ranges in order, so the order is the same at every
+// shard and thread count: each s4.* line must equal its s1.* twin, config
+// column aside.
 //
 // Each golden line is
 //   workload <TAB> query <TAB> s<shards>.t<threads>.b<batch> <TAB> status
@@ -116,6 +117,16 @@ PlanNode::Ptr ConnectedLeftDeepPlan(const QuerySpec& query) {
   return plan;
 }
 
+/// Sets the process default shard count for its lifetime, then restores
+/// the unsharded default.
+class DefaultShardsScope {
+ public:
+  explicit DefaultShardsScope(int shards) { shard::SetDefaultShardCount(shards); }
+  ~DefaultShardsScope() { shard::SetDefaultShardCount(1); }
+  DefaultShardsScope(const DefaultShardsScope&) = delete;
+  DefaultShardsScope& operator=(const DefaultShardsScope&) = delete;
+};
+
 std::string ActualLine(const std::string& workload, const Catalog& catalog,
                        const BenchQuery& query, int shards,
                        parallel::ThreadPool* pool) {
@@ -123,17 +134,16 @@ std::string ActualLine(const std::string& workload, const Catalog& catalog,
   line << workload << "\t" << query.name << "\ts" << shards << ".t"
        << (pool == nullptr ? 1 : pool->num_threads()) << ".b" << kBatchRows
        << "\t";
-  // ForQuery partitions base tables through the process default shard
-  // count; restore the unsharded default whatever happens.
-  shard::SetDefaultShardCount(shards);
+  // Runs the arm as a process started with --shards=<shards> does: every
+  // module that reads the process default (the context snapshots it) sees
+  // the arm's count, so the s4-equals-s1 check covers them all.
+  DefaultShardsScope scope(shards);
   StatusOr<MaterializedStore> store =
       MaterializedStore::ForQuery(catalog, query.spec);
-  shard::SetDefaultShardCount(1);
   if (!store.ok()) return line.str() + StatusCodeToString(store.status().code());
   Executor executor(query.spec, &UdfRegistry::Global());
   ExecContext ctx(kWorkBudget);
   ctx.SetParallel(pool, /*morsel_size=*/64);
-  ctx.SetShards(static_cast<size_t>(shards));
   StatusOr<ExecResult> exec =
       executor.Execute(ConnectedLeftDeepPlan(query.spec), &*store, &ctx);
   line << StatusCodeToString(exec.status().code());
@@ -175,13 +185,23 @@ TEST_P(ExecOrderGoldenTest, OrderedRowsMatchGolden) {
   ASSERT_TRUE(workload.ok()) << workload.status().ToString();
   parallel::ThreadPool pool(4);
   for (const BenchQuery& query : workload->queries) {
+    // The s1 line's fields after the config, per pool.
+    std::map<parallel::ThreadPool*, std::string> unsharded;
     for (int shards : {1, 4}) {
       for (parallel::ThreadPool* threads :
            {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
         std::string actual =
             ActualLine(workload_name, *workload->catalog, query, shards, threads);
-        std::string key = actual.substr(
-            0, actual.find('\t', actual.find('\t', actual.find('\t') + 1) + 1));
+        const size_t config_end =
+            actual.find('\t', actual.find('\t', actual.find('\t') + 1) + 1);
+        std::string key = actual.substr(0, config_end);
+        std::string fields = actual.substr(config_end);
+        if (shards == 1) {
+          unsharded[threads] = std::move(fields);
+        } else {
+          EXPECT_EQ(unsharded[threads], fields)
+              << "sharding changed the output of " << key;
+        }
         auto it = goldens.find(key);
         if (it == goldens.end()) {
           ADD_FAILURE() << "no golden for " << key << "\nGOLDEN " << actual;

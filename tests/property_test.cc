@@ -20,7 +20,6 @@
 #include "exec/materialized_store.h"
 #include "monsoon/monsoon_optimizer.h"
 #include "parallel/thread_pool.h"
-#include "shard/shard.h"
 #include "term_eval.h"
 
 namespace monsoon {
@@ -224,11 +223,7 @@ StatusOr<ConfigRun> RunFixedPlan(const Catalog& catalog, const QuerySpec& query,
                                  const PlanNode::Ptr& plan,
                                  parallel::ThreadPool* pool, int shards,
                                  bool cache_on) {
-  // ForQuery partitions base tables through the process default shard
-  // count; restore the unsharded default whatever happens.
-  shard::SetDefaultShardCount(shards);
   StatusOr<MaterializedStore> store = MaterializedStore::ForQuery(catalog, query);
-  shard::SetDefaultShardCount(1);
   MONSOON_RETURN_IF_ERROR(store.status());
   store->udf_cache()->set_byte_budget(cache_on ? size_t{64} << 20 : 0);
   Executor executor(query, &UdfRegistry::Global());

@@ -9,9 +9,9 @@
 
 namespace monsoon {
 
-/// One sortable fingerprint per row of `table` (its cells' ToString(),
-/// unit-separated), sorted: equal vectors mean equal row multisets.
-inline std::vector<std::string> RowFingerprints(const Table& table) {
+/// One fingerprint per row of `table` (its cells' ToString(),
+/// unit-separated), in the table's row order.
+inline std::vector<std::string> OrderedRowFingerprints(const Table& table) {
   std::vector<std::string> rows;
   rows.reserve(table.num_rows());
   for (size_t i = 0; i < table.num_rows(); ++i) {
@@ -22,6 +22,12 @@ inline std::vector<std::string> RowFingerprints(const Table& table) {
     }
     rows.push_back(std::move(fp));
   }
+  return rows;
+}
+
+/// The same fingerprints, sorted: equal vectors mean equal row multisets.
+inline std::vector<std::string> RowFingerprints(const Table& table) {
+  std::vector<std::string> rows = OrderedRowFingerprints(table);
   std::sort(rows.begin(), rows.end());
   return rows;
 }

@@ -1,12 +1,11 @@
-// Sharded-execution tests: the shard layout primitives (hash-range
-// partition, content hashing, process default), the RunSharded supervisor's
-// retry/failover protocol, and the load-bearing equivalence invariant —
-// per-shard accounting (rows, objects, work_units, observed counts, Σ
-// distincts) sums bit-identically to the unsharded totals at every thread
-// count, with faults off AND with a shard killed mid-pass and recovered.
-// Sharding reorders rows (the partition is a content-hash permutation), so
-// result rows are compared as sorted fingerprints; every counter is pinned
-// exactly, never approximately.
+// Sharded-execution tests: the shard layout primitives (even contiguous
+// ranges, process default), the RunSharded supervisor's retry/failover
+// protocol, and the load-bearing equivalence invariant — per-shard
+// accounting (rows, objects, work_units, observed counts, Σ distincts) sums
+// bit-identically to the unsharded totals at every thread count, with
+// faults off AND with a shard killed mid-pass and recovered. Shards are
+// ranges of the table as stored, so result rows are compared in order;
+// every counter is pinned exactly, never approximately.
 
 #include <gtest/gtest.h>
 
@@ -61,34 +60,21 @@ class ShardTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 TEST_F(ShardTest, EvenMapCoversRangeWithContiguousShards) {
-  shard::ShardMapPtr map = shard::EvenMap(/*rows=*/103, /*num_shards=*/4);
-  ASSERT_EQ(map->num_shards(), 4u);
-  EXPECT_EQ(map->begin(0), 0u);
-  EXPECT_EQ(map->total_rows(), 103u);
+  const shard::ShardMap map = shard::EvenMap(/*rows=*/103, /*num_shards=*/4);
+  ASSERT_EQ(map.num_shards(), 4u);
+  EXPECT_EQ(map.begin(0), 0u);
+  EXPECT_EQ(map.total_rows(), 103u);
   size_t covered = 0;
-  for (size_t s = 0; s < map->num_shards(); ++s) {
-    EXPECT_EQ(map->begin(s), covered);
-    EXPECT_EQ(map->rows(s), map->end(s) - map->begin(s));
-    covered = map->end(s);
+  for (size_t s = 0; s < map.num_shards(); ++s) {
+    EXPECT_EQ(map.begin(s), covered);
+    EXPECT_EQ(map.rows(s), map.end(s) - map.begin(s));
+    covered = map.end(s);
   }
   EXPECT_EQ(covered, 103u);
 
-  shard::ShardMapPtr trivial = shard::TrivialMap(42);
-  ASSERT_EQ(trivial->num_shards(), 1u);
-  EXPECT_EQ(trivial->rows(0), 42u);
-}
-
-TEST_F(ShardTest, ShardOfHashIsInRangeAndUsesHighBits) {
-  // Multiply-shift partition: every hash lands in [0, n), and hashes that
-  // differ only in low bits land together (the high bits decide).
-  for (uint64_t h :
-       {uint64_t{0}, uint64_t{1}, ~uint64_t{0}, uint64_t{0x9e3779b97f4a7c15}}) {
-    EXPECT_LT(shard::ShardOfHash(h, 4), 4u);
-    EXPECT_EQ(shard::ShardOfHash(h, 1), 0u);
-  }
-  EXPECT_EQ(shard::ShardOfHash(uint64_t{1} << 62, 4),
-            shard::ShardOfHash((uint64_t{1} << 62) | 0xff, 4));
-  EXPECT_EQ(shard::ShardOfHash(~uint64_t{0}, 4), 3u);
+  const shard::ShardMap trivial = shard::TrivialMap(42);
+  ASSERT_EQ(trivial.num_shards(), 1u);
+  EXPECT_EQ(trivial.rows(0), 42u);
 }
 
 TEST_F(ShardTest, DefaultShardCountClampsAndRestores) {
@@ -131,14 +117,14 @@ TEST_F(ShardTest, RunShardedRetriesOnlyTheKilledShard) {
   const uint64_t seed = FindKillOnceSeed(4, kProb);
   ASSERT_TRUE(Install("shard.exec=0.4:transient", seed).ok());
 
-  shard::ShardMapPtr map = shard::EvenMap(100, 4);
+  const shard::ShardMap map = shard::EvenMap(100, 4);
   std::array<std::atomic<int>, 4> attempts{};
   shard::ShardRunStats stats;
   Status run = shard::RunSharded(
-      /*pool=*/nullptr, /*token=*/nullptr, *map, shard::kShardExecPoint,
+      /*pool=*/nullptr, /*token=*/nullptr, map, shard::kShardExecPoint,
       [&](size_t s, size_t begin, size_t end, uint32_t attempt) {
-        EXPECT_EQ(begin, map->begin(s));
-        EXPECT_EQ(end, map->end(s));
+        EXPECT_EQ(begin, map.begin(s));
+        EXPECT_EQ(end, map.end(s));
         attempts[s].fetch_add(1);
         return fault::FireAttempt(shard::kShardExecPoint, s, attempt);
       },
@@ -161,11 +147,11 @@ TEST_F(ShardTest, LowestIndexedFailedShardWinsAndTokenSurvives) {
   // verdict must name shard 1 regardless of completion order, and the
   // query token must NOT be cancelled — callers degrade, they don't die.
   parallel::ThreadPool pool(4);
-  shard::ShardMapPtr map = shard::EvenMap(80, 4);
+  const shard::ShardMap map = shard::EvenMap(80, 4);
   fault::CancellationToken token;
   shard::ShardRunStats stats;
   Status run = shard::RunSharded(
-      &pool, &token, *map, shard::kShardExecPoint,
+      &pool, &token, map, shard::kShardExecPoint,
       [&](size_t s, size_t, size_t, uint32_t) {
         if (s == 1 || s == 3) {
           return Status::Unavailable("synthetic shard loss");
@@ -184,11 +170,11 @@ TEST_F(ShardTest, LowestIndexedFailedShardWinsAndTokenSurvives) {
 
 TEST_F(ShardTest, NonTransientShardErrorIsNeverRetried) {
   ASSERT_TRUE(Install("shard.exec=0.4:transient", 1).ok());  // budget = 3
-  shard::ShardMapPtr map = shard::EvenMap(10, 2);
+  const shard::ShardMap map = shard::EvenMap(10, 2);
   std::array<std::atomic<int>, 2> attempts{};
   shard::ShardRunStats stats;
   Status run = shard::RunSharded(
-      nullptr, nullptr, *map, shard::kShardExecPoint,
+      nullptr, nullptr, map, shard::kShardExecPoint,
       [&](size_t s, size_t, size_t, uint32_t) -> Status {
         attempts[s].fetch_add(1);
         if (s == 0) return Status::ResourceExhausted("work budget exceeded");
@@ -218,7 +204,7 @@ struct ShardRun {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   size_t cache_entries = 0;  // resident columns once the run ends
-  std::vector<std::string> fingerprints;
+  std::vector<std::string> rows_in_order;
   std::vector<std::pair<ExprSig, uint64_t>> counts;
   std::vector<DistinctObservation> distincts;
   std::vector<std::string> degraded;
@@ -227,10 +213,6 @@ struct ShardRun {
 StatusOr<ShardRun> RunPlan(const Workload& workload, const BenchQuery& query,
                            const PlanNode::Ptr& plan,
                            parallel::ThreadPool* pool, int shards) {
-  // ForQuery partitions through the process default, and ExecContext
-  // snapshots it; set it before either is constructed. The fixture
-  // restores 1 on teardown.
-  shard::SetDefaultShardCount(shards);
   MONSOON_ASSIGN_OR_RETURN(
       MaterializedStore store,
       MaterializedStore::ForQuery(*workload.catalog, query.spec));
@@ -253,7 +235,7 @@ StatusOr<ShardRun> RunPlan(const Workload& workload, const BenchQuery& query,
   run.cache_hits = ctx.udf_cache_hits();
   run.cache_misses = ctx.udf_cache_misses();
   run.cache_entries = store.udf_cache()->num_entries();
-  run.fingerprints = RowFingerprints(*exec.output.table);
+  run.rows_in_order = OrderedRowFingerprints(*exec.output.table);
   run.counts = exec.observed_counts;
   std::sort(run.counts.begin(), run.counts.end());
   run.distincts = exec.observed_distincts;
@@ -284,11 +266,13 @@ PlanNode::Ptr PlanFor(const Workload& workload, const BenchQuery& query) {
   return PlanNode::StatsCollect(plan);
 }
 
-/// Everything the cost model and the results can see: rows, fingerprints,
-/// charges, observed counts and Σ distincts.
+/// Everything the cost model and the results can see: rows in order,
+/// charges, observed counts and Σ distincts. Every shard count splits the
+/// table as stored and gathers its ranges in order, so the output order is
+/// the unsharded one.
 void ExpectAccountingEqual(const ShardRun& reference, const ShardRun& run) {
   EXPECT_EQ(reference.rows, run.rows);
-  EXPECT_EQ(reference.fingerprints, run.fingerprints);
+  EXPECT_EQ(reference.rows_in_order, run.rows_in_order);
   // Sharding (and recovering a killed shard) is invisible to the cost
   // model: every pinned counter is permutation/partition-invariant and
   // committed only on success, so totals are bit-identical, not close.
