@@ -3,11 +3,15 @@
 // "shard.exec" transient fault that kills exactly one shard's first
 // attempt per pass and lets the supervisor re-execute it.
 //
-// Two configurations cover the sharded hot paths:
-//   tpch_join — full greedy join plans on skewed TPC-H: sharded leaf
+// Three configurations cover the sharded hot paths:
+//   tpch_join  — full greedy join plans on skewed TPC-H: sharded leaf
 //       scans, join build/probe, and Σ passes.
-//   udf_join  — UDF-bench plans: UDF evaluation through the column
+//   udf_join   — UDF-bench plans: UDF evaluation through the column
 //       cache, whose whole-expression columns every shard reads.
+//   one_morsel — a UDF join whose every pass reads at most one morsel
+//       (kMorselRows rows), run many times: no shard count has any load
+//       balance to win or lose there, so its sweep times the per-range
+//       cost of the shard path alone.
 //
 // Every (config, shards) arm requires the full observable surface —
 // result rows, work_units, objects_processed, observed counts, Σ distinct
@@ -37,6 +41,7 @@
 #include "parallel/thread_pool.h"
 #include "plan/logical_ops.h"
 #include "shard/shard.h"
+#include "sql/parser.h"
 #include "workloads/tpch.h"
 #include "workloads/udfbench.h"
 
@@ -48,6 +53,7 @@ struct BenchConfig {
   std::string name;
   Workload workload;
   std::vector<std::pair<const BenchQuery*, PlanNode::Ptr>> plans;
+  int repeat = 1;  // executions per plan and round
 };
 
 struct RunResultDigest {
@@ -82,7 +88,7 @@ StatusOr<RunResultDigest> RunConfig(const BenchConfig& config,
     ExecContext ctx;
     ctx.SetParallel(pool, kMorselRows);
     ctx.SetShards(static_cast<size_t>(shards));
-    for (int round = 0; round < rounds; ++round) {
+    for (int round = 0; round < rounds * config.repeat; ++round) {
       MONSOON_ASSIGN_OR_RETURN(ExecResult exec,
                                executor.Execute(plan, &store, &ctx));
       digest.rows += exec.output.table->num_rows();
@@ -126,6 +132,29 @@ void AddGreedyPlans(BenchConfig* config, size_t max_queries) {
     config->plans.emplace_back(&query, PlanNode::StatsCollect(*plan));
     ++taken;
   }
+}
+
+// Two kMorselRows-row tables joined on a UDF key under a UDF filter: the
+// scans, the join's build and probe, the gathers and the Σ pass on top
+// each read at most one morsel.
+StatusOr<Workload> MakeOneMorselWorkload() {
+  Workload workload{"one_morsel", std::make_shared<Catalog>(), {}};
+  for (const char* name : {"a", "b"}) {
+    auto table = std::make_shared<Table>(
+        Schema({{"id", ValueType::kInt64}, {"k", ValueType::kInt64}}));
+    for (size_t i = 0; i < kMorselRows; ++i) {
+      const auto id = static_cast<int64_t>(i);
+      MONSOON_RETURN_IF_ERROR(table->AppendRow({Value(id), Value(id % 512)}));
+    }
+    MONSOON_RETURN_IF_ERROR(workload.catalog->AddTable(name, table));
+  }
+  const std::string sql =
+      "SELECT * FROM a, b WHERE bucket1000(a.id) = bucket1000(b.id) "
+      "AND bucket10(a.k) = 3";
+  MONSOON_ASSIGN_OR_RETURN(QuerySpec spec,
+                           SqlParser(workload.catalog.get()).Parse(sql));
+  workload.queries.push_back({"one_morsel", sql, std::move(spec), nullptr});
+  return workload;
 }
 
 // Fault draws are a pure function of (seed, point, coord, attempt) with
@@ -190,6 +219,16 @@ int main() {
     }
     BenchConfig config{"udf_join", std::move(*workload), {}};
     AddGreedyPlans(&config, 2);
+    configs.push_back(std::move(config));
+  }
+  {
+    auto workload = MakeOneMorselWorkload();
+    if (!workload.ok()) {
+      std::cerr << workload.status().ToString() << "\n";
+      return 1;
+    }
+    BenchConfig config{"one_morsel", std::move(*workload), {}, /*repeat=*/64};
+    AddGreedyPlans(&config, 1);
     configs.push_back(std::move(config));
   }
 

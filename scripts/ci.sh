@@ -111,12 +111,14 @@ asan_stage() {
   cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMONSOON_SANITIZE=address
   cmake --build build-ci-asan -j "${JOBS}" \
-    --target udf_cache_test exec_test exec_batch_test fault_test shard_test \
-    server_test timeseries_test harness_test storage_test \
-    exec_order_golden_test stats_store_test mdp_test mcts_test \
+    --target parallel_test udf_cache_test exec_test exec_batch_test \
+    fault_test shard_test server_test timeseries_test harness_test \
+    storage_test exec_order_golden_test stats_store_test mdp_test mcts_test \
     planner_golden_test
-  # The cache-on/off/serial/parallel equivalence suite plus the executor,
-  # batch-execution, fault and shard suites: every cached column read
+  # The pool, TaskGroup and ParallelFor suite (a throwing lane's exception
+  # held and rethrown once), the cache-on/off/serial/parallel equivalence
+  # suite plus the executor, batch-execution, fault and shard suites:
+  # every cached column read
   # (join build/probe, residual filters, Σ passes, at every shard count),
   # every scan-selection and Bloom-probe path, every LRU eviction, every
   # killed-and-retried shard attempt, every barrier gather into a pre-sized

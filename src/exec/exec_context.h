@@ -40,8 +40,8 @@ inline constexpr size_t kMorselRows = 2048;
 /// The context also carries the query's parallel runtime: the shared pool
 /// (snapshotted from parallel::SharedPool() at construction), which the
 /// executor's morsel-driven operators use. The counters above are
-/// NOT thread-safe — every operator's ranges (run inline, over morsels or
-/// over shards) accumulate work in range-local tallies, and DriveRanges
+/// NOT thread-safe — every operator's ranges (one range, morsels or
+/// shards) accumulate work in range-local tallies, and DriveRanges
 /// charges the context once at the barrier from one thread, so the totals
 /// are identical in every mode (DESIGN.md §6). They are obs::LocalCounter
 /// (single-owner, plain integer adds) rather than registry metrics for

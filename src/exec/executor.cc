@@ -163,24 +163,23 @@ constexpr int kHllPrecision = 14;
 // The range driver (DESIGN.md §6, §15). Every operator — leaf scan, hash
 // join build and probe, filtered cross product, Σ pass — is written once,
 // as a body over one row range [begin, end) that commits into that range's
-// slot. The driver alone decides how a pass splits its rows into ranges and
-// how the ranges run; the bodies cannot tell the modes apart.
+// slot. The driver alone decides how a pass splits its rows into ranges;
+// every range, sharded or not, is claimed from parallel::ParallelFor's one
+// dispenser, and the bodies cannot tell the plans apart.
 // ---------------------------------------------------------------------------
 
 /// How one pass over an input splits into ranges, picked from what the
 /// context shows:
-///  * kShards when ctx->num_shards() > 1: even contiguous ranges of the
+///  * sharded when ctx->num_shards() > 1: even contiguous ranges of the
 ///    input as stored, one per shard, run under shard::RunSharded — a
 ///    transient failure retries only its range, and a range commits only
 ///    on success;
-///  * kMorsels when a pool is attached and the input exceeds one morsel:
-///    even ranges of at most one morsel, run through parallel::ParallelFor
-///    — the first error stops siblings from claiming further ranges;
-///  * kInline otherwise: one range, run on the calling thread.
+///  * otherwise even ranges of at most one morsel when a pool is attached
+///    and the input exceeds one morsel, else one range — the first error
+///    stops siblings from claiming further ranges.
 struct RangePlan {
-  enum class Mode { kInline, kMorsels, kShards };
-  Mode mode = Mode::kInline;
   shard::ShardMap map;
+  bool sharded = false;
 
   size_t num_ranges() const { return map.num_shards(); }
 };
@@ -193,22 +192,19 @@ struct RangePlan {
 /// once the input is big enough that splitting pays for the merge.
 RangePlan PlanRanges(const ExecContext* ctx, size_t rows, size_t morsel) {
   const size_t shards = ctx->num_shards();
-  if (shards > 1) {
-    return {RangePlan::Mode::kShards, shard::EvenMap(rows, shards)};
-  }
-  if (ctx->pool() != nullptr && rows > ctx->morsel_size()) {
-    return {RangePlan::Mode::kMorsels,
-            shard::EvenMap(rows, parallel::NumMorsels(rows, morsel))};
-  }
-  return {RangePlan::Mode::kInline, shard::TrivialMap(rows)};
+  if (shards > 1) return {shard::EvenMap(rows, shards), /*sharded=*/true};
+  const bool split = ctx->pool() != nullptr && rows > ctx->morsel_size();
+  return {shard::EvenMap(rows, split ? parallel::NumMorsels(rows, morsel) : 1),
+          /*sharded=*/false};
 }
 
 /// The barrier step of a pass whose ranges emitted row ids (`rt` null:
 /// rows of `lt`; else lt ⧺ rt pairs). Prefix sums over the slots give each
 /// range its window of the output, which is sized once; the ranges then
 /// write their windows' row ids (one per source relation), side by side on
-/// the pool, so the output is in range order whatever the thread, shard or
-/// morsel count.
+/// the pool when the output exceeds one morsel (DriveRanges' inline rule),
+/// so the output is in range order whatever the thread, shard or morsel
+/// count.
 StatusOr<TablePtr> GatherRanges(ExecContext* ctx, const Schema& schema,
                                 const std::vector<RowIds>& slots,
                                 const Table& lt, const Table* rt) {
@@ -220,8 +216,10 @@ StatusOr<TablePtr> GatherRanges(ExecContext* ctx, const Schema& schema,
   }
   auto out = std::make_shared<Table>(schema);
   out->PresizeGather(windows.total_rows(), lt, rt);
+  parallel::ThreadPool* pool =
+      windows.total_rows() > ctx->morsel_size() ? ctx->pool() : nullptr;
   MONSOON_RETURN_IF_ERROR(parallel::ParallelFor(
-      ctx->pool(), slots.size(), 1, ctx->cancel_token(),
+      pool, slots.size(), 1, ctx->cancel_token(),
       [&](size_t r, size_t, size_t) {
         const RowIds& ids = slots[r];
         if (rt == nullptr) {
@@ -282,35 +280,29 @@ Status DriveRanges(ExecContext* ctx, const RangePlan& plan,
   const uint64_t work_limit = ctx->RemainingWork();
   // Each attempt tallies on its own stack (ranges running side by side
   // never share a cache line); a retry's tally replaces its predecessor's.
-  auto run_attempt = [&](size_t r, uint32_t attempt) {
+  auto run_attempt = [&](size_t r, size_t begin, size_t end, uint32_t attempt) {
     MONSOON_DCHECK(r < work.size()) << "range " << r << " out of the map";
     uint64_t tally = 0;
-    Status status = body(RangeTask{r, map.begin(r), map.end(r),
-                                   plan.mode == RangePlan::Mode::kShards,
-                                   attempt, &tally, work_limit});
+    Status status = body(
+        RangeTask{r, begin, end, plan.sharded, attempt, &tally, work_limit});
     work[r] = tally;
     return status;
   };
-  Status run = Status::OK();
-  switch (plan.mode) {
-    case RangePlan::Mode::kShards: {
-      shard::ShardRunStats stats;
-      run = shard::RunSharded(
-          ctx->pool(), ctx->cancel_token(), map, shard::kShardExecPoint,
-          [&](size_t s, size_t, size_t, uint32_t a) { return run_attempt(s, a); },
-          &stats);
-      ctx->AddShardStats(stats);
-      break;
-    }
-    case RangePlan::Mode::kMorsels:
-      run = parallel::ParallelFor(
-          ctx->pool(), map.num_shards(), 1, ctx->cancel_token(),
-          [&](size_t m, size_t, size_t) { return run_attempt(m, 0); });
-      break;
-    case RangePlan::Mode::kInline:
-      run = run_attempt(0, 0);
-      break;
-  }
+  // The inline rule: a pass of at most one morsel takes no pool, so every
+  // range — each shard of a sharded pass too — runs on the calling thread.
+  parallel::ThreadPool* pool =
+      map.total_rows() > ctx->morsel_size() ? ctx->pool() : nullptr;
+  shard::ShardRunStats stats;
+  Status run = plan.sharded
+                   ? shard::RunSharded(pool, ctx->cancel_token(), map,
+                                       shard::kShardExecPoint, run_attempt,
+                                       &stats)
+                   : parallel::ParallelFor(
+                         pool, map.num_shards(), 1, ctx->cancel_token(),
+                         [&](size_t r, size_t, size_t) {
+                           return run_attempt(r, map.begin(r), map.end(r), 0);
+                         });
+  ctx->AddShardStats(stats);
   uint64_t total = 0;
   for (uint64_t w : work) total += w;
   Status charged = ctx->ChargeWork(total);
@@ -1098,9 +1090,9 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
       return Status::OK();
     };
     MONSOON_RETURN_IF_ERROR(DriveRanges(ctx, ranges, probe_range));
-    static constexpr const char* kHashAlgo[] = {  // by RangePlan::Mode
-        "hash-serial", "hash-parallel", "hash-sharded"};
-    algo = kHashAlgo[static_cast<int>(ranges.mode)];
+    algo = ranges.sharded              ? "hash-sharded"
+           : ranges.num_ranges() > 1 ? "hash-parallel"
+                                     : "hash-serial";
   }
 
   MONSOON_ASSIGN_OR_RETURN(TablePtr out,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <limits>
 
 #include "common/check.h"
@@ -17,25 +18,19 @@ Status ParallelFor(ThreadPool* pool, size_t n, size_t morsel_size,
   morsel_size = std::max<size_t>(1, morsel_size);
   size_t num_morsels = NumMorsels(n, morsel_size);
 
-  if (pool == nullptr || pool->num_workers() == 0 || num_morsels <= 1) {
-    for (size_t i = 0; i < num_morsels; ++i) {
-      if (token != nullptr) MONSOON_RETURN_IF_ERROR(token->Check());
-      size_t begin = i * morsel_size;
-      size_t end = std::min(n, begin + morsel_size);
-      MONSOON_RETURN_IF_ERROR(fn(i, begin, end));
-    }
-    return Status::OK();
-  }
-
   struct Shared {
     std::atomic<size_t> next{0};
     std::atomic<bool> failed{false};
     Mutex mu;
     size_t error_index GUARDED_BY(mu) = std::numeric_limits<size_t>::max();
     Status error GUARDED_BY(mu);
+    std::exception_ptr exception GUARDED_BY(mu);
   };
   Shared shared;
 
+  // Every lane, the calling thread's included, contains its own throw: a
+  // lane never unwinds past the TaskGroup below, so the group's Wait never
+  // has an exception to rethrow and its destructor never runs mid-unwind.
   auto lane = [&shared, &fn, token, n, morsel_size, num_morsels] {
     for (;;) {
       if (shared.failed.load(std::memory_order_relaxed)) return;
@@ -46,20 +41,28 @@ Status ParallelFor(ThreadPool* pool, size_t n, size_t morsel_size,
       size_t end = std::min(n, begin + morsel_size);
       MONSOON_DCHECK(begin < end && end <= n)
           << "morsel " << i << " out of [0, " << n << ")";
-      Status status = fn(i, begin, end);
-      if (!status.ok()) {
-        MutexLock lock(shared.mu);
-        if (i < shared.error_index) {
-          shared.error_index = i;
-          shared.error = std::move(status);
-        }
-        shared.failed.store(true, std::memory_order_relaxed);
+      Status status;
+      std::exception_ptr exception;
+      try {
+        status = fn(i, begin, end);
+      } catch (...) {
+        exception = std::current_exception();
       }
+      if (status.ok() && exception == nullptr) continue;
+      MutexLock lock(shared.mu);
+      if (i < shared.error_index) {
+        shared.error_index = i;
+        shared.error = std::move(status);
+        shared.exception = std::move(exception);
+      }
+      shared.failed.store(true, std::memory_order_relaxed);
     }
   };
 
-  size_t lanes = std::min<size_t>(static_cast<size_t>(pool->num_threads()),
-                                  num_morsels);
+  // Without workers the calling thread is the only lane: the morsels run
+  // in order and the first failure stops the loop.
+  size_t lanes = pool == nullptr ? 1 : static_cast<size_t>(pool->num_threads());
+  lanes = std::min(lanes, num_morsels);
   TaskGroup group(pool);
   for (size_t k = 1; k < lanes; ++k) group.Run(lane);
   lane();  // the calling thread is a lane too
@@ -67,6 +70,7 @@ Status ParallelFor(ThreadPool* pool, size_t n, size_t morsel_size,
 
   {
     MutexLock lock(shared.mu);
+    if (shared.exception != nullptr) std::rethrow_exception(shared.exception);
     if (shared.error_index != std::numeric_limits<size_t>::max()) {
       return shared.error;
     }

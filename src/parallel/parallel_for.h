@@ -19,18 +19,20 @@ inline size_t NumMorsels(size_t n, size_t morsel_size) {
 /// Morsel-driven parallel loop: splits [0, n) into chunks of `morsel_size`
 /// rows and invokes fn(morsel_index, begin, end) for each, concurrently
 /// when `pool` has workers and inline otherwise. Morsels are claimed from
-/// a shared atomic dispenser, so fast lanes naturally take more morsels
-/// (self-balancing under skew); the calling thread participates as a lane.
+/// a shared atomic dispenser in index order, so fast lanes naturally take
+/// more morsels (self-balancing under skew); the calling thread
+/// participates as a lane. The executor's one range scheduler: morsel
+/// passes, shard::RunSharded and the barrier gathers all claim here.
 ///
-/// Error contract: if any invocation returns non-OK, unclaimed morsels are
-/// skipped and the error of the lowest-indexed failing morsel is returned
-/// (matching what a serial loop with short-circuiting would report when
-/// the failure is monotone, e.g. a budget trip). Exceptions thrown by fn
-/// propagate to the caller.
+/// Error contract: if any invocation returns non-OK or throws, unclaimed
+/// morsels are skipped and the lowest-indexed failing morsel's failure is
+/// reported once every lane has finished — its Status returned, or its
+/// exception rethrown (matching what a serial loop with short-circuiting
+/// would report when the failure is monotone, e.g. a budget trip).
 ///
-/// Cancellation: a non-null `token` is polled at every morsel boundary (in
-/// the serial fallback too, so cancellation latency does not depend on the
-/// thread count). A tripped token stops every lane from claiming further
+/// Cancellation: a non-null `token` is polled at every morsel boundary by
+/// every lane, so cancellation latency does not depend on the thread
+/// count. A tripped token stops every lane from claiming further
 /// morsels and its Cancelled / DeadlineExceeded status is returned —
 /// unless some morsel already failed, in which case the lowest-indexed
 /// morsel error still wins.

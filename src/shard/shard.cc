@@ -12,7 +12,7 @@
 #include "fault/injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
+#include "parallel/parallel_for.h"
 
 namespace monsoon::shard {
 
@@ -46,8 +46,6 @@ std::atomic<int>& ShardCountHolder() {
 }
 
 }  // namespace
-
-ShardMap TrivialMap(size_t rows) { return ShardMap{{0, rows}}; }
 
 ShardMap EvenMap(size_t rows, size_t num_shards) {
   if (num_shards < 1) num_shards = 1;
@@ -101,65 +99,63 @@ Status RunSharded(parallel::ThreadPool* pool, fault::CancellationToken* token,
   std::vector<Status> verdicts(n, Status::OK());
   std::vector<ShardRunStats> local(n);
 
-  // One shard's failure does NOT stop its siblings: every shard runs to
-  // its own verdict. A doomed pass burns the surviving shards' (retry-
+  // One shard's failure does NOT stop its siblings: each claimed shard
+  // runs its attempt loop, records its own verdict and hands the
+  // dispenser OK. A doomed pass burns the surviving shards' (retry-
   // bounded) work, but in exchange the failure surface is a pure function
   // of per-shard outcomes — the recorded failure count and the winning
   // verdict are identical at every thread count, which is what lets the
   // degraded reason deterministically name the same shard in CI runs.
-  // Deliberately NO CancellationToken on the group: a shard failure must
-  // not cancel the query token, or the caller could no longer distinguish
-  // "this pass failed, degrade it" from "the query is dead".
-  parallel::TaskGroup group(pool);
-  for (size_t s = 0; s < n; ++s) {
-    group.Run([&, s] {
-      obs::TraceSpan span("shard", "exec");
-      span.Arg("shard", s).Arg("rows", map.rows(s));
-      Metrics().exec_passes->Add(1);
-      for (uint32_t attempt = 0;; ++attempt) {
-        if (token != nullptr) {
-          Status live = token->Check();
-          if (!live.ok()) {
-            verdicts[s] = std::move(live);
-            return;
-          }
-        }
-        Status st = body(s, map.begin(s), map.end(s), attempt);
-        if (st.ok()) {
-          if (attempt > 0) {
-            local[s].recoveries = 1;
-            Metrics().recoveries->Add(1);
-          }
-          return;
-        }
-        if (!st.IsTransient() || attempt >= retry_budget) {
-          local[s].failures = 1;
-          Metrics().failures->Add(1);
-          std::string frame =
-              "shard " + std::to_string(s) +
-              (st.IsTransient() ? " exhausted retry budget after " +
-                                      std::to_string(attempt + 1) + " attempts"
-                                : " failed");
-          verdicts[s] = std::move(st).WithContext(std::move(frame));
-          return;
-        }
-        local[s].retries += 1;
-        Metrics().retries->Add(1);
-        obs::TraceSpan retry_span("shard", "retry");
-        retry_span.Arg("shard", s).Arg("attempt",
-                                       static_cast<uint64_t>(attempt) + 1);
-        if (config != nullptr) {
-          uint64_t backoff_us =
-              fault::BackoffUs(config->seed, point_name, s, attempt + 1,
-                               config->backoff_base_us);
-          if (backoff_us > 0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-          }
+  // `token` is only polled: a shard failure must not cancel the query
+  // token, or the caller could no longer distinguish "this pass failed,
+  // degrade it" from "the query is dead".
+  auto run_shard = [&](size_t s, size_t, size_t) -> Status {
+    obs::TraceSpan span("shard", "exec");
+    span.Arg("shard", s).Arg("rows", map.rows(s));
+    Metrics().exec_passes->Add(1);
+    for (uint32_t attempt = 0;; ++attempt) {
+      if (token != nullptr) {
+        Status live = token->Check();
+        if (!live.ok()) {
+          verdicts[s] = std::move(live);
+          return Status::OK();
         }
       }
-    });
-  }
-  group.Wait();
+      Status st = body(s, map.begin(s), map.end(s), attempt);
+      if (st.ok()) {
+        if (attempt > 0) {
+          local[s].recoveries = 1;
+          Metrics().recoveries->Add(1);
+        }
+        return Status::OK();
+      }
+      if (!st.IsTransient() || attempt >= retry_budget) {
+        local[s].failures = 1;
+        Metrics().failures->Add(1);
+        std::string frame =
+            "shard " + std::to_string(s) +
+            (st.IsTransient() ? " exhausted retry budget after " +
+                                    std::to_string(attempt + 1) + " attempts"
+                              : " failed");
+        verdicts[s] = std::move(st).WithContext(std::move(frame));
+        return Status::OK();
+      }
+      local[s].retries += 1;
+      Metrics().retries->Add(1);
+      obs::TraceSpan retry_span("shard", "retry");
+      retry_span.Arg("shard", s).Arg("attempt",
+                                     static_cast<uint64_t>(attempt) + 1);
+      if (config != nullptr) {
+        uint64_t backoff_us =
+            fault::BackoffUs(config->seed, point_name, s, attempt + 1,
+                             config->backoff_base_us);
+        if (backoff_us > 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
+        }
+      }
+    }
+  };
+  Status claimed = parallel::ParallelFor(pool, n, 1, token, run_shard);
 
   if (stats != nullptr) {
     for (const ShardRunStats& l : local) {
@@ -169,10 +165,12 @@ Status RunSharded(parallel::ThreadPool* pool, fault::CancellationToken* token,
     }
   }
   // Lowest-indexed failed shard wins, independent of thread interleaving.
+  // Shards are claimed in index order, so one a tripped token left
+  // unclaimed sorts after every claimed one; `claimed` reports that token.
   for (size_t s = 0; s < n; ++s) {
     if (!verdicts[s].ok()) return verdicts[s];
   }
-  return token != nullptr ? token->Check() : Status::OK();
+  return claimed;
 }
 
 }  // namespace monsoon::shard

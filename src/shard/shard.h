@@ -40,9 +40,6 @@ struct ShardMap {
   size_t total_rows() const { return offsets.empty() ? 0 : offsets.back(); }
 };
 
-/// One shard covering [0, rows).
-ShardMap TrivialMap(size_t rows);
-
 /// `num_shards` contiguous near-equal ranges over [0, rows). The per-shard
 /// accounting invariant holds for ANY contiguous decomposition (every
 /// pinned counter is permutation/partition-invariant), so the executor
@@ -78,8 +75,10 @@ struct ShardRunStats {
 using ShardBody =
     std::function<Status(size_t shard, size_t begin, size_t end, uint32_t attempt)>;
 
-/// Shard supervisor: runs `body` once per shard of `map` as TaskGroup
-/// tasks on `pool` (inline when the pool is null or has no workers).
+/// Shard supervisor: runs `body` once per shard of `map`, claiming the
+/// shards in index order from parallel::ParallelFor on `pool` (all on the
+/// calling thread when the pool is null, as the executor passes it for an
+/// input of at most one morsel).
 ///
 /// Recovery protocol: a transient failure (Status::IsTransient) of one
 /// shard is retried — only that shard — under the installed fault

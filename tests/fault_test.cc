@@ -26,7 +26,9 @@
 #include "monsoon/monsoon_optimizer.h"
 #include "optimizer/optimizer.h"
 #include "parallel/parallel_for.h"
+#include "parallel/runtime.h"
 #include "parallel/thread_pool.h"
+#include "shard/shard.h"
 #include "workloads/tpch.h"
 
 namespace monsoon {
@@ -495,6 +497,53 @@ TEST_F(FaultWorkloadTest, OptimizerThrowingFaultIsContainedAsInternal) {
   EXPECT_EQ(result.status.code(), StatusCode::kInternal);
   EXPECT_NE(result.status.message().find("injected exception"),
             std::string::npos);
+}
+
+TEST_F(FaultTest, ThrowingFaultOnAPoolIsContainedAtEveryShardCount) {
+  // The same throwing spec with a 2-thread pool, at TPC-H scale 1: every
+  // relation of the query is larger than one morsel, so the first pass that
+  // evaluates a UDF runs two lanes — the calling thread's included — and
+  // both throw. The throw must come back as one Internal status, whether
+  // the pass runs as morsels (shards=1) or as shards.
+  TpchOptions tpch;
+  tpch.scale = 1.0;
+  auto workload = MakeTpchWorkload(tpch);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const QuerySpec& query = workload->queries.front().spec;
+  for (int i = 0; i < query.num_relations(); ++i) {
+    auto rows = workload->catalog->RowCount(query.relation(i).table_name);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_GT(*rows, kMorselRows) << query.relation(i).table_name;
+  }
+  ASSERT_TRUE(Install("exec.udf_eval*=1:throw").ok());
+  struct Restore {
+    parallel::Config config = parallel::DefaultConfig();
+    ~Restore() {
+      parallel::SetDefaultConfig(config);
+      shard::SetDefaultShardCount(1);
+    }
+  } restore;
+  parallel::Config two_threads;
+  two_threads.num_threads = 2;
+  parallel::SetDefaultConfig(two_threads);
+  MonsoonOptimizer::Options options;
+  options.mcts.iterations = 40;
+  MonsoonOptimizer monsoon(workload->catalog.get(), options);
+  // Which lane throws first is up to the scheduler; a few rounds make
+  // every interleaving likely.
+  for (int shards : {1, 4}) {
+    shard::SetDefaultShardCount(shards);
+    for (int round = 0; round < 5; ++round) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " round=" + std::to_string(round));
+      RunResult result = monsoon.Run(query);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status.code(), StatusCode::kInternal);
+      EXPECT_NE(result.status.message().find("injected exception"),
+                std::string::npos);
+    }
+  }
+  EXPECT_EQ(parallel::SharedPool()->pending_tasks(), 0u);
 }
 
 TEST_F(FaultWorkloadTest, OptimizerDeadlineReturnsDeadlineExceeded) {

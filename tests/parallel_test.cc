@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <latch>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -173,6 +174,51 @@ TEST(ParallelForTest, SerialFallbackShortCircuits) {
       });
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_EQ(ran, 3);
+}
+
+TEST(ParallelForTest, ThrowingLanesAreContainedAndRethrownOnce) {
+  // Both lanes — the calling thread's and the pool worker's — are inside a
+  // morsel when each throws; the worker throws last, while the caller's
+  // throw is already unwinding. The loop must wait for both and rethrow
+  // one exception, the lowest-indexed morsel's; a throw escaping the
+  // caller's lane would unwind past the task group while its sibling
+  // still runs.
+  ThreadPool pool(2);
+  std::latch both_inside(2);
+  int caught = 0;
+  try {
+    Status status = ParallelFor(
+        &pool, /*n=*/4, /*morsel_size=*/1, /*token=*/nullptr,
+        [&](size_t m, size_t, size_t) -> Status {
+          both_inside.arrive_and_wait();
+          if (ThreadPool::CurrentWorker() != -1) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          }
+          throw std::runtime_error("morsel " + std::to_string(m));
+        });
+    ADD_FAILURE() << "returned " << status.ToString();
+  } catch (const std::runtime_error& e) {
+    ++caught;
+    EXPECT_STREQ(e.what(), "morsel 0");
+  }
+  EXPECT_EQ(caught, 1);
+  EXPECT_EQ(pool.pending_tasks(), 0u);
+}
+
+TEST(ParallelForTest, LowestIndexedFailureWinsOverAThrow) {
+  // A returned error and a throw are both failures of their morsel; the
+  // lower index is reported, as a serial loop would have stopped there.
+  ThreadPool pool(2);
+  std::latch both_inside(2);
+  Status status = ParallelFor(
+      &pool, /*n=*/4, /*morsel_size=*/1, /*token=*/nullptr,
+      [&](size_t m, size_t, size_t) -> Status {
+        both_inside.arrive_and_wait();
+        if (m == 0) return Status::Internal("morsel 0 failed");
+        throw std::runtime_error("morsel " + std::to_string(m));
+      });
+  EXPECT_EQ(status.message(), "morsel 0 failed");
+  EXPECT_EQ(pool.pending_tasks(), 0u);
 }
 
 // The process default starts from MONSOON_THREADS. tests/CMakeLists.txt

@@ -22,6 +22,7 @@
 #include "exec/exec_context.h"
 #include "exec/executor.h"
 #include "exec/materialized_store.h"
+#include "expr/udf.h"
 #include "fault/cancellation.h"
 #include "fault/injector.h"
 #include "obs/metrics.h"
@@ -30,6 +31,7 @@
 #include "plan/logical_ops.h"
 #include "row_fingerprints.h"
 #include "shard/shard.h"
+#include "sql/parser.h"
 #include "workloads/imdb.h"
 #include "workloads/ott.h"
 #include "workloads/tpch.h"
@@ -72,9 +74,9 @@ TEST_F(ShardTest, EvenMapCoversRangeWithContiguousShards) {
   }
   EXPECT_EQ(covered, 103u);
 
-  const shard::ShardMap trivial = shard::TrivialMap(42);
-  ASSERT_EQ(trivial.num_shards(), 1u);
-  EXPECT_EQ(trivial.rows(0), 42u);
+  const shard::ShardMap one = shard::EvenMap(/*rows=*/42, /*num_shards=*/1);
+  ASSERT_EQ(one.num_shards(), 1u);
+  EXPECT_EQ(one.rows(0), 42u);
 }
 
 TEST_F(ShardTest, DefaultShardCountClampsAndRestores) {
@@ -212,14 +214,16 @@ struct ShardRun {
 
 StatusOr<ShardRun> RunPlan(const Workload& workload, const BenchQuery& query,
                            const PlanNode::Ptr& plan,
-                           parallel::ThreadPool* pool, int shards) {
+                           parallel::ThreadPool* pool, int shards,
+                           size_t morsel_size = 37,
+                           size_t cache_budget = size_t{256} << 20) {
   MONSOON_ASSIGN_OR_RETURN(
       MaterializedStore store,
       MaterializedStore::ForQuery(*workload.catalog, query.spec));
-  store.udf_cache()->set_byte_budget(size_t{256} << 20);
+  store.udf_cache()->set_byte_budget(cache_budget);
   Executor executor(query.spec, &UdfRegistry::Global());
   ExecContext ctx;
-  ctx.SetParallel(pool, /*morsel_size=*/37);
+  ctx.SetParallel(pool, morsel_size);
   ctx.SetBatchSize(64);
   ctx.SetShards(static_cast<size_t>(shards));
   fault::CancellationToken token;
@@ -394,6 +398,70 @@ TEST_F(ShardEquivalenceTest, UdfBench) {
   auto workload = MakeUdfBenchWorkload(options);
   ASSERT_TRUE(workload.ok()) << workload.status().ToString();
   ExpectShardEquivalence(*workload, 3);
+}
+
+// ---------------------------------------------------------------------------
+// The inline rule: a pass whose input fits in one morsel takes no pool, so
+// every shard of a small sharded pass runs on the calling thread — and a
+// shard killed there still retries alone.
+// ---------------------------------------------------------------------------
+
+std::atomic<int> g_off_caller_evals{0};
+
+TEST_F(ShardTest, ShardsOfAPassWithinOneMorselRunOnTheCallingThread) {
+  UdfRegistry::Global().RegisterOrReplace(Int64Udf("caller_mod7", [](int64_t x) {
+    if (parallel::ThreadPool::CurrentWorker() != -1) {
+      g_off_caller_evals.fetch_add(1);
+    }
+    return x % 7;
+  }));
+  Workload workload{"events", std::make_shared<Catalog>(), {}};
+  auto events = std::make_shared<Table>(Schema({{"id", ValueType::kInt64}}));
+  for (int64_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(events->AppendRow({Value(i)}).ok());
+  }
+  ASSERT_LE(events->num_rows(), kMorselRows);
+  ASSERT_TRUE(workload.catalog->AddTable("events", events).ok());
+  const std::string sql = "SELECT * FROM events e WHERE caller_mod7(e.id) = 3";
+  auto spec = SqlParser(workload.catalog.get()).Parse(sql);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const BenchQuery query{"events", sql, *spec, nullptr};
+  // A scan pass and a Σ pass, each over at most 1000 rows, with the cache
+  // off so the shard bodies evaluate the UDF themselves.
+  const PlanNode::Ptr plan = PlanNode::StatsCollect(MakeLeaf(query.spec, 0));
+  parallel::ThreadPool pool(4);
+  obs::Counter* const submitted =
+      obs::Registry::Global().GetCounter("pool.tasks_submitted");
+  auto run_inline = [&]() -> StatusOr<ShardRun> {
+    g_off_caller_evals = 0;
+    const uint64_t submitted_before = submitted->Value();
+    auto run = RunPlan(workload, query, plan, &pool, /*shards=*/4, kMorselRows,
+                       /*cache_budget=*/0);
+    EXPECT_EQ(g_off_caller_evals.load(), 0) << "a shard ran on a pool worker";
+    EXPECT_EQ(submitted->Value() - submitted_before, 0u)
+        << "a pass within one morsel submitted pool tasks";
+    return run;
+  };
+
+  fault::Clear();
+  auto clean = run_inline();
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_GT(clean->rows, 0u);
+  EXPECT_EQ(clean->retries, 0u);
+
+  // One shard killed once in each of the two passes, then recovered.
+  ASSERT_TRUE(
+      Install("shard.exec=0.4:transient", FindKillOnceSeed(4, 0.4)).ok());
+  auto killed = run_inline();
+  ASSERT_TRUE(killed.ok()) << killed.status().ToString();
+  EXPECT_EQ(killed->retries, 2u);
+  EXPECT_EQ(killed->recoveries, 2u);
+  EXPECT_EQ(killed->failures, 0u);
+  EXPECT_EQ(killed->rows, clean->rows);
+  EXPECT_EQ(killed->rows_in_order, clean->rows_in_order);
+  EXPECT_EQ(killed->objects, clean->objects);
+  EXPECT_EQ(killed->work_units, clean->work_units);
+  EXPECT_EQ(pool.pending_tasks(), 0u);
 }
 
 // ---------------------------------------------------------------------------
