@@ -91,7 +91,7 @@ tsan_stage() {
     --target parallel_test exec_test exec_batch_test determinism_test \
     obs_test timeseries_test fault_test shard_test server_test \
     planner_golden_test exec_order_golden_test
-  # Everything that crosses the src/parallel/ runtime: the pool/TaskGroup/
+  # Everything that crosses the src/parallel/ runtime: the pool and
   # ParallelFor unit tests, the serial-vs-parallel equivalence suite
   # (the executor's range driver over morsels and shards, the flat hash
   # index, parallel Σ), the shard supervisor and its kill-and-recover
@@ -115,8 +115,8 @@ asan_stage() {
     fault_test shard_test server_test timeseries_test harness_test \
     storage_test exec_order_golden_test stats_store_test mdp_test mcts_test \
     planner_golden_test
-  # The pool, TaskGroup and ParallelFor suite (a throwing lane's exception
-  # held and rethrown once), the cache-on/off/serial/parallel equivalence
+  # The pool and ParallelFor suite (a throwing lane's exception held and
+  # rethrown once), the cache-on/off/serial/parallel equivalence
   # suite plus the executor, batch-execution, fault and shard suites:
   # every cached column read
   # (join build/probe, residual filters, Σ passes, at every shard count),

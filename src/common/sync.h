@@ -16,8 +16,8 @@ namespace monsoon {
 ///
 /// Lock ordering is enforced separately by monsoon-lint's lock-rank rule
 /// (tools/lint/lock_ranks.h): acquiring a mutex — or making any blocking
-/// call such as TaskGroup::Wait — while holding a lock ranked below it is
-/// a CI-blocking diagnostic.
+/// call such as ThreadPool::TryRunOne — while holding a lock ranked below
+/// it is a CI-blocking diagnostic.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

@@ -78,9 +78,9 @@ StatusOr<CachedUdfColumnPtr> UdfColumnCache::GetOrBuild(
     }
   }
   // The miss path builds outside the lock: the fill may fan out through
-  // the pool, and a blocking TaskGroup::Wait under mu_ would both stall
-  // concurrent readers and violate the lock-rank rule (a stolen task
-  // could itself need this cache).
+  // the pool, and ParallelFor's blocking wait under mu_ would both stall
+  // concurrent readers and violate the lock-rank rule (a task the waiting
+  // caller runs could itself need this cache).
 
   // Miss: evaluate the term once per row into a private column, one
   // kernel call per batch. Morsels write disjoint slots of the presized

@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "obs/trace.h"
+#include "parallel/parallel_for.h"
 
 namespace monsoon {
 
@@ -31,38 +32,30 @@ StatusOr<MdpAction> RootParallelMcts::SearchBestAction(const MdpState& root) {
 
   std::vector<std::unique_ptr<MctsSearch>> searches(workers);
   std::vector<Status> statuses(workers, Status::OK());
-  fault::CancellationToken* token = options_.search.cancel_token;
-  {
-    parallel::TaskGroup group(pool_, token);
-    for (int w = 0; w < workers; ++w) {
-      MctsSearch::Options opts = options_.search;
-      opts.iterations = per_worker;
-      // Per-worker seed streams (see common/random.h): worker 0 keeps the
-      // base seed so K=1 degenerates to the serial search bit-for-bit.
-      opts.seed = options_.search.seed + static_cast<uint64_t>(w);
-      searches[w] = std::make_unique<MctsSearch>(mdp_, opts);
-      group.Run([&search = *searches[w], &status = statuses[w], &root, token,
-                 w] {
-        // Trace onto the worker's own lane regardless of which pool thread
-        // picked the task up, so same-seed runs produce identical lanes.
-        obs::TraceLaneScope lane(obs::kMctsLaneBase + w);
-        StatusOr<MdpAction> best = search.SearchBestAction(root);
-        status = best.status();  // actions are re-derived from merged edges
-        // First failure cancels the siblings: they stop at their next
-        // rollout boundary instead of burning the full iteration budget.
-        if (!status.ok() && status.code() != StatusCode::kCancelled &&
-            token != nullptr) {
-          token->Cancel(StatusCode::kCancelled, "sibling MCTS worker failed");
-        }
-      });
-    }
-    group.Wait();
+  for (int w = 0; w < workers; ++w) {
+    MctsSearch::Options opts = options_.search;
+    opts.iterations = per_worker;
+    // Per-worker seed streams (see common/random.h): worker 0 keeps the
+    // base seed so K=1 degenerates to the serial search bit-for-bit.
+    opts.seed = options_.search.seed + static_cast<uint64_t>(w);
+    searches[w] = std::make_unique<MctsSearch>(mdp_, opts);
   }
-  // Report the first *real* error by worker index. Cancelled statuses are
-  // usually the echo of a sibling's failure (or of the query deadline) —
-  // deterministic error reporting must not depend on which sibling
-  // happened to observe the cascade first, so a genuine error wins over
-  // any kCancelled even when the cancelled worker has a lower index.
+  // One index per searcher. A failing searcher cancels no sibling, so each
+  // worker's outcome is a function of its seed alone; a throw from the
+  // lowest-indexed throwing worker is rethrown once by ParallelFor.
+  MONSOON_RETURN_IF_ERROR(parallel::ParallelFor(
+      pool_, searches.size(), /*morsel_size=*/1, /*token=*/nullptr,
+      [&](size_t w, size_t, size_t) {
+        // Trace onto the worker's own lane regardless of which thread
+        // claimed the index, so same-seed runs produce identical lanes.
+        obs::TraceLaneScope lane(obs::kMctsLaneBase + static_cast<int>(w));
+        // Actions are re-derived from the merged edges below.
+        statuses[w] = searches[w]->SearchBestAction(root).status();
+        return Status::OK();
+      }));
+  // Report the first *real* error by worker index. A kCancelled status
+  // echoes the query's token, which every worker polls, so a genuine error
+  // wins over it even when the cancelled worker has a lower index.
   {
     const Status* first_cancelled = nullptr;
     for (int w = 0; w < workers; ++w) {

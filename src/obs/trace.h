@@ -165,7 +165,7 @@ class TraceScope;
 
 /// The calling thread's current query scope; null outside every
 /// tail-sampled query, and copying a null scope costs no atomic.
-/// ThreadPool::SubmitTo captures it with each task.
+/// ThreadPool::Submit captures it with each task.
 std::shared_ptr<TraceScope> CurrentTraceScope();
 
 /// Makes `scope` the calling thread's current scope for this object's

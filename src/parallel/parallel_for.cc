@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <limits>
 
@@ -25,12 +26,14 @@ Status ParallelFor(ThreadPool* pool, size_t n, size_t morsel_size,
     size_t error_index GUARDED_BY(mu) = std::numeric_limits<size_t>::max();
     Status error GUARDED_BY(mu);
     std::exception_ptr exception GUARDED_BY(mu);
+    size_t outstanding GUARDED_BY(mu) = 0;  // submitted lanes not yet done
+    CondVar done_cv;
   };
   Shared shared;
 
-  // Every lane, the calling thread's included, contains its own throw: a
-  // lane never unwinds past the TaskGroup below, so the group's Wait never
-  // has an exception to rethrow and its destructor never runs mid-unwind.
+  // Every lane, the calling thread's included, contains its own throw, so
+  // nothing unwinds out of a pool task or past the wait below while a
+  // submitted lane still runs on this frame.
   auto lane = [&shared, &fn, token, n, morsel_size, num_morsels] {
     for (;;) {
       if (shared.failed.load(std::memory_order_relaxed)) return;
@@ -63,10 +66,35 @@ Status ParallelFor(ThreadPool* pool, size_t n, size_t morsel_size,
   // in order and the first failure stops the loop.
   size_t lanes = pool == nullptr ? 1 : static_cast<size_t>(pool->num_threads());
   lanes = std::min(lanes, num_morsels);
-  TaskGroup group(pool);
-  for (size_t k = 1; k < lanes; ++k) group.Run(lane);
+  {
+    MutexLock lock(shared.mu);
+    shared.outstanding = lanes - 1;
+  }
+  for (size_t k = 1; k < lanes; ++k) {
+    pool->Submit([&shared, &lane] {
+      lane();
+      // Notify under the lock: once the caller sees outstanding == 0 it
+      // returns and `shared` dies, so the broadcast must come first.
+      MutexLock lock(shared.mu);
+      if (--shared.outstanding == 0) shared.done_cv.NotifyAll();
+    });
+  }
   lane();  // the calling thread is a lane too
-  group.Wait();
+  // Help while waiting: run queued pool tasks (ours or anyone's) instead of
+  // blocking, which is what keeps a nested loop on a worker deadlock-free.
+  for (;;) {
+    {
+      MutexLock lock(shared.mu);
+      if (shared.outstanding == 0) break;
+    }
+    if (pool->TryRunOne()) continue;
+    // Re-poll periodically: a task submitted after the TryRunOne miss but
+    // claimed by no one must not strand us here.
+    MutexLock lock(shared.mu);
+    if (shared.outstanding > 0) {
+      shared.done_cv.WaitFor(shared.mu, std::chrono::milliseconds(1));
+    }
+  }
 
   {
     MutexLock lock(shared.mu);

@@ -21,8 +21,11 @@ inline size_t NumMorsels(size_t n, size_t morsel_size) {
 /// when `pool` has workers and inline otherwise. Morsels are claimed from
 /// a shared atomic dispenser in index order, so fast lanes naturally take
 /// more morsels (self-balancing under skew); the calling thread
-/// participates as a lane. The executor's one range scheduler: morsel
-/// passes, shard::RunSharded and the barrier gathers all claim here.
+/// participates as a lane, and once its lane runs dry it runs queued pool
+/// tasks until every submitted lane finished, so a loop nested inside a
+/// lane cannot deadlock. The one fork-join primitive: morsel passes,
+/// shard::RunSharded, the barrier gathers and root-parallel MCTS all
+/// claim here.
 ///
 /// Error contract: if any invocation returns non-OK or throws, unclaimed
 /// morsels are skipped and the lowest-indexed failing morsel's failure is

@@ -2,32 +2,26 @@
 #define MONSOON_PARALLEL_THREAD_POOL_H_
 
 #include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/sync.h"
 #include "common/thread_annotations.h"
-#include "fault/cancellation.h"
 
 namespace monsoon::parallel {
 
-/// A work-stealing thread pool. Each worker owns a deque: it pushes and
-/// pops its own tasks at the back (LIFO, cache-friendly) and steals from
-/// the *front* of other workers' deques (FIFO, takes the oldest — and for
-/// morsel-driven loops typically the largest remaining — task). External
-/// submitters distribute round-robin across the worker deques.
+/// A FIFO thread pool: one task queue under one mutex. Workers and
+/// helping callers claim tasks in submission order.
 ///
 /// `num_threads` is the total concurrency level *including the calling
 /// thread*: the pool spawns num_threads - 1 workers, and the caller is
-/// expected to lend itself via TaskGroup::Wait / ParallelFor, which both
-/// execute queued tasks inline while waiting. num_threads <= 1 spawns no
-/// workers at all; TaskGroup then degenerates to inline execution.
+/// expected to lend itself through ParallelFor, which runs queued tasks
+/// inline while it waits for its lanes. num_threads <= 1 spawns no
+/// workers at all; ParallelFor then runs inline.
 ///
 /// Tasks must not block indefinitely on other pool tasks except through
-/// TaskGroup::Wait (which helps drain the pool, so nested groups cannot
+/// ParallelFor (which helps drain the pool, so nested loops cannot
 /// deadlock).
 class ThreadPool {
  public:
@@ -44,23 +38,18 @@ class ThreadPool {
   /// Background workers actually spawned (num_threads - 1, min 0).
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues a task on the next deque (round robin).
+  /// Enqueues a task at the back of the queue.
   void Submit(Task task);
 
-  /// Enqueues a task on a specific worker's deque (tests use this to
-  /// provoke stealing; `queue` is taken modulo the queue count).
-  void SubmitTo(size_t queue, Task task);
-
-  /// Runs one queued task on the calling thread if any is available
-  /// (steals from the front of the first non-empty deque). Returns false
-  /// when every deque is empty.
+  /// Runs the oldest queued task on the calling thread if there is one.
+  /// Returns false when the queue is empty.
   bool TryRunOne();
 
   /// Queued-but-unclaimed tasks. 0 once the pool is drained — the fault
   /// tests use this to assert cancelled parallel sections leak no tasks.
   size_t pending_tasks() {
-    MutexLock lock(idle_mu_);
-    return pending_;
+    MutexLock lock(queue_mu_);
+    return tasks_.size();
   }
 
   /// Worker index of the calling thread, or -1 for external threads.
@@ -68,75 +57,15 @@ class ThreadPool {
   static int CurrentWorker();
 
  private:
-  struct WorkQueue {
-    Mutex mu;
-    std::deque<Task> tasks GUARDED_BY(mu);
-  };
-
   void WorkerLoop(int worker_id);
-  bool PopOwn(size_t queue, Task* task);
-  bool StealFrom(size_t victim, Task* task);
-  /// Scans all queues starting at `home + 1`; false if all empty.
-  bool FindTask(size_t home, Task* task);
 
   int num_threads_;
-  std::vector<std::unique_ptr<WorkQueue>> queues_;
   std::vector<std::thread> workers_;
 
-  // Sleep/wake machinery: `pending_` counts queued-but-unclaimed tasks.
-  Mutex idle_mu_;
-  CondVar idle_cv_;
-  size_t pending_ GUARDED_BY(idle_mu_) = 0;
-  bool shutdown_ GUARDED_BY(idle_mu_) = false;
-
-  Mutex submit_mu_;
-  size_t next_queue_ GUARDED_BY(submit_mu_) = 0;
-};
-
-/// A set of tasks whose completion is awaited together. Exceptions thrown
-/// by tasks are captured and the *first* one is rethrown from Wait(), so
-/// parallel sections keep the repo's error contract at the boundary
-/// (callers convert to Status; see ParallelFor).
-///
-/// When constructed with a CancellationToken, the first captured failure
-/// also cancels the token, so sibling tasks polling it stop claiming work
-/// instead of running to completion (first-error-wins: the rethrown
-/// exception is still the first one captured, which under a seeded fault
-/// spec is the same failure at every thread count).
-///
-/// With a null pool (or a pool with no workers) Run() executes inline on
-/// the calling thread, making serial mode structurally identical to the
-/// parallel path.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool* pool, fault::CancellationToken* token = nullptr)
-      : pool_(pool), token_(token) {}
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Schedules fn; inline when the pool cannot run it in the background.
-  void Run(std::function<void()> fn);
-
-  /// As Run, but pinned to worker `queue`'s deque (stealing tests).
-  void RunOn(size_t queue, std::function<void()> fn);
-
-  /// Blocks until every task scheduled through this group finished. The
-  /// calling thread executes queued pool tasks while it waits. Rethrows
-  /// the first captured exception.
-  void Wait();
-
- private:
-  std::function<void()> Wrap(std::function<void()> fn);
-  void Execute(const std::function<void()>& fn);
-
-  ThreadPool* pool_;
-  fault::CancellationToken* token_;
-  Mutex mu_;
-  CondVar cv_;
-  int outstanding_ GUARDED_BY(mu_) = 0;
-  std::exception_ptr error_ GUARDED_BY(mu_);
+  Mutex queue_mu_;
+  CondVar queue_cv_;
+  std::deque<Task> tasks_ GUARDED_BY(queue_mu_);
+  bool shutdown_ GUARDED_BY(queue_mu_) = false;
 };
 
 }  // namespace monsoon::parallel

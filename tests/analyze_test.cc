@@ -230,7 +230,7 @@ TEST(MustPollTest, FlagsRunCallThatPollsNothing) {
   // statement with the word Pipeline polls nothing.
   EXPECT_TRUE(HasRule(
       Analyze("src/exec/e.cc",
-              "Status Run(ExecContext* ctx, TaskGroup& group, size_t num_morsels) {\n"
+              "Status Run(ExecContext* ctx, Lanes& group, size_t num_morsels) {\n"
               "  for (size_t m = 0; m < num_morsels; ++m) {\n"
               "    group.Run(Pipeline::Drain, stages[m]);\n"
               "  }\n"
@@ -359,8 +359,8 @@ TEST(LockScopeTest, BlockingCallUnderLock) {
 
   // Waiting on a condition variable releases the mutex: allowed.
   EXPECT_TRUE(Analyze("src/parallel/p.cc",
-                      "void f() {\n  MutexLock lock(idle_mu_);\n"
-                      "  idle_cv_.Wait(idle_mu_);\n}\n")
+                      "void f() {\n  MutexLock lock(queue_mu_);\n"
+                      "  queue_cv_.Wait(queue_mu_);\n}\n")
                   .empty());
   // Wait after the guard's scope closes: allowed.
   EXPECT_TRUE(Analyze("src/exec/e.cc",
@@ -450,27 +450,27 @@ TEST(LockScopeTest, SocketCallUnderLock) {
 }
 
 TEST(LockScopeTest, AcquisitionOrderFollowsRankTable) {
-  // q.mu (rank 10) is the innermost lock; taking rt.mu (rank 40) under it
+  // queue_mu_ (rank 20) is the innermost lock; taking rt.mu (rank 40) under it
   // inverts the order.
   auto diags = Analyze("src/parallel/p.cc",
-                       "void f() {\n  MutexLock a(q.mu);\n  MutexLock b(rt.mu);\n}\n");
+                       "void f() {\n  MutexLock a(queue_mu_);\n  MutexLock b(rt.mu);\n}\n");
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].rule, "monsoon-analyze-lock-scope");
   EXPECT_EQ(diags[0].line, 3);
 
   // Descending order is the sanctioned direction.
   EXPECT_TRUE(Analyze("src/parallel/p.cc",
-                      "void f() {\n  MutexLock a(rt.mu);\n  MutexLock b(q.mu);\n}\n")
+                      "void f() {\n  MutexLock a(rt.mu);\n  MutexLock b(queue_mu_);\n}\n")
                   .empty());
   // Sequential (non-nested) scopes never interact.
   EXPECT_TRUE(Analyze("src/parallel/p.cc",
-                      "void f() {\n  { MutexLock a(q.mu); }\n"
+                      "void f() {\n  { MutexLock a(queue_mu_); }\n"
                       "  { MutexLock b(rt.mu); }\n}\n")
                   .empty());
   // Branch scopes don't leak into siblings either.
   EXPECT_TRUE(Analyze("src/parallel/p.cc",
                       "void f(bool c) {\n"
-                      "  if (c) {\n    MutexLock a(q.mu);\n  } else {\n"
+                      "  if (c) {\n    MutexLock a(queue_mu_);\n  } else {\n"
                       "    MutexLock b(rt.mu);\n  }\n}\n")
                   .empty());
 }

@@ -1,7 +1,7 @@
 // Fault-tolerant execution: the injector's determinism contract (firing
 // and backoff are pure functions of seed + logical coordinate, never of
-// the executing lane), cooperative cancellation through ParallelFor /
-// TaskGroup without task leaks, per-query deadlines, and graceful
+// the executing lane), cooperative cancellation through ParallelFor
+// without task leaks, per-query deadlines, and graceful
 // degradation — a failed Σ pass downgrades to prior-only planning with
 // accounting identical at every thread count.
 
@@ -237,7 +237,7 @@ TEST_F(FaultTest, TokenDeadlineExpiryConvertsToDeadlineExceeded) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelFor / TaskGroup cancellation (tsan-labeled stress)
+// ParallelFor cancellation and containment (tsan-labeled stress)
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultTest, ParallelForLowestFailingMorselWinsAndLeaksNoTasks) {
@@ -294,30 +294,48 @@ TEST_F(FaultTest, ParallelForStopsOnTrippedTokenWithoutLeakingTasks) {
   }
 }
 
-TEST_F(FaultTest, TaskGroupFailureCancelsSiblingsThroughTheToken) {
-  parallel::ThreadPool pool(4);
-  for (int round = 0; round < 50; ++round) {
-    fault::CancellationToken token;
-    parallel::TaskGroup group(&pool, &token);
-    std::atomic<int> bailed{0};
-    group.Run([] { throw std::runtime_error("worker failure"); });
-    for (int w = 0; w < 3; ++w) {
-      group.Run([&token, &bailed] {
-        // Sibling workers poll the token the way MCTS rollout loops do.
-        auto give_up =
-            std::chrono::steady_clock::now() + std::chrono::seconds(10);
-        while (!token.cancelled() &&
-               std::chrono::steady_clock::now() < give_up) {
-        }
-        if (token.cancelled()) bailed.fetch_add(1);
-      });
+TEST_F(FaultTest, ThrowingMctsWorkerIsContainedAtEveryWorkerCount) {
+  // Every rollout throws, so every root-parallel searcher of the first
+  // search throws at its first iteration, at once on a 4-thread pool, each
+  // with its own coordinate (its seed). A failing searcher cancels no
+  // sibling, and whichever lane throws first, the lowest-indexed throwing
+  // searcher's exception comes back once as the run's Internal status.
+  // Searcher 0 keeps the base seed at every worker count, so every round
+  // at every count reports the same message, and no task is left queued.
+  TpchOptions tpch;
+  tpch.scale = 0.05;
+  auto workload = MakeTpchWorkload(tpch);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const QuerySpec& query = workload->queries.front().spec;
+  ASSERT_TRUE(Install("mcts.rollout=1:throw").ok());
+  struct Restore {
+    parallel::Config config = parallel::DefaultConfig();
+    ~Restore() { parallel::SetDefaultConfig(config); }
+  } restore;
+  parallel::Config four_threads;
+  four_threads.num_threads = 4;
+  parallel::SetDefaultConfig(four_threads);
+  std::string message;
+  for (int workers : {1, 2, 4}) {
+    MonsoonOptimizer::Options options;
+    options.mcts.iterations = 120;
+    options.mcts_workers = workers;
+    MonsoonOptimizer monsoon(workload->catalog.get(), options);
+    for (int round = 0; round < 8; ++round) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " round=" + std::to_string(round));
+      RunResult result = monsoon.Run(query);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status.code(), StatusCode::kInternal);
+      if (message.empty()) message = result.status.message();
+      EXPECT_EQ(result.status.message(), message);
     }
-    EXPECT_THROW(group.Wait(), std::runtime_error);
-    EXPECT_TRUE(token.cancelled());
-    EXPECT_EQ(bailed.load(), 3);
-    EXPECT_EQ(token.Check().message(), "sibling task failed");
-    EXPECT_EQ(pool.pending_tasks(), 0u);
   }
+  EXPECT_EQ(message.rfind(
+                "uncaught exception: injected exception at mcts.rollout", 0),
+            0u)
+      << message;
+  EXPECT_EQ(parallel::SharedPool()->pending_tasks(), 0u);
 }
 
 // ---------------------------------------------------------------------------

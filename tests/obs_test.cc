@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 
 // ---------------------------------------------------------------------------
@@ -138,19 +139,17 @@ TEST(CounterTest, ConcurrentShardedAddsSumExactly) {
   constexpr int kTasks = 64;
   constexpr int kAddsPerTask = 1000;
   parallel::ThreadPool pool(4);
-  {
-    parallel::TaskGroup group(&pool);
-    for (int t = 0; t < kTasks; ++t) {
-      group.Run([&counter, &gauge, &histogram] {
+  Status status = parallel::ParallelFor(
+      &pool, kTasks, 1, /*token=*/nullptr,
+      [&counter, &gauge, &histogram](size_t, size_t, size_t) {
         for (int i = 0; i < kAddsPerTask; ++i) {
           counter.Add(1);
           gauge.Add(1);
           histogram.Observe(static_cast<uint64_t>(i));
         }
+        return Status::OK();
       });
-    }
-    group.Wait();
-  }
+  ASSERT_TRUE(status.ok());
   EXPECT_EQ(counter.Value(), static_cast<uint64_t>(kTasks) * kAddsPerTask);
   EXPECT_EQ(gauge.Value(), int64_t{kTasks} * kAddsPerTask);
   obs::HistogramSnapshot snap = histogram.Snapshot();

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <latch>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -35,93 +36,79 @@ TEST(ThreadPoolTest, StartStopAtEverySize) {
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
-  TaskGroup group(&pool);
   for (int i = 0; i < 200; ++i) {
-    group.Run([&ran] { ran.fetch_add(1); });
+    pool.Submit([&ran] { ran.fetch_add(1); });
   }
-  group.Wait();
+  while (pool.TryRunOne()) {
+  }
+  EXPECT_EQ(pool.pending_tasks(), 0u);
+  // Every task is claimed; the workers may still be inside their last one.
+  auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ran.load() < 200 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
   EXPECT_EQ(ran.load(), 200);
+}
+
+TEST(ThreadPoolTest, ClaimsTasksInSubmissionOrder) {
+  // Park the one worker, queue eight tasks, then let it go: it must claim
+  // them oldest first.
+  ThreadPool pool(2);
+  std::latch parked(1);
+  std::latch release(1);
+  pool.Submit([&parked, &release] {
+    parked.count_down();
+    release.wait();
+  });
+  parked.wait();
+  std::mutex mu;
+  std::vector<int> order;
+  std::latch all_ran(8);
+  for (int i = 0; i < 8; ++i) {
+    pool.Submit([i, &mu, &order, &all_ran] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        order.push_back(i);
+      }
+      all_ran.count_down();
+    });
+  }
+  release.count_down();
+  all_ran.wait();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(ThreadPoolTest, InlineWhenNoWorkers) {
   ThreadPool pool(1);
-  TaskGroup group(&pool);
-  std::thread::id runner;
-  group.Run([&runner] { runner = std::this_thread::get_id(); });
-  group.Wait();
-  EXPECT_EQ(runner, std::this_thread::get_id());
-
-  TaskGroup null_group(nullptr);
-  int ran = 0;
-  null_group.Run([&ran] { ++ran; });
-  null_group.Wait();
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(ThreadPoolTest, StealsFromASkewedQueue) {
-  // Pin one long task plus many short ones onto worker 0's deque. Worker 0
-  // gets stuck on the long task (it pops LIFO, so it grabs a short one
-  // first, then the rest sit at the front) — the other workers and the
-  // waiting caller must steal the remainder for the group to finish fast.
-  ThreadPool pool(4);
-  TaskGroup group(&pool);
-  std::atomic<int> ran{0};
-  std::mutex mu;
-  std::set<int> executors;
-  auto note = [&](int sleep_ms) {
-    if (sleep_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    executors.insert(ThreadPool::CurrentWorker());
-    ran.fetch_add(1);
-  };
-  group.RunOn(0, [&note] { note(200); });
-  for (int i = 0; i < 32; ++i) {
-    group.RunOn(0, [&note] { note(1); });
+  for (ThreadPool* runner_pool : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    std::set<std::thread::id> runners;
+    Status status = ParallelFor(runner_pool, 8, 1, /*token=*/nullptr,
+                                [&runners](size_t, size_t, size_t) {
+                                  runners.insert(std::this_thread::get_id());
+                                  return Status::OK();
+                                });
+    ASSERT_TRUE(status.ok());
+    EXPECT_EQ(runners, std::set<std::thread::id>{std::this_thread::get_id()});
   }
-  group.Wait();
-  EXPECT_EQ(ran.load(), 33);
-  // At least one task must have run off worker 0's own thread (a steal by
-  // another worker, id 1..2, or by the caller, id -1).
-  EXPECT_GT(executors.size(), 1u) << "no task was stolen from the hot queue";
+  EXPECT_EQ(pool.pending_tasks(), 0u);
 }
 
-TEST(TaskGroupTest, PropagatesTheFirstException) {
-  ThreadPool pool(4);
-  TaskGroup group(&pool);
-  for (int i = 0; i < 16; ++i) {
-    group.Run([i] {
-      if (i % 4 == 0) throw std::runtime_error("task failed");
-    });
-  }
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  // The group is reusable after the error was consumed.
-  group.Run([] {});
-  EXPECT_NO_THROW(group.Wait());
-}
-
-TEST(TaskGroupTest, ExceptionAlsoPropagatesInline) {
-  TaskGroup group(nullptr);
-  group.Run([] { throw std::logic_error("inline failure"); });
-  EXPECT_THROW(group.Wait(), std::logic_error);
-}
-
-TEST(TaskGroupTest, NestedGroupsDoNotDeadlock) {
+TEST(ParallelForTest, NestedLoopsDoNotDeadlock) {
+  // Every outer lane runs an inner loop on the same pool; the waiting
+  // lanes help drain the queue instead of blocking on it.
   ThreadPool pool(2);
   std::atomic<int> inner_ran{0};
-  TaskGroup outer(&pool);
-  for (int i = 0; i < 4; ++i) {
-    outer.Run([&pool, &inner_ran] {
-      TaskGroup inner(&pool);
-      for (int j = 0; j < 4; ++j) {
-        inner.Run([&inner_ran] { inner_ran.fetch_add(1); });
-      }
-      inner.Wait();
-    });
-  }
-  outer.Wait();
+  Status status = ParallelFor(
+      &pool, 4, 1, /*token=*/nullptr, [&](size_t, size_t, size_t) {
+        return ParallelFor(&pool, 4, 1, /*token=*/nullptr,
+                           [&inner_ran](size_t, size_t, size_t) {
+                             inner_ran.fetch_add(1);
+                             return Status::OK();
+                           });
+      });
+  ASSERT_TRUE(status.ok());
   EXPECT_EQ(inner_ran.load(), 16);
+  EXPECT_EQ(pool.pending_tasks(), 0u);
 }
 
 TEST(ParallelForTest, MatchesSerialSumOverAwkwardShapes) {
@@ -181,8 +168,7 @@ TEST(ParallelForTest, ThrowingLanesAreContainedAndRethrownOnce) {
   // morsel when each throws; the worker throws last, while the caller's
   // throw is already unwinding. The loop must wait for both and rethrow
   // one exception, the lowest-indexed morsel's; a throw escaping the
-  // caller's lane would unwind past the task group while its sibling
-  // still runs.
+  // caller's lane would unwind past the wait while its sibling still runs.
   ThreadPool pool(2);
   std::latch both_inside(2);
   int caught = 0;

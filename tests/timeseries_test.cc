@@ -26,6 +26,7 @@
 #include "obs/slowlog.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "workloads/tpch.h"
 
@@ -438,19 +439,19 @@ obs::TailSamplingOptions NeverSlowTail() {
   return tail;
 }
 
-/// Runs `tasks` tasks on `pool` from the calling thread; each emits one
-/// "work" span tagged with `query`. The sleep lets the workers claim tasks
-/// while the caller is still submitting.
+/// Runs `tasks` loop indices on `pool` from the calling thread; each emits
+/// one "work" span tagged with `query`. The sleep lets the workers claim
+/// lanes while the caller is still running its own.
 void RunTaggedTasks(parallel::ThreadPool* pool, int64_t query, int tasks) {
-  parallel::TaskGroup group(pool);
-  for (int t = 0; t < tasks; ++t) {
-    group.Run([query] {
-      obs::TraceSpan span("test", "work");
-      span.Arg("query", query);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    });
-  }
-  group.Wait();
+  Status status = parallel::ParallelFor(
+      pool, static_cast<size_t>(tasks), 1, /*token=*/nullptr,
+      [query](size_t, size_t, size_t) {
+        obs::TraceSpan span("test", "work");
+        span.Arg("query", query);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return Status::OK();
+      });
+  ASSERT_TRUE(status.ok());
 }
 
 TEST(TraceScopeTest, PoolTaskSpansReachTheKeptQuerysTrace) {

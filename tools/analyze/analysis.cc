@@ -233,7 +233,7 @@ const char* BlockingKind(const std::string& name) {
       "ReadLine", "WriteAll", "PeerClosed",
   };
   static const std::set<std::string> kPool = {
-      "Wait", "WaitFor", "TryRunOne", "WaitIdle", "Submit", "SubmitTo",
+      "Wait", "WaitFor", "TryRunOne", "WaitIdle", "Submit",
   };
   // The ways into a UDF kernel: the kernel itself, FlatColumn::Fill and
   // the helpers built on it (exec/batch.h, the cache fill, the executor's
@@ -306,7 +306,7 @@ void ScanLockTokens(const std::vector<Token>& toks, std::vector<HeldLock>* held,
 
     const char* kind = BlockingKind(t.text);
     if (kind == nullptr || !IsCallAt(toks, i) || held->empty()) continue;
-    // Qualified mentions (`TaskGroup::Wait`) are names, not calls — except
+    // Qualified mentions (`ThreadPool::Submit`) are names, not calls — except
     // the server:: namespace qualifier on the net.h free functions.
     if (i >= 3 && toks[i - 1].text == ":" && toks[i - 2].text == ":" &&
         toks[i - 3].kind == TokenKind::kIdentifier &&

@@ -9,15 +9,14 @@ namespace monsoon::lint {
 /// Lock-rank table for the monsoon-analyze-lock-scope pass (tools/analyze;
 /// this header stays with the lint lexer so both tools build from one
 /// static-analysis base). Locks must be acquired
-/// in strictly DESCENDING rank order, and no blocking call (TaskGroup::Wait,
-/// ThreadPool::TryRunOne — both may execute arbitrary stolen tasks) may run
-/// while any lock is held.
+/// in strictly DESCENDING rank order, and no blocking call (a condition
+/// wait, ThreadPool::Submit, or ThreadPool::TryRunOne, which may execute
+/// an arbitrary queued task) may run while any lock is held.
 ///
 /// Keys are the literal guard-argument spelling at the acquisition site
-/// (`MutexLock lock(idle_mu_)` -> "idle_mu_"), which is what a syntactic
+/// (`MutexLock lock(queue_mu_)` -> "queue_mu_"), which is what a syntactic
 /// checker can see. Same-named members in different classes therefore share
-/// a rank; that is intentional — TaskGroup::mu_ and UdfColumnCache::mu_ sit
-/// at the same level because neither may be held across pool work.
+/// a rank.
 ///
 ///   rank 48  conns_mu_      QueryServer connection registry (outermost:
 ///                           held only in accept/reap/shutdown paths)
@@ -26,15 +25,14 @@ namespace monsoon::lint {
 ///   rank 40  rt.mu          parallel::Runtime config/pool registry
 ///   rank 35  memo_mu_       SharedServerState stats memo (leaf on the
 ///                           server side; never held across pool work)
-///   rank 30  mu_            TaskGroup bookkeeping; UdfColumnCache tables
-///   rank 25  submit_mu_     ThreadPool round-robin submission cursor
-///   rank 20  idle_mu_       ThreadPool pending-count / shutdown flag
-///   rank 10  q.mu           a single WorkQueue's deque (innermost)
+///   rank 30  mu_            UdfColumnCache tables
+///   rank 20  queue_mu_      ThreadPool task queue and shutdown flag
+///                           (innermost)
 inline const std::map<std::string, int>& LockRankTable() {
   static const std::map<std::string, int> table = {
       {"conns_mu_", 48}, {"sessions_mu_", 46}, {"admission_mu_", 44},
       {"rt.mu", 40},     {"memo_mu_", 35},     {"mu_", 30},
-      {"submit_mu_", 25}, {"idle_mu_", 20},    {"q.mu", 10},
+      {"queue_mu_", 20},
   };
   return table;
 }

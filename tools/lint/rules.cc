@@ -159,7 +159,7 @@ void CheckThread(const ScannedFile& f, Reporter& r) {
       r.Report("monsoon-thread", toks[i].line,
                "std::" + toks[i + 3].text +
                    " outside src/parallel/ and src/server/: route work "
-                   "through parallel::ThreadPool / TaskGroup");
+                   "through parallel::ParallelFor / ThreadPool");
     }
   }
 }
